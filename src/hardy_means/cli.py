@@ -472,6 +472,16 @@ def _preprocess_argv(argv: list[str]) -> list[str]:
     return out
 
 
+# What the user can change when a command hits the enumeration budget,
+# named by the flags that command has.
+_PREFIX_HINT = "lower -N: this mean has no incremental form, so every prefix is enumerated"
+_CAPACITY_HINTS = {
+    "mean": "--samples switches the mean command to the Monte Carlo estimator",
+    "hardy-sum": _PREFIX_HINT,
+    "estimate-constant": _PREFIX_HINT,
+}
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -482,9 +492,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapacityError as exc:
+        hint = _CAPACITY_HINTS.get(args.command)
+        advice = f"hint: {hint}; " if hint else ""
         print(
-            f"capacity: {exc} (hint: --samples switches the mean command to the "
-            f"Monte Carlo estimator; the enumeration budget is {MAX_ENUMERATION_SUBSETS} subsets)",
+            f"capacity: {exc} ({advice}the enumeration budget is {MAX_ENUMERATION_SUBSETS} subsets)",
             file=sys.stderr,
         )
         return 3

@@ -17,18 +17,34 @@ identity
     S_n = sum sqrt(a_i),  T_n = sum a_i,
 
 so truncations up to 10^7 stay cheap; plain power means keep one running
-sum, and M_{k,s,0} keeps the log-domain elementary-symmetric row at O(k)
-per step.
+sum, M_{k,2q,q} keeps the two running sums of the second-moment identity,
+and M_{k,s,0} keeps the log-domain elementary-symmetric row at O(k) per
+step.
+
+The experiments run block at a time: families produce their terms as
+arrays of a fixed number of elements, and each evaluator's ``extend`` turns
+a block into the running means after each element, with the compensated
+sums of :meth:`KahanSum.extend`.  Every result is bit-identical to feeding
+the same terms one at a time through ``push`` and ``KahanSum.add``, and so
+does not depend on the block size.  Two things make that hold: the running
+sums use ``np.add.accumulate``, which adds strictly in order, and ``pow``,
+``log`` and ``exp`` are applied element by element through the C library
+(:func:`_libm`), because numpy's vectorised versions differ from it by an
+ulp on a share of inputs.  Memory stays at a few blocks whatever N is.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
+import numpy as np
+
 from ._summation import KahanSum
-from .cmn_means import LogElementarySymmetric, MeanParams, cmn_mean_fast
+from .cmn_means import MAX_ENUMERATION_N, LogElementarySymmetric, MeanParams, cmn_mean_fast
 from .errors import DomainError
 from .extreal import ensure_exponent, format_exponent, parse_exponent
 from .power_means import ZERO_EXPONENT_THRESHOLD, check_positive_vector
@@ -59,6 +75,11 @@ __all__ = [
 # Smallest positive double; used for the geometric representability horizon.
 _TINY = 5e-324
 
+# Terms per block of the prefix engine.  Results do not depend on it; the
+# working set does (a few arrays of this length), so peak memory stays
+# flat in N.
+_BLOCK = 8192
+
 
 def _require_length(n, name: str = "N") -> int:
     if isinstance(n, bool) or not isinstance(n, int):
@@ -68,12 +89,51 @@ def _require_length(n, name: str = "N") -> int:
     return n
 
 
+def _libm(fn, values: np.ndarray, *args) -> np.ndarray:
+    """``fn(v, *args)`` for every element, through the same C library
+    call the per-term code makes.
+
+    numpy's SIMD pow, log and exp round differently from the C library on
+    a share of inputs (about 5% of ``i ** -2.0`` over i <= 10^6 on an
+    AVX-512 machine), so the block path calls ``math``/``operator``
+    element by element to stay bit-identical to ``push``.
+    """
+    args = [itertools.repeat(a) for a in args]
+    return np.fromiter(map(fn, values.tolist(), *args), np.float64, values.size)
+
+
+def _valid_prefix(ok: np.ndarray) -> int:
+    """Length of the leading run of True in ``ok``."""
+    return ok.size if ok.all() else int(ok.argmin())
+
+
+def _block_ranges(count: int) -> Iterator[tuple[int, int]]:
+    """Index ranges [lo, hi) covering 1..count, _BLOCK indices each."""
+    for lo in range(1, count + 1, _BLOCK):
+        yield lo, min(lo + _BLOCK, count + 1)
+
+
+def _index_blocks(count: int) -> Iterator[np.ndarray]:
+    """The indices 1..count as float arrays, one per block."""
+    return (np.arange(lo, hi, dtype=np.float64) for lo, hi in _block_ranges(count))
+
+
 # ---------------------------------------------------------------------------
 # Sequence families
 
 
+class _BlockTerms:
+    """Per-term view of a family's array form: ``blocks(count)`` yields
+    the first ``count`` terms as consecutive float arrays, and ``terms``
+    unrolls them.  Both validate ``count`` when called, not when first
+    iterated."""
+
+    def terms(self, count: int) -> Iterator[float]:
+        return itertools.chain.from_iterable(block.tolist() for block in self.blocks(count))
+
+
 @dataclass(frozen=True)
-class Harmonic:
+class Harmonic(_BlockTerms):
     """a_n = 1/n.  Not summable; quarantined behind an explicit opt-in.
 
     Ratio experiments against a divergent ||a||_1 are meaningless, so
@@ -83,16 +143,16 @@ class Harmonic:
 
     summable = False
 
-    def terms(self, count: int) -> Iterator[float]:
+    def blocks(self, count: int) -> Iterator[np.ndarray]:
         _require_length(count, "count")
-        return (1.0 / i for i in range(1, count + 1))
+        return (1.0 / i for i in _index_blocks(count))
 
     def label(self) -> str:
         return "harmonic"
 
 
 @dataclass(frozen=True)
-class HarmonicTruncated:
+class HarmonicTruncated(_BlockTerms):
     """a_n = 1/n up to the crossover, then the inverse-square tail n**-2.
 
     This is the witness family for the sharpness of the constant 4: with a
@@ -106,17 +166,22 @@ class HarmonicTruncated:
     def __post_init__(self):
         _require_length(self.crossover, "crossover")
 
-    def terms(self, count: int) -> Iterator[float]:
+    def blocks(self, count: int) -> Iterator[np.ndarray]:
         _require_length(count, "count")
-        n0 = self.crossover
-        return (1.0 / i if i <= n0 else float(i) ** -2.0 for i in range(1, count + 1))
+        return (self._block(i) for i in _index_blocks(count))
+
+    def _block(self, i: np.ndarray) -> np.ndarray:
+        out = 1.0 / i
+        tail = i > self.crossover
+        out[tail] = _libm(operator.pow, i[tail], -2.0)
+        return out
 
     def label(self) -> str:
         return f"harmonic-truncated:{self.crossover}"
 
 
 @dataclass(frozen=True)
-class PowerTail:
+class PowerTail(_BlockTerms):
     """a_n = n**-alpha with alpha > 1 (summable)."""
 
     exponent: float
@@ -128,24 +193,24 @@ class PowerTail:
             raise DomainError(f"power tail needs a finite exponent > 1, got {alpha!r}")
         object.__setattr__(self, "exponent", alpha)
 
-    def terms(self, count: int) -> Iterator[float]:
+    def blocks(self, count: int) -> Iterator[np.ndarray]:
         _require_length(count, "count")
-        alpha = self.exponent
-        return (float(i) ** -alpha for i in range(1, count + 1))
+        return (_libm(operator.pow, i, -self.exponent) for i in _index_blocks(count))
 
     def label(self) -> str:
         return f"powertail:{format_exponent(self.exponent)}"
 
 
 @dataclass(frozen=True)
-class Geometric:
+class Geometric(_BlockTerms):
     """a_n = r**n with 0 < r < 1.
 
-    Terms are produced by iterated multiplication and are only available
-    while r**n stays inside the positive double range; ``max_length``
-    gives that horizon (618 terms already for r = 0.3).  Requests past it
-    raise a :class:`DomainError` instead of quietly emitting zeros or a
-    stalled subnormal tail.
+    Terms are produced by iterated multiplication (``np.multiply.accumulate``
+    within a block, the last term carried into the next) and are only
+    available while r**n stays inside the positive double range;
+    ``max_length`` gives that horizon (618 terms already for r = 0.3).
+    Requests past it raise a :class:`DomainError` instead of quietly
+    emitting zeros or a stalled subnormal tail.
     """
 
     ratio: float
@@ -160,7 +225,7 @@ class Geometric:
     def max_length(self) -> int:
         return int(math.floor(math.log(_TINY) / math.log(self.ratio)))
 
-    def terms(self, count: int) -> Iterator[float]:
+    def blocks(self, count: int) -> Iterator[np.ndarray]:
         _require_length(count, "count")
         if count > self.max_length():
             raise DomainError(
@@ -170,9 +235,12 @@ class Geometric:
 
         def generate():
             x = 1.0
-            for _ in range(count):
-                x *= self.ratio
-                yield x
+            for lo, hi in _block_ranges(count):
+                block = np.full(hi - lo, self.ratio)
+                block[0] = x * self.ratio
+                np.multiply.accumulate(block, out=block)
+                x = float(block[-1])
+                yield block
 
         return generate()
 
@@ -181,7 +249,7 @@ class Geometric:
 
 
 @dataclass(frozen=True)
-class CustomTerms:
+class CustomTerms(_BlockTerms):
     """An explicit finite prefix.  There is no positive extension past it,
     so any request for more terms than given is a positivity violation."""
 
@@ -191,14 +259,15 @@ class CustomTerms:
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(check_positive_vector(self.values)))
 
-    def terms(self, count: int) -> Iterator[float]:
+    def blocks(self, count: int) -> Iterator[np.ndarray]:
         _require_length(count, "count")
         if count > len(self.values):
             raise DomainError(
                 f"custom family has {len(self.values)} strictly positive terms; "
                 f"term {len(self.values) + 1} would be zero"
             )
-        return iter(self.values[:count])
+        values = np.array(self.values[:count], dtype=np.float64)
+        return (values[lo - 1 : hi - 1] for lo, hi in _block_ranges(count))
 
     def label(self) -> str:
         return f"custom:{len(self.values)}"
@@ -262,6 +331,32 @@ def format_mean(mean: MeanLike) -> str:
 
 # ---------------------------------------------------------------------------
 # Incremental prefix evaluators
+#
+# ``push(a)`` takes one term and returns the mean of the prefix so far;
+# ``extend(block)`` does the same for every element of a float array and
+# returns the array of running means, bit-identical to pushing the
+# elements one by one.  When push would refuse an element, extend takes
+# the elements before it and then raises push's error.
+
+
+class _PerTermPrefix:
+    """``extend`` for evaluators that only have a per-term form."""
+
+    def extend(self, block: np.ndarray) -> np.ndarray:
+        push = self.push
+        return np.array([push(a) for a in block.tolist()], dtype=np.float64)
+
+
+def _counts(done: int, size: int) -> np.ndarray:
+    """The prefix lengths done+1 .. done+size as floats (exact below 2**53)."""
+    return np.arange(done + 1, done + size + 1, dtype=np.float64)
+
+
+def _power_range_error(a: float, p: float) -> DomainError:
+    return DomainError(
+        f"a**p left the double range for a={a!r}, p={p!r}; "
+        "the incremental evaluator needs representable powers"
+    )
 
 
 class PowerMeanPrefix:
@@ -288,12 +383,43 @@ class PowerMeanPrefix:
             return a if n == 1 else math.exp(self._acc.value / n)
         term = math.pow(a, p)
         if not math.isfinite(term) or term <= 0.0:
-            raise DomainError(
-                f"a**p left the double range for a={a!r}, p={p!r}; "
-                "the incremental evaluator needs representable powers"
-            )
+            raise _power_range_error(a, p)
         self._acc.add(term)
         return a if n == 1 else (self._acc.value / n) ** (1.0 / p)
+
+    def extend(self, block: np.ndarray) -> np.ndarray:
+        p = self.p
+        if math.isinf(p):
+            pick = np.maximum if p > 0 else np.minimum
+            values = pick.accumulate(block)
+            if self._extreme is not None:
+                values = pick(values, self._extreme)
+            if values.size:
+                self._extreme = float(values[-1])
+            self._count += block.size
+            return values
+        if abs(p) < ZERO_EXPONENT_THRESHOLD:
+            logs = _libm(math.log, block)
+            means = self._acc.extend(logs) / _counts(self._count, block.size)
+            values = _libm(math.exp, means)
+            size = block.size
+        else:
+            terms = _libm(math.pow, block, p)
+            size = _valid_prefix(np.isfinite(terms) & (terms > 0.0))
+            means = self._acc.extend(terms[:size]) / _counts(self._count, size)
+            values = _libm(operator.pow, means, 1.0 / p)
+        if self._count == 0 and size:
+            values[0] = block[0]
+        self._count += size
+        if size < block.size:
+            raise _power_range_error(float(block[size]), p)
+        return values
+
+
+_PAIR_LOST = (
+    "pairwise identity lost all significance (input dynamic range too extreme "
+    "for the running-sum form)"
+)
 
 
 class PairGeometricMeanPrefix:
@@ -318,14 +444,114 @@ class PairGeometricMeanPrefix:
         s = self._sqrt_sum.value
         value = (s * s - self._sum.value) / (n * (n - 1))
         if not value > 0.0:
-            raise DomainError(
-                "pairwise identity lost all significance (input dynamic range too extreme "
-                "for the running-sum form)"
-            )
+            raise DomainError(_PAIR_LOST)
         return value
 
+    def extend(self, block: np.ndarray) -> np.ndarray:
+        # sqrt is correctly rounded in numpy and in the C library alike.
+        s = self._sqrt_sum.extend(np.sqrt(block))
+        n = _counts(self._count, block.size)
+        # n = 1 divides by 1 instead of 0; its value is replaced by a below.
+        values = (s * s - self._sum.extend(block)) / np.maximum(n * (n - 1.0), 1.0)
+        if self._count == 0 and block.size:
+            values[0] = block[0]
+        self._count += block.size
+        if not (values > 0.0).all():
+            raise DomainError(_PAIR_LOST)
+        return values
 
-class SymmetricFunctionPrefix:
+
+_MOMENT_LOST = "second-moment identity lost all significance or overflowed"
+
+
+def _pow_or_inf(a: float, p: float) -> float:
+    """``math.pow``, with inf where the result leaves the double range
+    (``math.pow`` raises OverflowError there), so the range check sees it."""
+    try:
+        return math.pow(a, p)
+    except OverflowError:
+        return math.inf
+
+
+class SecondMomentPrefix:
+    """Running M_{k,2q,q} through the second-moment identity.
+
+    With b_i = a_i**q the inner mean of a k-subset S is (sum_S b / k)**(1/q),
+    so its s-th power (s = 2q) is (sum_S b)**2 / k**2.  Averaged over the
+    C(n,k) subsets,
+
+        k**2 * M**s = (k/n) p2 + k(k-1)/(n(n-1)) (p1**2 - p2),
+        p1 = sum b_i,  p2 = sum b_i**2,
+
+    with both sums compensated, so each step costs O(1).  While n <= k the
+    mean is P_q of the prefix (the k >= n branch of the definition).
+    """
+
+    def __init__(self, k: int, q: float):
+        if k < 2:
+            raise DomainError(f"k must be >= 2, got {k}")
+        q = ensure_exponent(q, "q")
+        if not math.isfinite(q) or abs(q) < ZERO_EXPONENT_THRESHOLD:
+            raise DomainError(f"the second-moment form needs finite nonzero q, got {q!r}")
+        self.k = k
+        self.q = q
+        self.s = 2.0 * q
+        self._count = 0
+        self._p1 = KahanSum()
+        self._p2 = KahanSum()
+
+    def _range_error(self, a: float) -> DomainError:
+        return DomainError(
+            f"(a**q)**2 left the double range for a={a!r}, q={self.q!r}; "
+            "the second-moment evaluator needs representable squares"
+        )
+
+    def push(self, a: float) -> float:
+        b = _pow_or_inf(a, self.q)
+        square = b * b
+        if not (math.isfinite(square) and square > 0.0):
+            raise self._range_error(a)
+        self._p1.add(b)
+        self._p2.add(square)
+        self._count += 1
+        n, k = self._count, self.k
+        if n == 1:
+            return a
+        p1 = self._p1.value
+        if n <= k:
+            return (p1 / n) ** (1.0 / self.q)
+        p2 = self._p2.value
+        moment = ((k / n) * p2 + (k * (k - 1)) / (n * (n - 1)) * (p1 * p1 - p2)) / (k * k)
+        if not (moment > 0.0 and math.isfinite(moment)):
+            raise DomainError(_MOMENT_LOST)
+        return moment ** (1.0 / self.s)
+
+    def extend(self, block: np.ndarray) -> np.ndarray:
+        b = _libm(_pow_or_inf, block, self.q)
+        with np.errstate(over="ignore"):  # an inf square fails the range check below
+            squares = b * b
+        size = _valid_prefix(np.isfinite(squares) & (squares > 0.0))
+        p1 = self._p1.extend(b[:size])
+        p2 = self._p2.extend(squares[:size])
+        n = _counts(self._count, size)
+        k = self.k
+        head = min(max(k - self._count, 0), size)  # elements with n <= k
+        values = np.empty(size)
+        values[:head] = _libm(operator.pow, p1[:head] / n[:head], 1.0 / self.q)
+        m, p1, p2 = n[head:], p1[head:], p2[head:]
+        moment = ((k / m) * p2 + (k * (k - 1)) / (m * (m - 1.0)) * (p1 * p1 - p2)) / (k * k)
+        if not ((moment > 0.0) & np.isfinite(moment)).all():
+            raise DomainError(_MOMENT_LOST)
+        values[head:] = _libm(operator.pow, moment, 1.0 / self.s)
+        if self._count == 0 and size:
+            values[0] = block[0]
+        self._count += size
+        if size < block.size:
+            raise self._range_error(float(block[size]))
+        return values
+
+
+class SymmetricFunctionPrefix(_PerTermPrefix):
     """Running M_{k,s,0} through the elementary-symmetric closed form.
 
     While fewer than k terms have arrived the mean is the plain geometric
@@ -358,14 +584,14 @@ class SymmetricFunctionPrefix:
         return math.exp((log_ek - math.log(math.comb(n, self.k))) / self.s)
 
 
-class BufferedPrefix:
+class BufferedPrefix(_PerTermPrefix):
     """Fallback: keep the prefix and re-evaluate the mean at every step.
 
-    Only viable for short experiments; the constructor budget guards
-    against accidentally quadratic (or worse) runs.
+    Every step enumerates the subsets of the prefix, so the cap defaults
+    to the longest vector enumeration accepts (``MAX_ENUMERATION_N``).
     """
 
-    def __init__(self, params: MeanParams, limit: int = 2000):
+    def __init__(self, params: MeanParams, limit: int = MAX_ENUMERATION_N):
         self.params = params
         self.limit = limit
         self._buffer: list[float] = []
@@ -374,13 +600,14 @@ class BufferedPrefix:
         if len(self._buffer) >= self.limit:
             raise DomainError(
                 f"no incremental form for {format_mean(self.params)}; the buffered "
-                f"evaluator is capped at {self.limit} terms"
+                f"evaluator re-enumerates every prefix and is capped at {self.limit} terms, "
+                f"so N must be at most {self.limit}"
             )
         self._buffer.append(a)
         return cmn_mean_fast(self.params, self._buffer).value
 
 
-def make_prefix_evaluator(mean: MeanLike, buffered_limit: int = 2000):
+def make_prefix_evaluator(mean: MeanLike, buffered_limit: int = MAX_ENUMERATION_N):
     """Build the cheapest incremental evaluator for the given mean."""
     if not isinstance(mean, MeanParams):
         return PowerMeanPrefix(ensure_exponent(mean, "p"))
@@ -395,6 +622,8 @@ def make_prefix_evaluator(mean: MeanLike, buffered_limit: int = 2000):
         return PowerMeanPrefix(q)
     if abs(q) < ZERO_EXPONENT_THRESHOLD and math.isfinite(s) and abs(s) >= ZERO_EXPONENT_THRESHOLD:
         return SymmetricFunctionPrefix(k, s)
+    if math.isfinite(q) and abs(q) >= ZERO_EXPONENT_THRESHOLD and s == 2.0 * q:
+        return SecondMomentPrefix(k, q)
     return BufferedPrefix(mean, buffered_limit)
 
 
@@ -432,6 +661,28 @@ def default_checkpoints(n: int) -> list[int]:
     return sorted(points)
 
 
+def _checkpoint_blocks(blocks: Iterator[np.ndarray], marks: list[int]):
+    """Walk ``blocks`` up to the last of the sorted ``marks``.
+
+    Yields (done, block, inside): the number of terms before the block,
+    the block itself (the last one cut at the last mark) and the marks
+    that fall inside it.
+    """
+    done = 0
+    pending = 0
+    for block in blocks:
+        end = done + block.size
+        first = pending
+        while pending < len(marks) and marks[pending] <= end:
+            pending += 1
+        inside = marks[first:pending]
+        if pending == len(marks):
+            yield done, block[: marks[-1] - done], inside
+            return
+        yield done, block, inside
+        done = end
+
+
 def iter_hardy_checkpoints(
     mean: MeanLike,
     family: SequenceFamily,
@@ -442,7 +693,8 @@ def iter_hardy_checkpoints(
 ) -> Iterator[tuple[int, float, float, float]]:
     """Yield (i, mean_sum, term_sum, ratio) at each checkpoint up to n.
 
-    Terms are consumed in forward order with compensated running sums.
+    Terms are consumed in forward order with compensated running sums, a
+    block at a time; the rows of a block are yielded once it is done.
     Non-summable families are rejected unless explicitly allowed, since a
     ratio against a divergent norm estimates nothing.
     """
@@ -461,18 +713,19 @@ def iter_hardy_checkpoints(
     evaluator = make_prefix_evaluator(mean)
     mean_sum = KahanSum()
     term_sum = KahanSum()
-    marks_iter = iter(marks)
-    next_mark = next(marks_iter)
-    for i, a in enumerate(family.terms(n), start=1):
-        if not (a > 0.0 and math.isfinite(a)):
-            raise DomainError(f"family {family.label()} produced a non-positive term at index {i}")
-        mean_sum.add(evaluator.push(a))
-        term_sum.add(a)
-        if i == next_mark:
-            yield i, mean_sum.value, term_sum.value, mean_sum.value / term_sum.value
-            next_mark = next(marks_iter, None)
-            if next_mark is None:
-                return
+    for done, block, inside in _checkpoint_blocks(family.blocks(n), marks):
+        size = _valid_prefix((block > 0.0) & np.isfinite(block))
+        sums = mean_sum.extend(evaluator.extend(block[:size]))
+        norms = term_sum.extend(block[:size])
+        for i in inside:
+            if i > done + size:
+                break
+            j = i - done - 1
+            yield i, float(sums[j]), float(norms[j]), float(sums[j] / norms[j])
+        if size < block.size:
+            raise DomainError(
+                f"family {family.label()} produced a non-positive term at index {done + size + 1}"
+            )
 
 
 def hardy_partial_sum(
@@ -530,13 +783,9 @@ def sharpness_limit_curve(checkpoints: Sequence[int]) -> list[tuple[int, float]]
         _require_length(m, "checkpoint")
     evaluator = PairGeometricMeanPrefix()
     out = []
-    marks_iter = iter(marks)
-    next_mark = next(marks_iter)
-    for i in range(1, marks[-1] + 1):
-        value = evaluator.push(1.0 / i)
-        if i == next_mark:
-            out.append((i, i * value))
-            next_mark = next(marks_iter, None)
+    for done, block, inside in _checkpoint_blocks(Harmonic().blocks(marks[-1]), marks):
+        values = evaluator.extend(block)
+        out.extend((i, i * float(values[i - done - 1])) for i in inside)
     return out
 
 

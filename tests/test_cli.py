@@ -80,6 +80,28 @@ class TestMeanCommand:
 
 
 class TestHardySumCommand:
+    def test_second_moment_mean_past_the_enumeration_limit(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "hardy-sum", "--mean", "cmn:2,2,1", "--family", "powertail:2", "-N", "1000",
+            "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["rows"][-1]["n"] == 1000
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("hardy-sum", "--mean", "cmn:12,2,-1", "--family", "powertail:2", "-N", "100"),
+            ("estimate-constant", "--mean", "cmn:12,2,-1", "-N", "100"),
+        ],
+    )
+    def test_capacity_hint_names_N(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert "lower -N" in err
+        assert "--samples" not in err
+
     def test_power_half_geometric(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -1,6 +1,11 @@
 import math
+import re
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import regression_fixtures as fixtures
 from conftest import log_uniform_vector
@@ -25,10 +30,14 @@ from hardy_means import (
     sharpness_limit_experiment,
     sharpness_sequence,
 )
+from hardy_means import hardy
+from hardy_means._summation import KahanSum
+from hardy_means.cmn_means import MAX_ENUMERATION_N
 from hardy_means.hardy import (
     BufferedPrefix,
     PairGeometricMeanPrefix,
     PowerMeanPrefix,
+    SecondMomentPrefix,
     SymmetricFunctionPrefix,
     default_checkpoints,
     make_prefix_evaluator,
@@ -145,6 +154,8 @@ class TestPrefixEvaluators:
         assert isinstance(make_prefix_evaluator(MeanParams(2, 1.0, 0.0)), PairGeometricMeanPrefix)
         assert isinstance(make_prefix_evaluator(MeanParams(3, 2.0, 2.0)), PowerMeanPrefix)
         assert isinstance(make_prefix_evaluator(MeanParams(3, 1.0, 0.0)), SymmetricFunctionPrefix)
+        assert isinstance(make_prefix_evaluator(MeanParams(2, 2.0, 1.0)), SecondMomentPrefix)
+        assert isinstance(make_prefix_evaluator(MeanParams(3, -1.0, -0.5)), SecondMomentPrefix)
         assert isinstance(make_prefix_evaluator(MeanParams(3, 2.0, -1.0)), BufferedPrefix)
 
     @pytest.mark.parametrize(
@@ -162,6 +173,9 @@ class TestPrefixEvaluators:
             MeanParams(2, 1.0, 1.0),
             MeanParams(1, 0.5, 2.0),
             MeanParams(3, 2.0, -1.0),
+            MeanParams(2, 2.0, 1.0),
+            MeanParams(3, -2.0, -1.0),
+            MeanParams(4, 1.0, 0.5),
         ],
     )
     def test_prefixes_match_naive_oracle(self, rng, mean):
@@ -182,6 +196,165 @@ class TestPrefixEvaluators:
             evaluator.push(x)
         with pytest.raises(DomainError):
             evaluator.push(6.0)
+
+    def test_buffered_default_cap_is_the_enumeration_limit(self):
+        evaluator = make_prefix_evaluator(MeanParams(3, 2.0, -1.0))
+        for i in range(1, MAX_ENUMERATION_N + 1):
+            evaluator.push(1.0 / i)
+        with pytest.raises(DomainError, match=f"capped at {MAX_ENUMERATION_N} terms"):
+            evaluator.push(0.5)
+
+    @pytest.mark.parametrize(
+        "mean",
+        [
+            0.5,
+            0.0,
+            INF,
+            -INF,
+            -1.5,
+            MeanParams(2, 1.0, 0.0),
+            MeanParams(2, 2.0, 1.0),
+            MeanParams(3, -2.0, -1.0),
+            MeanParams(3, 1.0, 0.0),
+        ],
+    )
+    def test_extend_matches_push_bit_for_bit(self, rng, mean):
+        v = log_uniform_vector(rng, 400, decades=4.0)
+        reference = make_prefix_evaluator(mean)
+        want = [reference.push(a) for a in v]
+        blocked = make_prefix_evaluator(mean)
+        got = []
+        for lo, hi in ((0, 1), (1, 1), (1, 8), (8, 250), (250, 399)):
+            got.extend(blocked.extend(np.array(v[lo:hi])).tolist())
+        got.append(blocked.push(v[399]))  # the state carried by extend serves push too
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    def test_extend_keeps_the_per_term_checks(self):
+        with pytest.raises(DomainError, match=r"a\*\*p left the double range for a=1e-200"):
+            PowerMeanPrefix(2.0).extend(np.array([1.0, 2.0, 1e-200, 3.0]))
+        for a in (1e-200, 1e200):
+            with pytest.raises(DomainError, match=re.escape(f"(a**q)**2 left the double range for a={a!r}")):
+                SecondMomentPrefix(2, 1.0).extend(np.array([1.0, 2.0, a, 3.0]))
+        with pytest.raises(DomainError, match=re.escape("(a**q)**2 left the double range for a=1e-300")):
+            SecondMomentPrefix(2, -3.0).push(1e-300)  # a**q overflows
+        with pytest.raises(DomainError, match="pairwise identity lost all significance"):
+            PairGeometricMeanPrefix().extend(np.array([1e300, 1e-300, 1e-300]))
+
+    def test_nonpositive_term_ends_the_stream_after_earlier_rows(self):
+        class Stub:
+            summable = True
+
+            def label(self):
+                return "stub"
+
+            def blocks(self, count):
+                return iter([np.array([1.0, 0.5, 0.0, 2.0])])
+
+        rows = iter_hardy_checkpoints(0.5, Stub(), 4, [1, 2, 4])
+        assert [next(rows)[0], next(rows)[0]] == [1, 2]
+        with pytest.raises(DomainError, match="non-positive term at index 3"):
+            next(rows)
+        # terms past the last checkpoint are never consumed
+        assert len(list(iter_hardy_checkpoints(0.5, Stub(), 4, [1, 2]))) == 2
+
+    def test_second_moment_preconditions(self):
+        for k, q in ((1, 1.0), (2, 0.0), (2, INF)):
+            with pytest.raises(DomainError):
+                SecondMomentPrefix(k, q)
+
+
+finite_magnitudes = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+)
+
+
+@given(
+    head=st.lists(finite_magnitudes, max_size=8),
+    tail=st.lists(finite_magnitudes, max_size=60),
+    cuts=st.lists(st.integers(min_value=0, max_value=60), max_size=4),
+)
+def test_kahan_extend_matches_add(head, tail, cuts):
+    reference = KahanSum()
+    blocked = KahanSum()
+    for x in head:  # a carried start state, compensation included
+        reference.add(x)
+        blocked.add(x)
+    want = []
+    for x in tail:
+        reference.add(x)
+        want.append(reference.value)
+    got = []
+    bounds = [0, *sorted(min(c, len(tail)) for c in cuts), len(tail)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        got.extend(blocked.extend(tail[lo:hi]).tolist())
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert blocked.value.hex() == reference.value.hex()
+
+
+class TestBlockEngine:
+    def test_block_terms_match_per_term_formulas(self, monkeypatch):
+        monkeypatch.setattr(hardy, "_BLOCK", 7)
+        n = 200
+        x, iterated = 1.0, []
+        for _ in range(n):
+            x *= 0.9
+            iterated.append(x)
+        expected = {
+            Harmonic(): [1.0 / i for i in range(1, n + 1)],
+            HarmonicTruncated(50): [1.0 / i if i <= 50 else float(i) ** -2.0 for i in range(1, n + 1)],
+            PowerTail(1.7): [float(i) ** -1.7 for i in range(1, n + 1)],
+            Geometric(0.9): iterated,
+            CustomTerms(tuple(iterated)): iterated,
+        }
+        for family, want in expected.items():
+            assert [t.hex() for t in family.terms(n)] == [t.hex() for t in want], family
+            blocks = list(family.blocks(n))
+            assert [b.size for b in blocks] == [7] * 28 + [4]
+            assert np.concatenate(blocks).tolist() == want
+
+    @pytest.mark.parametrize(
+        "mean,family",
+        [
+            ("cmn:2,1,0", "harmonic-truncated:100"),
+            ("power:0.5", "powertail:2"),
+            ("power:0", "powertail:1.5"),
+            ("power:-inf", "geometric:0.99"),
+            ("cmn:2,2,1", "powertail:2"),
+            ("cmn:3,2,0", "harmonic-truncated:10"),
+        ],
+    )
+    def test_rows_do_not_depend_on_block_size(self, monkeypatch, mean, family):
+        n = 2000
+        marks = [1, 2, 6, 7, 8, 13, 14, 15, 1000, 1999, n]
+        runs = []
+        for block in (1, 7, 8192):
+            monkeypatch.setattr(hardy, "_BLOCK", block)
+            rows = list(iter_hardy_checkpoints(parse_mean(mean), parse_family(family), n))
+            rows += list(iter_hardy_checkpoints(parse_mean(mean), parse_family(family), n, marks))
+            runs.append(rows)
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_limit_curve_does_not_depend_on_block_size(self, monkeypatch):
+        marks = [2, 3, 7, 8, 500, 2000]
+        curves = []
+        for block in (1, 7, 8192):
+            monkeypatch.setattr(hardy, "_BLOCK", block)
+            curves.append(sharpness_limit_curve(marks))
+        assert curves[0] == curves[1] == curves[2]
+
+    def test_memory_stays_flat_in_n(self):
+        # Blocks, not the whole sequence, are held: 10^6 terms would take
+        # 8 MB per float array if materialised.
+        tracemalloc.start()
+        try:
+            rows = list(iter_hardy_checkpoints(MeanParams(2, 1.0, 0.0), HarmonicTruncated(1000), 10**6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows[-1][0] == 10**6
+        assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestPartialSums:
