@@ -7,6 +7,8 @@ that stays accurate across 10^7 additions, hence this accumulator.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["KahanSum"]
@@ -58,6 +60,12 @@ class KahanSum:
         self._sum = float(totals[-1])
         self._compensation = float(compensation[-1])
         return totals + compensation
+
+    def ldexp(self, exponent: int) -> None:
+        """Multiply the running state by 2**exponent; exact while it stays
+        in the normal range."""
+        self._sum = math.ldexp(self._sum, exponent)
+        self._compensation = math.ldexp(self._compensation, exponent)
 
     @property
     def value(self) -> float:

@@ -13,7 +13,10 @@ dispatches to closed forms where they exist, most notably
     M_{k,s,0}(v) = ( e_k(b) / C(n,k) ) ** (1/s),   b_i = v_i ** (s/k),
 
 with e_k the k-th elementary symmetric polynomial evaluated by the O(n*k)
-recurrence in the log domain.  ``cmn_mean_sampled`` is a Monte Carlo
+recurrence e_j(b_1..b_m) = sum_{i<=m} b_i e_{j-1}(b_1..b_{i-1}): one
+compensated cumulative sum of positive terms per level, each level under
+its own power-of-two scale (:class:`ElementarySymmetric`), and C(n,k)
+likewise scaled.  ``cmn_mean_sampled`` is a Monte Carlo
 estimator over uniform random k-subsets for inputs beyond the enumeration
 budget.
 
@@ -31,13 +34,15 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from ._parallel import map_ordered
+from ._summation import KahanSum
 from .errors import CapacityError, DomainError
 from .extreal import ensure_exponent
 from .power_means import ZERO_EXPONENT_THRESHOLD, check_positive_vector, power_mean
@@ -57,7 +62,7 @@ __all__ = [
     "check_qs_monotonicity",
     "check_k_monotonicity",
     "theorem1_identity_check",
-    "LogElementarySymmetric",
+    "ElementarySymmetric",
 ]
 
 # Enumeration refuses beyond this many subsets (2**22) or entries; the
@@ -68,7 +73,6 @@ MAX_ENUMERATION_SUBSETS = 1 << 22
 
 MIN_SAMPLES = 100
 
-_NEG_INF = float("-inf")
 _CHUNK_ROWS = 65536
 _SAMPLE_BLOCK = 8192
 # Distinct (seed, block) pairs must map to distinct PRNG states; a prime
@@ -234,62 +238,246 @@ def cmn_mean_naive(params: MeanParams, values) -> float:
 # Fast paths
 
 
-class LogElementarySymmetric:
-    """Running elementary symmetric polynomials, carried in the log domain.
+def _libm(fn, values: np.ndarray, *args) -> np.ndarray:
+    """``fn(v, *args)`` for every element, through the same C library
+    call the per-term code makes.
 
-    After pushing log(b_1) .. log(b_m), ``log_esp(j)`` is log(e_j(b_1..b_m))
-    for j = 0..order.  The update is the classic recurrence
-    e_j <- e_j + b_i * e_{j-1}, done with logaddexp so that neither huge
-    binomial counts (e_k overflows doubles near n = 400 already for modest
-    entries) nor extreme term magnitudes leave the representable range.
+    numpy's SIMD pow, log and exp round differently from the C library on
+    a share of inputs (about 5% of ``i ** -2.0`` over i <= 10^6 on an
+    AVX-512 machine), so array code calls ``math``/``operator`` element by
+    element to stay bit-identical to scalar code.
+    """
+    args = [itertools.repeat(a) for a in args]
+    return np.fromiter(map(fn, values.tolist(), *args), np.float64, values.size)
+
+
+def _valid_prefix(ok: np.ndarray) -> int:
+    """Length of the leading run of True in ``ok``."""
+    return ok.size if ok.all() else int(ok.argmin())
+
+
+def _pow_or_inf(a: float, p: float) -> float:
+    """``math.pow``, with inf where the result leaves the double range
+    (``math.pow`` raises OverflowError there), so range checks see it."""
+    try:
+        return math.pow(a, p)
+    except OverflowError:
+        return math.inf
+
+
+def _pows(values: np.ndarray, p: float) -> np.ndarray:
+    """:func:`_pow_or_inf` of every element through :func:`_libm`."""
+    try:
+        return _libm(operator.pow, values, p)
+    except OverflowError:
+        return _libm(_pow_or_inf, values, p)
+
+
+# Smallest positive normal double.
+_MIN_NORMAL = 2.0**-1022
+# A level of :class:`ElementarySymmetric` is rescaled before it takes a
+# term above this, so that the term lands in [0.5, 1).  Levels then stay in
+# [0.5, 2**(512 + 53)], far from both ends of the double range, and so do
+# the products of the next level.
+_LEVEL_CEILING = 2.0**512
+
+
+def _scaled_pow(a: float, p: float) -> tuple[float, int]:
+    """a**p as (m, e) with m in [0.5, 1), also where a**p leaves the double range.
+
+    In range this is ``math.frexp`` of the C library's ``pow``.  Outside
+    it, a**p = 2**x with x = p*e_a + p*log2(m_a) for a = m_a * 2**e_a; the
+    first part is exact, so the relative error of m stays near
+    |p*log2(m_a)| ulps.
+    """
+    x = _pow_or_inf(a, p)
+    if _MIN_NORMAL <= x < math.inf:
+        return math.frexp(x)
+    from fractions import Fraction  # only here: it adds to every start-up otherwise
+
+    m, e = math.frexp(a)
+    x = Fraction(p) * e + Fraction(p * math.log2(m))
+    whole = math.floor(x)
+    m, e = math.frexp(2.0 ** float(x - whole))
+    return m, e + whole
+
+
+def _scaled_pows(values: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_scaled_pow` of every element, as a mantissa and an exponent array."""
+    x = values if p == 1.0 else _pows(values, p)
+    mantissa, exponent = np.frexp(x)
+    exponent = exponent.astype(np.int64)
+    for i in np.flatnonzero(~((x >= _MIN_NORMAL) & (x < math.inf))).tolist():
+        mantissa[i], exponent[i] = _scaled_pow(float(values[i]), p)
+    return mantissa, exponent
+
+
+def _ldexp_or_inf(x: float, e: int) -> float:
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
+
+
+class ElementarySymmetric:
+    """Running e_1 .. e_order of b_i = a_i**power, in the linear domain.
+
+    Level j holds e_j(b_1..b_m) = sum_{i<=m} b_i * e_{j-1}(b_1..b_{i-1}) as
+    a compensated sum of positive terms, so nothing cancels, times a
+    power-of-two scale 2**scale_j that keeps it inside the double range.
+    The scale is set by the first term a level takes and is raised
+    whenever a term would exceed ``_LEVEL_CEILING``; scaling by a power of
+    two is exact, so neither huge binomial counts nor extreme entries cost
+    accuracy.  b_i is kept as a mantissa and an exponent
+    (:func:`_scaled_pow`), so it may lie outside the double range too.
+
+    Entries must be positive and finite.  ``push(a)`` returns e_order of
+    the terms so far as (value, exponent), meaning value * 2**exponent,
+    and (0.0, 0) while there are fewer than ``order`` terms.
+    ``extend(block)`` returns the same pair as two arrays, one element per
+    term, bit-identical to pushing the terms one by one.
     """
 
-    __slots__ = ("order", "count", "_row")
-
-    def __init__(self, order: int):
+    def __init__(self, order: int, power: float):
         if order < 1:
             raise DomainError(f"order must be >= 1, got {order}")
         self.order = order
+        self.power = power
         self.count = 0
-        self._row = [0.0] + [_NEG_INF] * order
+        self._levels = [KahanSum() for _ in range(order)]
+        self._scales = [0] * order
 
-    def push(self, log_term: float) -> None:
-        row = self._row
-        log1p = math.log1p
-        exp = math.exp
-        for j in range(min(self.count + 1, self.order), 0, -1):
-            prev = row[j - 1]
-            if prev == _NEG_INF:
-                continue
-            a = row[j]
-            b = log_term + prev
-            if a < b:
-                a, b = b, a
-            row[j] = a if b == _NEG_INF else a + log1p(exp(b - a))
+    def push(self, a: float) -> tuple[float, int]:
+        mantissa, exponent = _scaled_pow(a, self.power)
         self.count += 1
+        # High levels first: level j takes b_i times level j-1 before b_i.
+        for j in range(min(self.count, self.order), 0, -1):
+            if j == 1:
+                u, shift = mantissa, exponent
+            else:
+                u, shift = mantissa * self._levels[j - 2].value, exponent + self._scales[j - 2]
+            if j == self.count:  # the level opens; its first term sets the scale
+                self._scales[j - 1] = math.frexp(u)[1] + shift
+            shift -= self._scales[j - 1]
+            level = self._levels[j - 1]
+            term = _ldexp_or_inf(u, shift)
+            if term > _LEVEL_CEILING:  # rescale so that the term lands in [0.5, 1)
+                drop = math.frexp(u)[1] + shift
+                self._scales[j - 1] += drop
+                level.ldexp(-drop)
+                term = math.ldexp(u, shift - drop)
+            level.add(term)
+        if self.count < self.order:
+            return 0.0, 0
+        return self._levels[-1].value, self._scales[-1]
 
-    def log_esp(self, j: int) -> float:
-        if not 0 <= j <= self.order:
-            raise DomainError(f"esp order {j} outside tracked range 0..{self.order}")
-        return self._row[j]
+    def extend(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        size = block.size
+        done = self.count
+        mantissa, exponent = _scaled_pows(block, self.power)
+        for j in range(1, min(done + size, self.order) + 1):
+            if j == 1:
+                u, shift = mantissa, exponent
+            else:
+                # level j - 1 before each term: its carried value, then its
+                # value after the term before
+                u = mantissa * np.concatenate(([previous], values[:-1]))
+                shift = exponent + np.concatenate(([previous_scale], scales[:-1]))
+            level = self._levels[j - 1]
+            previous, previous_scale = level.value, self._scales[j - 1]
+            start = max(j - done - 1, 0)  # the level's first term in this block
+            if done + start + 1 == j:
+                self._scales[j - 1] = math.frexp(float(u[start]))[1] + int(shift[start])
+            values = np.zeros(size)
+            scales = np.zeros(size, dtype=np.int64)
+            # Each rescale puts the term at stop in [0.5, 1), so every pass
+            # takes at least one term.
+            while start < size:
+                with np.errstate(over="ignore"):  # inf terms are caught as too large
+                    terms = np.ldexp(u[start:], shift[start:] - self._scales[j - 1])
+                stop = start + _valid_prefix(terms <= _LEVEL_CEILING)
+                values[start:stop] = level.extend(terms[: stop - start])
+                scales[start:stop] = self._scales[j - 1]
+                if stop < size:  # rescale so that the term at stop lands in [0.5, 1)
+                    drop = math.frexp(float(u[stop]))[1] + int(shift[stop]) - self._scales[j - 1]
+                    self._scales[j - 1] += drop
+                    level.ldexp(-drop)
+                start = stop
+        self.count += size
+        if self.count < self.order:
+            return np.zeros(size), np.zeros(size, dtype=np.int64)
+        return values, scales
 
 
-def _log_elementary_symmetric(log_terms: Sequence[float], k: int) -> float:
-    """log e_k of the terms exp(log_terms); requires len(log_terms) >= k."""
-    if len(log_terms) < k:
-        raise DomainError(f"e_{k} of {len(log_terms)} terms is zero; need at least k terms")
-    acc = LogElementarySymmetric(k)
-    for lb in log_terms:
-        acc.push(lb)
-    return acc.log_esp(k)
+def _binomial(n: int, k: int) -> tuple[float, int]:
+    """C(n, k) as (m, e): the float product of (n - t) / (t + 1), rescaled
+    by ``frexp`` after every factor."""
+    mantissa, exponent = 1.0, 0
+    for t in range(k):
+        mantissa, e = math.frexp(mantissa * (n - t) / (t + 1))
+        exponent += e
+    return mantissa, exponent
+
+
+def _binomials(n: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_binomial` of every element of the float array ``n``."""
+    mantissa = np.ones(n.size)
+    exponent = np.zeros(n.size, dtype=np.int64)
+    for t in range(k):
+        mantissa, e = np.frexp(mantissa * (n - t) / (t + 1))
+        exponent += e
+    return mantissa, exponent
+
+
+def _scaled_root(x: float, e: int, s: float) -> float:
+    """(x * 2**e) ** (1/s) where x * 2**e lies outside the double range;
+    e/s is split exactly into whole and fractional parts."""
+    from fractions import Fraction  # only here: it adds to every start-up otherwise
+
+    power = Fraction(e) / Fraction(s)
+    whole = math.floor(power)
+    return math.ldexp(x ** (1.0 / s) * 2.0 ** float(power - whole), whole)
+
+
+def _symmetric_mean(ek: float, ek_exponent: int, n: int, k: int, s: float) -> float:
+    """(e_k / C(n, k)) ** (1/s) from e_k = ek * 2**ek_exponent.
+
+    The root is the C library's ``pow``, or for s = 2 the correctly
+    rounded ``sqrt``, which numpy and ``math`` share.
+    """
+    c, c_exponent = _binomial(n, k)
+    ratio, exponent = ek / c, ek_exponent - c_exponent
+    if -1021 <= math.frexp(ratio)[1] + exponent <= 1024:
+        x = math.ldexp(ratio, exponent)
+        return math.sqrt(x) if s == 2.0 else x ** (1.0 / s)
+    return _scaled_root(ratio, exponent, s)
+
+
+def _symmetric_means(ek: np.ndarray, ek_exponent: np.ndarray, n: np.ndarray, k: int, s: float) -> np.ndarray:
+    """:func:`_symmetric_mean` of every element; ``n`` is a float array."""
+    c, c_exponent = _binomials(n, k)
+    ratio, exponent = ek / c, ek_exponent - c_exponent
+    top = np.frexp(ratio)[1] + exponent
+    normal = (top >= -1021) & (top <= 1024)
+    out = np.empty(ratio.size)
+    x = np.ldexp(ratio[normal], exponent[normal])
+    out[normal] = np.sqrt(x) if s == 2.0 else _libm(operator.pow, x, 1.0 / s)
+    for i in np.flatnonzero(~normal).tolist():
+        out[i] = _scaled_root(float(ratio[i]), int(exponent[i]), s)
+    return out
+
+
+def _elementary_symmetric(values, k: int, p: float) -> tuple[float, int]:
+    """e_k of values**p as (m, e), meaning m * 2**e; needs at least k values."""
+    if len(values) < k:
+        raise DomainError(f"e_{k} of {len(values)} terms is zero; need at least k terms")
+    ek, exponent = ElementarySymmetric(k, p).extend(np.asarray(values, dtype=np.float64))
+    return float(ek[-1]), int(exponent[-1])
 
 
 def _fast_symmetric_value(vals: list[float], k: int, s: float) -> float:
-    n = len(vals)
-    logs = np.log(np.sort(np.asarray(vals, dtype=np.float64)))
-    log_b = ((s / k) * logs).tolist()
-    log_ek = _log_elementary_symmetric(log_b, k)
-    return math.exp((log_ek - math.log(math.comb(n, k))) / s)
+    ek, exponent = _elementary_symmetric(np.sort(np.asarray(vals, dtype=np.float64)), k, s / k)
+    return _symmetric_mean(ek, exponent, len(vals), k, s)
 
 
 def cmn_mean_fast(params: MeanParams, values) -> CmnEvalReport:

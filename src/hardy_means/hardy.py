@@ -18,8 +18,9 @@ identity
 
 so truncations up to 10^7 stay cheap; plain power means keep one running
 sum, M_{k,2q,q} keeps the two running sums of the second-moment identity,
-and M_{k,s,0} keeps the log-domain elementary-symmetric row at O(k) per
-step.
+and M_{k,s,0} keeps the elementary-symmetric levels e_1..e_k of
+b_i = a_i**(s/k) in the linear domain, each a compensated sum of positive
+terms under its own power-of-two scale, at O(k) per step.
 
 The experiments run block at a time: families produce their terms as
 arrays of a fixed number of elements, and each evaluator's ``extend`` turns
@@ -31,6 +32,8 @@ sums use ``np.add.accumulate``, which adds strictly in order, and ``pow``,
 ``log`` and ``exp`` are applied element by element through the C library
 (:func:`_libm`), because numpy's vectorised versions differ from it by an
 ulp on a share of inputs.  Memory stays at a few blocks whatever N is.
+The crossover sweep walks the indices once for all its crossovers, so each
+term 1/i or i**-2 is computed once.
 """
 
 from __future__ import annotations
@@ -44,8 +47,20 @@ from typing import Iterator, Sequence, Union
 import numpy as np
 
 from ._summation import KahanSum
-from .cmn_means import MAX_ENUMERATION_N, LogElementarySymmetric, MeanParams, cmn_mean_fast
-from .errors import DomainError
+from .cmn_means import (
+    MAX_ENUMERATION_N,
+    ElementarySymmetric,
+    MeanParams,
+    _ensure_enumerable,
+    _libm,
+    _pow_or_inf,
+    _pows,
+    _symmetric_mean,
+    _symmetric_means,
+    _valid_prefix,
+    cmn_mean_fast,
+)
+from .errors import CapacityError, DomainError
 from .extreal import ensure_exponent, format_exponent, parse_exponent
 from .power_means import ZERO_EXPONENT_THRESHOLD, check_positive_vector
 
@@ -87,24 +102,6 @@ def _require_length(n, name: str = "N") -> int:
     if n < 1:
         raise DomainError(f"{name} must be >= 1, got {n}")
     return n
-
-
-def _libm(fn, values: np.ndarray, *args) -> np.ndarray:
-    """``fn(v, *args)`` for every element, through the same C library
-    call the per-term code makes.
-
-    numpy's SIMD pow, log and exp round differently from the C library on
-    a share of inputs (about 5% of ``i ** -2.0`` over i <= 10^6 on an
-    AVX-512 machine), so the block path calls ``math``/``operator``
-    element by element to stay bit-identical to ``push``.
-    """
-    args = [itertools.repeat(a) for a in args]
-    return np.fromiter(map(fn, values.tolist(), *args), np.float64, values.size)
-
-
-def _valid_prefix(ok: np.ndarray) -> int:
-    """Length of the leading run of True in ``ok``."""
-    return ok.size if ok.all() else int(ok.argmin())
 
 
 def _block_ranges(count: int) -> Iterator[tuple[int, int]]:
@@ -339,14 +336,6 @@ def format_mean(mean: MeanLike) -> str:
 # the elements before it and then raises push's error.
 
 
-class _PerTermPrefix:
-    """``extend`` for evaluators that only have a per-term form."""
-
-    def extend(self, block: np.ndarray) -> np.ndarray:
-        push = self.push
-        return np.array([push(a) for a in block.tolist()], dtype=np.float64)
-
-
 def _counts(done: int, size: int) -> np.ndarray:
     """The prefix lengths done+1 .. done+size as floats (exact below 2**53)."""
     return np.arange(done + 1, done + size + 1, dtype=np.float64)
@@ -381,7 +370,7 @@ class PowerMeanPrefix:
         if abs(p) < ZERO_EXPONENT_THRESHOLD:
             self._acc.add(math.log(a))
             return a if n == 1 else math.exp(self._acc.value / n)
-        term = math.pow(a, p)
+        term = _pow_or_inf(a, p)
         if not math.isfinite(term) or term <= 0.0:
             raise _power_range_error(a, p)
         self._acc.add(term)
@@ -404,7 +393,7 @@ class PowerMeanPrefix:
             values = _libm(math.exp, means)
             size = block.size
         else:
-            terms = _libm(math.pow, block, p)
+            terms = _pows(block, p)
             size = _valid_prefix(np.isfinite(terms) & (terms > 0.0))
             means = self._acc.extend(terms[:size]) / _counts(self._count, size)
             values = _libm(operator.pow, means, 1.0 / p)
@@ -464,15 +453,6 @@ class PairGeometricMeanPrefix:
 _MOMENT_LOST = "second-moment identity lost all significance or overflowed"
 
 
-def _pow_or_inf(a: float, p: float) -> float:
-    """``math.pow``, with inf where the result leaves the double range
-    (``math.pow`` raises OverflowError there), so the range check sees it."""
-    try:
-        return math.pow(a, p)
-    except OverflowError:
-        return math.inf
-
-
 class SecondMomentPrefix:
     """Running M_{k,2q,q} through the second-moment identity.
 
@@ -527,7 +507,7 @@ class SecondMomentPrefix:
         return moment ** (1.0 / self.s)
 
     def extend(self, block: np.ndarray) -> np.ndarray:
-        b = _libm(_pow_or_inf, block, self.q)
+        b = _pows(block, self.q)
         with np.errstate(over="ignore"):  # an inf square fails the range check below
             squares = b * b
         size = _valid_prefix(np.isfinite(squares) & (squares > 0.0))
@@ -551,13 +531,14 @@ class SecondMomentPrefix:
         return values
 
 
-class SymmetricFunctionPrefix(_PerTermPrefix):
+class SymmetricFunctionPrefix:
     """Running M_{k,s,0} through the elementary-symmetric closed form.
 
-    While fewer than k terms have arrived the mean is the plain geometric
+    While at most k terms have arrived the mean is the plain geometric
     mean of the prefix (the k >= n branch of the definition with q = 0);
-    afterwards it is (e_k(b)/C(n,k))**(1/s) with b_i = a_i**(s/k),
-    maintained at O(k) per step in the log domain.
+    afterwards it is (e_k(b)/C(n,k))**(1/s) with b_i = a_i**(s/k), with
+    e_k kept by the scaled linear-domain recurrence of
+    :class:`~hardy_means.cmn_means.ElementarySymmetric` at O(k) per term.
     """
 
     def __init__(self, k: int, s: float):
@@ -568,27 +549,39 @@ class SymmetricFunctionPrefix(_PerTermPrefix):
             raise DomainError(f"the symmetric-function form needs finite nonzero s, got {s!r}")
         self.k = k
         self.s = s
-        self._count = 0
-        self._esp = LogElementarySymmetric(k)
+        self._esp = ElementarySymmetric(k, s / k)
         self._log_acc = KahanSum()
 
     def push(self, a: float) -> float:
-        log_a = math.log(a)
-        self._esp.push((self.s / self.k) * log_a)
-        self._log_acc.add(log_a)
-        self._count += 1
-        n = self._count
-        if n <= self.k:
-            return a if n == 1 else math.exp(self._log_acc.value / n)
-        log_ek = self._esp.log_esp(self.k)
-        return math.exp((log_ek - math.log(math.comb(n, self.k))) / self.s)
+        ek, exponent = self._esp.push(a)
+        n = self._esp.count
+        if n > self.k:
+            return _symmetric_mean(ek, exponent, n, self.k, self.s)
+        self._log_acc.add(math.log(a))
+        return a if n == 1 else math.exp(self._log_acc.value / n)
+
+    def extend(self, block: np.ndarray) -> np.ndarray:
+        done = self._esp.count
+        ek, exponent = self._esp.extend(block)
+        n = _counts(done, block.size)
+        head = min(max(self.k - done, 0), block.size)  # elements with n <= k
+        values = np.empty(block.size)
+        logs = self._log_acc.extend(_libm(math.log, block[:head]))
+        values[:head] = _libm(math.exp, logs / n[:head])
+        if done == 0 and head:
+            values[0] = block[0]
+        values[head:] = _symmetric_means(ek[head:], exponent[head:], n[head:], self.k, self.s)
+        return values
 
 
-class BufferedPrefix(_PerTermPrefix):
+class BufferedPrefix:
     """Fallback: keep the prefix and re-evaluate the mean at every step.
 
     Every step enumerates the subsets of the prefix, so the cap defaults
     to the longest vector enumeration accepts (``MAX_ENUMERATION_N``).
+    ``extend`` first looks for the error a term of the block would hit,
+    the cap or the enumeration budget of C(n,k) subsets, and raises it
+    before enumerating anything.
     """
 
     def __init__(self, params: MeanParams, limit: int = MAX_ENUMERATION_N):
@@ -596,15 +589,27 @@ class BufferedPrefix(_PerTermPrefix):
         self.limit = limit
         self._buffer: list[float] = []
 
+    def _cap_error(self) -> DomainError:
+        return DomainError(
+            f"no incremental form for {format_mean(self.params)}; the buffered "
+            f"evaluator re-enumerates every prefix and is capped at {self.limit} terms, "
+            f"so N must be at most {self.limit}"
+        )
+
     def push(self, a: float) -> float:
         if len(self._buffer) >= self.limit:
-            raise DomainError(
-                f"no incremental form for {format_mean(self.params)}; the buffered "
-                f"evaluator re-enumerates every prefix and is capped at {self.limit} terms, "
-                f"so N must be at most {self.limit}"
-            )
+            raise self._cap_error()
         self._buffer.append(a)
         return cmn_mean_fast(self.params, self._buffer).value
+
+    def extend(self, block: np.ndarray) -> np.ndarray:
+        k = self.params.k
+        for n in range(len(self._buffer) + 1, len(self._buffer) + block.size + 1):
+            if n > self.limit:
+                raise self._cap_error()
+            if n > k:  # k < n enumerates
+                _ensure_enumerable(n, k)
+        return np.array([self.push(a) for a in block.tolist()], dtype=np.float64)
 
 
 def make_prefix_evaluator(mean: MeanLike, buffered_limit: int = MAX_ENUMERATION_N):
@@ -683,6 +688,14 @@ def _checkpoint_blocks(blocks: Iterator[np.ndarray], marks: list[int]):
         done = end
 
 
+def _advance(evaluator, mean_sum: KahanSum, term_sum: KahanSum, block: np.ndarray):
+    """Feed the leading run of positive finite terms of ``block`` to the
+    evaluator; return the running sums of the means and of the terms
+    after each term taken."""
+    size = _valid_prefix((block > 0.0) & np.isfinite(block))
+    return mean_sum.extend(evaluator.extend(block[:size])), term_sum.extend(block[:size])
+
+
 def iter_hardy_checkpoints(
     mean: MeanLike,
     family: SequenceFamily,
@@ -714,17 +727,15 @@ def iter_hardy_checkpoints(
     mean_sum = KahanSum()
     term_sum = KahanSum()
     for done, block, inside in _checkpoint_blocks(family.blocks(n), marks):
-        size = _valid_prefix((block > 0.0) & np.isfinite(block))
-        sums = mean_sum.extend(evaluator.extend(block[:size]))
-        norms = term_sum.extend(block[:size])
+        sums, norms = _advance(evaluator, mean_sum, term_sum, block)
         for i in inside:
-            if i > done + size:
+            if i > done + sums.size:
                 break
             j = i - done - 1
             yield i, float(sums[j]), float(norms[j]), float(sums[j] / norms[j])
-        if size < block.size:
+        if sums.size < block.size:
             raise DomainError(
-                f"family {family.label()} produced a non-positive term at index {done + size + 1}"
+                f"family {family.label()} produced a non-positive term at index {done + sums.size + 1}"
             )
 
 
@@ -799,6 +810,13 @@ def sharpness_constant_sweep(
     The default ladder is the powers of ten up to n plus n itself (a pure
     harmonic prefix).  The maximum ratio over the sweep is the empirical
     lower estimate of the best possible Hardy constant.
+
+    All crossovers walk the indices in one pass: 1/i and the C library's
+    i**-2 are computed once per index, and each crossover takes its terms
+    from them with its own evaluator and sums.  Each estimate equals
+    :func:`hardy_partial_sum` over its family bit for bit.  A crossover
+    that is not a positive integer is reported after the smaller ones have
+    run, as a sweep of one crossover at a time would report it.
     """
     _require_length(n)
     if n0_values is None:
@@ -808,7 +826,33 @@ def sharpness_constant_sweep(
             n0_values.append(scale)
             scale *= 10
         n0_values.append(n)
-    estimates = []
+    runs = []  # (family, evaluator, mean sum, term sum), in ladder order
+    failure = None
     for n0 in sorted(set(n0_values)):
-        estimates.append(hardy_partial_sum(mean, HarmonicTruncated(_require_length(n0, "n0")), n))
-    return estimates
+        try:
+            family = HarmonicTruncated(_require_length(n0, "n0"))
+            runs.append((family, make_prefix_evaluator(mean), KahanSum(), KahanSum()))
+        except (DomainError, CapacityError) as exc:
+            failure = exc
+            break
+    totals = {}
+    for lo, hi in _block_ranges(n):
+        if not runs:
+            break
+        i = np.arange(lo, hi, dtype=np.float64)
+        inverse = 1.0 / i
+        square = np.empty_like(i)
+        first = min(max(runs[0][0].crossover - lo + 1, 0), i.size)  # the earliest tail
+        square[first:] = _libm(operator.pow, i[first:], -2.0)
+        for family, evaluator, mean_sum, term_sum in runs:
+            cut = min(max(family.crossover - lo + 1, 0), i.size)
+            block = np.concatenate((inverse[:cut], square[cut:]))
+            sums, norms = _advance(evaluator, mean_sum, term_sum, block)
+            if hi > n:
+                totals[family] = float(sums[-1]), float(norms[-1]), float(sums[-1] / norms[-1])
+    if failure is not None:
+        raise failure
+    return [
+        HardyEstimate(ratio=ratio, n=n, family=family, mean=mean, mean_sum=mean_sum, term_sum=term_sum)
+        for family, (mean_sum, term_sum, ratio) in totals.items()
+    ]

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -97,10 +98,17 @@ class TestHardySumCommand:
         ],
     )
     def test_capacity_hint_names_N(self, capsys, argv):
-        code, _, err = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv)
         assert code == 3
         assert "lower -N" in err
         assert "--samples" not in err
+        assert out == ""
+        assert err == (
+            "capacity: C(25,12) = 5200300 exceeds the enumeration budget of 4194304; "
+            "use the fast path or the Monte Carlo sampler (hint: lower -N: this mean has no "
+            "incremental form, so every prefix is enumerated; the enumeration budget is "
+            "4194304 subsets)\n"
+        )
 
     def test_power_half_geometric(self, capsys):
         code, out, _ = run_cli(
@@ -149,6 +157,22 @@ class TestHardySumCommand:
             "hardy-sum", "--mean", "power:0.5", "--family", f"custom:{path}", "-N", "5",
         )
         assert code == 2  # positivity violation past the listed terms
+
+    def test_overflowing_power_is_a_domain_error(self, tmp_path):
+        path = tmp_path / "terms.txt"
+        path.write_text("1.0\n1e200\n0.5\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "hardy_means", "hardy-sum", "--mean", "power:2",
+             "--family", f"custom:{path}", "-N", "3"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: a**p left the double range for a=1e+200, p=2.0; "
+            "the incremental evaluator needs representable powers\n"
+        )
 
 
 class TestEstimateConstantCommand:
@@ -253,10 +277,13 @@ class TestVerifyCommand:
         assert "all properties passed" in out
 
     def test_injected_fault_exit_1(self, capsys, monkeypatch):
-        genuine = cmn_means._log_elementary_symmetric
-        monkeypatch.setattr(
-            cmn_means, "_log_elementary_symmetric", lambda terms, k: genuine(terms, k) + 0.05
-        )
+        genuine = cmn_means._elementary_symmetric
+
+        def broken(values, k, p):
+            ek, exponent = genuine(values, k, p)
+            return ek * math.exp(0.05), exponent
+
+        monkeypatch.setattr(cmn_means, "_elementary_symmetric", broken)
         code, out, _ = run_cli(
             capsys, "verify", "--quick", "--vectors", "25", "-N", "1000", "--seed", "3"
         )

@@ -3,6 +3,7 @@ import math
 import random
 from collections import Counter
 
+import mpmath
 import pytest
 
 from conftest import log_uniform_vector
@@ -21,8 +22,8 @@ from hardy_means import (
     theorem1_identity_check,
 )
 from hardy_means.cmn_means import (
+    _elementary_symmetric,
     _floyd_sample,
-    _log_elementary_symmetric,
     subset_log_means,
 )
 
@@ -50,12 +51,16 @@ def cmn_bruteforce(params, v):
 # --- elementary symmetric polynomials ----------------------------------------
 
 
+def esp_value(values, k):
+    """e_k of the values through the scaled kernel, as a plain float."""
+    ek, exponent = _elementary_symmetric(values, k, 1.0)
+    return math.ldexp(ek, exponent)
+
+
 class TestElementarySymmetric:
     def test_small_exact(self):
         # e_2(1, 2, 3) = 2 + 3 + 6 = 11
-        assert math.exp(_log_elementary_symmetric([0.0, math.log(2), math.log(3)], 2)) == pytest.approx(
-            11.0, rel=1e-13
-        )
+        assert esp_value([1.0, 2.0, 3.0], 2) == pytest.approx(11.0, rel=1e-13)
 
     def test_against_bruteforce(self, rng):
         for _ in range(100):
@@ -63,19 +68,21 @@ class TestElementarySymmetric:
             k = int(rng.integers(1, n + 1))
             terms = log_uniform_vector(rng, n, decades=2.0)
             expected = esp_bruteforce(terms, k)
-            got = math.exp(_log_elementary_symmetric([math.log(t) for t in terms], k))
+            got = esp_value(terms, k)
             assert got == pytest.approx(expected, rel=1e-12)
 
     def test_extreme_magnitudes(self):
         logs = [-600.0, -300.0, 0.0, 300.0, 600.0]
-        # e_2 dominated by the two largest: log ~ 600 + 300
-        got = _log_elementary_symmetric(logs, 2)
+        # terms exp(logs), reached as (exp(logs/4))**4; e_2 is far past the
+        # double range, dominated by the two largest: log ~ 600 + 300
+        ek, exponent = _elementary_symmetric([math.exp(x / 4) for x in logs], 2, 4.0)
+        got = math.log(ek) + exponent * math.log(2.0)
         assert got == pytest.approx(900.0, rel=1e-12)
         assert math.isfinite(got)
 
     def test_too_few_terms(self):
         with pytest.raises(DomainError):
-            _log_elementary_symmetric([0.0], 2)
+            _elementary_symmetric([1.0], 2, 1.0)
 
 
 # --- naive evaluator ----------------------------------------------------------
@@ -154,6 +161,29 @@ class TestFast:
         report = cmn_mean_fast(params, v)
         assert report.method is EvalMethod.FAST_SYMMETRIC
         assert report.value == pytest.approx(cmn_mean_naive(params, v), rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "k,s,scale",
+        [
+            (60, 60.0, 1e5),  # e_60 ~ C(300,60) * 1e300: past the double range
+            (2, 2.0, 1e200),  # e_2 and M**s ~ 1e400
+            (5, -3.0, 1e-250),  # b = a**-0.6 ~ 1e150: e_5 and M**s ~ 1e750
+        ],
+    )
+    def test_symmetric_path_past_the_double_range(self, rng, k, s, scale):
+        v = [scale * x for x in log_uniform_vector(rng, 300, decades=1.0)]
+        with mpmath.workdps(40):
+            e = [mpmath.mpf(1)] + [mpmath.mpf(0)] * k
+            for x in v:
+                b = mpmath.mpf(x) ** mpmath.mpf(s / k)  # the exponent the kernel is given
+                for j in range(k, 0, -1):
+                    e[j] += b * e[j - 1]
+            ek, exponent = _elementary_symmetric(v, k, s / k)
+            assert float(mpmath.mpf(ek) * mpmath.mpf(2) ** exponent / e[k]) == pytest.approx(1.0, rel=1e-12)
+            want = float((e[k] / mpmath.binomial(len(v), k)) ** (1 / mpmath.mpf(s)))
+        report = cmn_mean_fast(MeanParams(k, s, 0.0), v)
+        assert report.method is EvalMethod.FAST_SYMMETRIC
+        assert report.value == pytest.approx(want, rel=1e-12)
 
     def test_infinite_outer_routes_to_exact(self, rng):
         v = log_uniform_vector(rng, 6)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import regression_fixtures as fixtures
 from conftest import log_uniform_vector
 from hardy_means import (
+    CapacityError,
     CustomTerms,
     DomainError,
     Geometric,
@@ -216,6 +217,11 @@ class TestPrefixEvaluators:
             MeanParams(2, 2.0, 1.0),
             MeanParams(3, -2.0, -1.0),
             MeanParams(3, 1.0, 0.0),
+            MeanParams(2, 2.0, 0.0),
+            MeanParams(3, -2.0, 0.0),
+            # b = a**10: the e_j levels open at products b_1..b_j far outside
+            # the double range and rescale as they grow
+            MeanParams(60, 600.0, 0.0),
         ],
     )
     def test_extend_matches_push_bit_for_bit(self, rng, mean):
@@ -230,8 +236,12 @@ class TestPrefixEvaluators:
         assert [x.hex() for x in got] == [x.hex() for x in want]
 
     def test_extend_keeps_the_per_term_checks(self):
-        with pytest.raises(DomainError, match=r"a\*\*p left the double range for a=1e-200"):
-            PowerMeanPrefix(2.0).extend(np.array([1.0, 2.0, 1e-200, 3.0]))
+        for a in (1e-200, 1e200):
+            message = re.escape(f"a**p left the double range for a={a!r}")
+            with pytest.raises(DomainError, match=message):
+                PowerMeanPrefix(2.0).extend(np.array([1.0, 2.0, a, 3.0]))
+            with pytest.raises(DomainError, match=message):
+                PowerMeanPrefix(2.0).push(a)
         for a in (1e-200, 1e200):
             with pytest.raises(DomainError, match=re.escape(f"(a**q)**2 left the double range for a={a!r}")):
                 SecondMomentPrefix(2, 1.0).extend(np.array([1.0, 2.0, a, 3.0]))
@@ -256,6 +266,15 @@ class TestPrefixEvaluators:
             next(rows)
         # terms past the last checkpoint are never consumed
         assert len(list(iter_hardy_checkpoints(0.5, Stub(), 4, [1, 2]))) == 2
+
+    def test_buffered_extend_fails_before_enumerating(self, monkeypatch):
+        enumerated = []
+        monkeypatch.setattr(hardy, "cmn_mean_fast", lambda *args: enumerated.append(args))
+        with pytest.raises(CapacityError, match=re.escape("C(25,12) = 5200300 exceeds")):
+            make_prefix_evaluator(MeanParams(12, 2.0, -1.0)).extend(np.ones(100))
+        with pytest.raises(DomainError, match=f"capped at {MAX_ENUMERATION_N} terms"):
+            make_prefix_evaluator(MeanParams(3, 2.0, -1.0)).extend(np.ones(MAX_ENUMERATION_N + 1))
+        assert enumerated == []
 
     def test_second_moment_preconditions(self):
         for k, q in ((1, 1.0), (2, 0.0), (2, INF)):
@@ -323,6 +342,10 @@ class TestBlockEngine:
             ("power:-inf", "geometric:0.99"),
             ("cmn:2,2,1", "powertail:2"),
             ("cmn:3,2,0", "harmonic-truncated:10"),
+            ("cmn:2,2,0", "harmonic-truncated:100"),
+            # b = 0.75**(-2n/3) grows past 2**512: every e_k level rescales,
+            # and M**s leaves the double range
+            ("cmn:3,-2,0", "geometric:0.75"),
         ],
     )
     def test_rows_do_not_depend_on_block_size(self, monkeypatch, mean, family):
@@ -346,15 +369,25 @@ class TestBlockEngine:
 
     def test_memory_stays_flat_in_n(self):
         # Blocks, not the whole sequence, are held: 10^6 terms would take
-        # 8 MB per float array if materialised.
-        tracemalloc.start()
-        try:
-            rows = list(iter_hardy_checkpoints(MeanParams(2, 1.0, 0.0), HarmonicTruncated(1000), 10**6))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        # 8 MB per float array if materialised.  The sweep runs its
+        # crossovers in lock step, a few blocks each.
+        def traced_peak(run):
+            tracemalloc.start()
+            try:
+                return run(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        rows, peak = traced_peak(
+            lambda: list(iter_hardy_checkpoints(MeanParams(2, 1.0, 0.0), HarmonicTruncated(1000), 10**6))
+        )
         assert rows[-1][0] == 10**6
         assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+        estimates, peak = traced_peak(
+            lambda: sharpness_constant_sweep(MeanParams(2, 1.0, 0.0), 10**6, [10, 1000, 10**6])
+        )
+        assert len(estimates) == 3
+        assert peak < 2 * 2**20, f"sweep peak {peak / 2**20:.2f} MiB"
 
 
 class TestPartialSums:
@@ -370,6 +403,14 @@ class TestPartialSums:
         est = hardy_partial_sum(MeanParams(2, 1.0, 0.0), PowerTail(2.0), 10**5)
         assert est.ratio == pytest.approx(expected["ratio"], rel=1e-12)
         assert est.ratio < 4.0
+
+    @pytest.mark.parametrize("mean", ["cmn:2,2,0", "cmn:3,2,0"])
+    def test_ratio_regression_symmetric_mean(self, mean):
+        expected = fixtures.HARDY_RATIOS[(mean, "harmonic-truncated:1000", 10**6)]
+        est = hardy_partial_sum(parse_mean(mean), HarmonicTruncated(1000), 10**6)
+        assert est.ratio == pytest.approx(expected["ratio"], rel=1e-12)
+        assert est.mean_sum == pytest.approx(expected["mean_sum"], rel=1e-12)
+        assert est.term_sum == pytest.approx(expected["term_sum"], rel=1e-12)
 
     def test_checkpoint_stream(self):
         rows = list(iter_hardy_checkpoints(0.5, PowerTail(2.0), 1000, [1, 10, 1000]))
@@ -438,3 +479,24 @@ class TestSharpnessExperiments:
         best = max(estimates, key=lambda est: est.ratio)
         assert best.family.crossover == max(expected, key=expected.get)
         assert best.ratio < 4.0
+
+    @pytest.mark.parametrize("mean", ["cmn:2,1,0", "cmn:3,2,0", "power:0.5"])
+    def test_sweep_matches_partial_sums_bit_for_bit(self, monkeypatch, mean):
+        n = 120
+        ladder = [17, 1, n, 40, 17, n - 1, 1000]
+        for block in (1, 7, 8192):
+            monkeypatch.setattr(hardy, "_BLOCK", block)
+            got = sharpness_constant_sweep(parse_mean(mean), n, ladder)
+            want = [hardy_partial_sum(parse_mean(mean), HarmonicTruncated(n0), n) for n0 in sorted(set(ladder))]
+            assert [(e.family, e.n) for e in got] == [(e.family, e.n) for e in want]
+            assert [(e.mean_sum.hex(), e.term_sum.hex(), e.ratio.hex()) for e in got] == [
+                (e.mean_sum.hex(), e.term_sum.hex(), e.ratio.hex()) for e in want
+            ]
+
+    def test_sweep_raises_the_first_crossovers_error(self):
+        with pytest.raises(DomainError, match="n0 must be >= 1"):
+            sharpness_constant_sweep(0.5, 100, [50, 0, 10])
+        # a**p overflows at a = 11**-2 for crossover 10, which runs before
+        # the bad crossover 20.5 is reported
+        with pytest.raises(DomainError, match=re.escape(f"a**p left the double range for a={11.0 ** -2!r}")):
+            sharpness_constant_sweep(-200.0, 100, [20.5, 10])

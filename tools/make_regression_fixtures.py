@@ -37,6 +37,8 @@ RATIO_CASES = [
     ("cmn:2,1,0", "harmonic-truncated:1000", 10**5),
     ("cmn:2,1,1", "powertail:1.1", 10**3),
     ("cmn:2,1,1", "powertail:1.1", 10**5),
+    ("cmn:2,2,0", "harmonic-truncated:1000", 10**6),
+    ("cmn:3,2,0", "harmonic-truncated:1000", 10**6),
 ]
 
 SWEEP_MEAN = "cmn:2,1,0"
@@ -56,6 +58,25 @@ def family_terms(label: str, n: int) -> np.ndarray:
     raise ValueError(label)
 
 
+def symmetric_prefix_means(terms: np.ndarray, k: int, s: float) -> np.ndarray:
+    """M_{k,s,0} of every prefix, (e_k(b)/C(n,k))**(1/s) with b = terms**(s/k).
+
+    e_j(b_1..b_i) = cumsum over i of b_i * e_{j-1}(b_1..b_{i-1}), one level
+    at a time; while n <= k the mean is the geometric mean of the prefix.
+    """
+    n = np.arange(1, terms.size + 1, dtype=LD)
+    b = terms ** (LD(s) / LD(k))
+    e = np.cumsum(b)
+    for _ in range(2, k + 1):
+        e = np.cumsum(b * np.concatenate(([LD(0)], e[:-1])))
+    binom = np.ones_like(n)
+    for t in range(k):
+        binom = binom * (n - t) / (t + 1)
+    means = np.exp(np.cumsum(np.log(terms)) / n)
+    means[k:] = (e[k:] / binom[k:]) ** (1 / LD(s))
+    return means
+
+
 def prefix_means(mean_label: str, terms: np.ndarray) -> np.ndarray:
     n = np.arange(1, terms.size + 1, dtype=LD)
     if mean_label == "power:0.5":
@@ -69,6 +90,11 @@ def prefix_means(mean_label: str, terms: np.ndarray) -> np.ndarray:
         means[0] = terms[0]
         means[1:] = (s[1:] ** 2 - t[1:]) / (n[1:] * (n[1:] - 1))
         return means
+    kind, _, arg = mean_label.partition(":")
+    if kind == "cmn":
+        k, s, q = arg.split(",")
+        if float(q) == 0.0:
+            return symmetric_prefix_means(terms, int(k), float(s))
     raise ValueError(mean_label)
 
 
