@@ -1,61 +1,28 @@
-"""Deterministic data parallelism helpers.
+"""Ordered map over work items, on the calling thread.
 
-Work is always split into fixed blocks whose boundaries do not depend on
-the thread count, and block results are reduced in block order, so any
-computation built on :func:`map_ordered` returns identical bits whether it
-ran on one thread or many.  The thread cap comes from the environment
-variable ``HARDY_MEANS_THREADS`` (0 or unset means automatic).
+Subset enumeration and Monte Carlo sampling hand their blocks to
+:func:`map_ordered`.  The work holds the interpreter lock, so a thread
+pool gave no speedup and only raised memory; the package now runs on one
+thread.  The module remains only because the traced benchmark run
+(``perfbench/layers.py``) imports it, calls :func:`thread_count` and
+patches ``cmn_means.map_ordered`` with this signature.
 """
 
 from __future__ import annotations
 
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, TypeVar
 
-from .errors import DomainError
-
 __all__ = ["thread_count", "map_ordered"]
-
-_ENV_VAR = "HARDY_MEANS_THREADS"
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
 def thread_count() -> int:
-    """Effective worker count: env override, else min(4, cpu count)."""
-    raw = os.environ.get(_ENV_VAR, "").strip()
-    if raw in ("", "0"):
-        return min(4, os.cpu_count() or 1)
-    try:
-        count = int(raw)
-    except ValueError:
-        raise DomainError(f"{_ENV_VAR} must be a nonnegative integer, got {raw!r}")
-    if count < 0:
-        raise DomainError(f"{_ENV_VAR} must be a nonnegative integer, got {raw!r}")
-    return count
+    """Worker count: always 1."""
+    return 1
 
 
 def map_ordered(fn: Callable[[T], R], items: Iterable[T], threads: int | None = None) -> list[R]:
-    """Apply ``fn`` over ``items`` and return results in input order.
-
-    With one worker this is a plain loop.  Otherwise a bounded window of
-    futures is kept in flight so that generator inputs (e.g. streamed
-    subset-index blocks) never get materialised all at once.
-    """
-    workers = thread_count() if threads is None else threads
-    if workers <= 1:
-        return [fn(item) for item in items]
-    results: list[R] = []
-    window = 2 * workers
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending: deque = deque()
-        for item in items:
-            pending.append(pool.submit(fn, item))
-            if len(pending) >= window:
-                results.append(pending.popleft().result())
-        while pending:
-            results.append(pending.popleft().result())
-    return results
+    """``[fn(item) for item in items]``; ``threads`` is accepted and ignored."""
+    return [fn(item) for item in items]

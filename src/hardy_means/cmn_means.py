@@ -32,6 +32,7 @@ into executable checks.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import operator
@@ -73,7 +74,11 @@ MAX_ENUMERATION_SUBSETS = 1 << 22
 
 MIN_SAMPLES = 100
 
-_CHUNK_ROWS = 65536
+# Rows per enumeration chunk.  Smaller chunks keep a chunk's temporaries in
+# cache: C(22,11) at q = 1 peaks at 11 MiB and runs faster than with 65536.
+_CHUNK_ROWS = 8192
+# Cap on the indices held by one cached :func:`_tail_table` (1 MiB).
+_TAIL_ELEMENTS = 1 << 17
 _SAMPLE_BLOCK = 8192
 # Distinct (seed, block) pairs must map to distinct PRNG states; a prime
 # stride larger than 2**32 keeps the mapping injective for any block count
@@ -148,17 +153,61 @@ def _ensure_enumerable(n: int, k: int) -> int:
     return count
 
 
-def _iter_subset_index_chunks(n: int, k: int, chunk_rows: int = _CHUNK_ROWS) -> Iterator[np.ndarray]:
-    """Stream (m, k) index arrays covering all k-subsets in lexicographic order."""
-    combos = itertools.combinations(range(n), k)
-    while True:
-        flat = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(combos, chunk_rows)),
-            dtype=np.intp,
-        )
-        if flat.size == 0:
-            return
-        yield flat.reshape(-1, k)
+@functools.lru_cache(maxsize=16)
+def _tail_table(n: int, k: int) -> np.ndarray:
+    """The last r indices of every k-subset of range(n), lexicographic and
+    read-only: all r-subsets of range(k - r, n), for the largest r <= k
+    whose table holds at most ``_TAIL_ELEMENTS`` indices.
+
+    Built a column at a time: the j-subsets of range(r - j, m) that start
+    with f are f followed by the last C(m - 1 - f, j - 1) rows of the
+    (j - 1)-subsets (Knuth, TAOCP 4A, 7.2.1.3).
+    """
+    r = k
+    while r > 1 and math.comb(n - k + r, r) * r > _TAIL_ELEMENTS:
+        r -= 1
+    m = n - k + r
+    table = np.arange(r - 1, m, dtype=np.intp)[:, None]
+    for j in range(2, r + 1):
+        firsts = range(r - j, m - j + 1)
+        counts = [math.comb(m - 1 - f, j - 1) for f in firsts]
+        rests = np.concatenate([table[len(table) - c :] for c in counts])
+        table = np.hstack((np.repeat(np.array(firsts, dtype=np.intp), counts)[:, None], rests))
+    table += k - r
+    table.flags.writeable = False
+    return table
+
+
+def _iter_subset_index_chunks(n: int, k: int, chunk_rows: int) -> Iterator[np.ndarray]:
+    """Stream (m, k) index arrays covering all k-subsets in lexicographic order.
+
+    Every chunk but the last holds ``chunk_rows`` rows.  A row is a head,
+    its first k - r indices from ``itertools.combinations``, followed by a
+    tail from :func:`_tail_table`; the tails after a head that ends at a
+    are the last C(n - 1 - a, r) rows of the table.
+    """
+    tail = _tail_table(n, k)
+    size, r = tail.shape
+    h = k - r
+    left = math.comb(n, k)
+    chunk = np.empty((min(chunk_rows, left), k), dtype=np.intp)
+    fill = 0
+    for head in itertools.combinations(range(n - r), h):
+        start = size - math.comb(n - 1 - head[-1], r) if head else 0
+        while start < size:
+            stop = min(size, start + len(chunk) - fill)
+            rows = slice(fill, fill + stop - start)
+            if head:
+                chunk[rows, :h] = head
+            chunk[rows, h:] = tail[start:stop]
+            fill += stop - start
+            start = stop
+            if fill == len(chunk):
+                yield chunk
+                left -= fill
+                if left:
+                    chunk = np.empty((min(chunk_rows, left), k), dtype=np.intp)
+                fill = 0
 
 
 def _log_power_mean_rows(q: float, log_rows: np.ndarray) -> np.ndarray:
@@ -211,12 +260,11 @@ def subset_log_means(values, k: int, q: float) -> np.ndarray:
     if not (1 <= k < n):
         raise DomainError(f"subset size k={k} must satisfy 1 <= k < n={n}")
     q = ensure_exponent(q, "q")
-    total = _ensure_enumerable(n, k)
+    _ensure_enumerable(n, k)
     logs = np.log(np.sort(np.asarray(vals, dtype=np.float64)))
     rows = map_ordered(
         lambda idx: _log_power_mean_rows(q, logs[idx]),
-        _iter_subset_index_chunks(n, k),
-        threads=1 if total <= _CHUNK_ROWS else None,
+        _iter_subset_index_chunks(n, k, _CHUNK_ROWS),
     )
     return np.concatenate(rows)
 
@@ -280,6 +328,12 @@ _MIN_NORMAL = 2.0**-1022
 # [0.5, 2**(512 + 53)], far from both ends of the double range, and so do
 # the products of the next level.
 _LEVEL_CEILING = 2.0**512
+# :func:`_elementary_symmetric` takes the scalar route while each level has
+# fewer terms than this (near the measured break-even with ``extend``, for
+# any k), and only within the range bound of
+# :func:`_unscaled_elementary_symmetric`.
+_UNSCALED_TERMS = 256
+_UNSCALED_RANGE = 900
 
 
 def _scaled_pow(a: float, p: float) -> tuple[float, int]:
@@ -467,11 +521,56 @@ def _symmetric_means(ek: np.ndarray, ek_exponent: np.ndarray, n: np.ndarray, k: 
     return out
 
 
+def _unscaled_elementary_symmetric(values: list[float], k: int, p: float) -> tuple[float, int] | None:
+    """e_k of values**p as (m, e) by the recurrence of
+    :class:`ElementarySymmetric` without its scales, or None where that
+    could differ from the scaled result.
+
+    Scaling by a power of two commutes with every rounding while all
+    values stay normal.  With every b = a**p and 1/b below 2**L, the
+    level values, products and Kahan errors of both computations lie
+    within 2**(+-(2*k*L + n + 53)), a level's scale being the exponent of
+    one of its terms; so for 2*k*L + n <= ``_UNSCALED_RANGE`` the result
+    is bit-identical to ``extend``'s.
+    """
+    try:
+        b = [math.pow(a, p) for a in values]
+    except OverflowError:
+        return None
+    n = len(b)
+    lo, hi = min(b), max(b)
+    if lo < _MIN_NORMAL or 2 * k * max(math.frexp(hi)[1], 1 - math.frexp(lo)[1]) + n > _UNSCALED_RANGE:
+        return None
+    level = [1.0] * (n - k + 1)  # e_0 before each term that e_k depends on
+    for j in range(k):
+        total = compensation = 0.0
+        sums = []
+        for b_i, before in zip(b[j : n - k + j + 1], level):
+            term = b_i * before
+            previous, total = total, total + term
+            if previous >= term:
+                compensation += (previous - total) + term
+            else:
+                compensation += (term - total) + previous
+            sums.append(total + compensation)
+        level = sums
+    return math.frexp(level[-1])
+
+
 def _elementary_symmetric(values, k: int, p: float) -> tuple[float, int]:
-    """e_k of values**p as (m, e), meaning m * 2**e; needs at least k values."""
+    """e_k of values**p as (m, e), meaning m * 2**e; needs at least k values.
+
+    Short inputs whose powers stay in range take the scalar recurrence,
+    where numpy's per-call cost would outweigh its vector work.
+    """
     if len(values) < k:
         raise DomainError(f"e_{k} of {len(values)} terms is zero; need at least k terms")
-    ek, exponent = ElementarySymmetric(k, p).extend(np.asarray(values, dtype=np.float64))
+    values = np.asarray(values, dtype=np.float64)
+    if values.size - k + 1 < _UNSCALED_TERMS:
+        result = _unscaled_elementary_symmetric(values.tolist(), k, p)
+        if result is not None:
+            return result
+    ek, exponent = ElementarySymmetric(k, p).extend(values)
     return float(ek[-1]), int(exponent[-1])
 
 
@@ -515,13 +614,32 @@ def _floyd_sample(rng: random.Random, n: int, k: int) -> list[int]:
     return sorted(chosen)
 
 
+def _floyd_rows(rng: random.Random, n: int, k: int, size: int) -> np.ndarray:
+    """``size`` Floyd samples as a (size, k) array of sorted index rows.
+
+    Consumes ``rng`` exactly as ``size`` calls of :func:`_floyd_sample`
+    do: ``randrange(j + 1)`` is CPython's ``getrandbits`` of the bound's
+    bit length, retried while the value is out of range.
+    """
+    getrandbits = rng.getrandbits
+    bounds = [(j, j + 1, (j + 1).bit_length()) for j in range(n - k, n)]
+    flat: list[int] = []
+    for _ in range(size):
+        chosen: set[int] = set()
+        for j, bound, bits in bounds:
+            t = getrandbits(bits)
+            while t >= bound:
+                t = getrandbits(bits)
+            chosen.add(j if t in chosen else t)
+        flat.extend(chosen)
+    rows = np.array(flat, dtype=np.intp).reshape(size, k)
+    rows.sort(axis=1)
+    return rows
+
+
 def _sample_block(logs: np.ndarray, k: int, q: float, seed: int, block_index: int, size: int) -> np.ndarray:
     rng = random.Random(seed * _SEED_STRIDE + block_index)
-    n = logs.size
-    idx = np.empty((size, k), dtype=np.intp)
-    for row in range(size):
-        idx[row] = _floyd_sample(rng, n, k)
-    return _log_power_mean_rows(q, logs[idx])
+    return _log_power_mean_rows(q, logs[_floyd_rows(rng, logs.size, k, size)])
 
 
 def _jackknife_aggregate(s: float, log_means: np.ndarray) -> tuple[float, float]:
@@ -557,10 +675,16 @@ def cmn_mean_sampled(params: MeanParams, values, samples: int, seed: int) -> Cmn
     """Monte Carlo estimate of M_{k,s,q} from uniform random k-subsets.
 
     Subsets are drawn with Floyd's algorithm (no repetition inside a
-    subset; distinct draws may repeat).  The result is deterministic for a
-    fixed seed and independent of the thread count, because samples are
-    generated in fixed-size blocks with per-block derived seeds and
-    reduced in block order.
+    subset; distinct draws may repeat).  Samples come in blocks of
+    ``_SAMPLE_BLOCK``, block b drawn from ``random.Random(seed *
+    _SEED_STRIDE + b)``, so the result is a deterministic function of the
+    seed and the input multiset.
+
+    The standard error is the leave-one-out jackknife of the s-th-power
+    aggregate.  On heavy-tailed subset means it under-covers: for n = 2000
+    entries log-uniform over [1e-3, 1e3], k = 5, s = 2, q = 1 and 10**5
+    draws, 1 seed in 100 put the estimate 4.16 standard errors from the
+    exact value (the largest of 100 was 3.1 over one decade).
     """
     vals = check_positive_vector(values)
     n = len(vals)
@@ -584,11 +708,7 @@ def cmn_mean_sampled(params: MeanParams, values, samples: int, seed: int) -> Cmn
         (b, min(_SAMPLE_BLOCK, samples - b * _SAMPLE_BLOCK))
         for b in range((samples + _SAMPLE_BLOCK - 1) // _SAMPLE_BLOCK)
     ]
-    rows = map_ordered(
-        lambda spec: _sample_block(logs, k, q, seed, spec[0], spec[1]),
-        blocks,
-        threads=1 if len(blocks) == 1 else None,
-    )
+    rows = map_ordered(lambda spec: _sample_block(logs, k, q, seed, spec[0], spec[1]), blocks)
     log_means = np.concatenate(rows)
 
     if s == math.inf or s == -math.inf:
@@ -614,8 +734,13 @@ def _tolerance(x: float) -> float:
     return max(1e-10 * abs(x), 1e-300)
 
 
-def check_qs_monotonicity(k: int, s, t, q, p, values) -> bool:
-    """Check M_{k,s,q}(v) <= M_{k,t,p}(v) for q <= p and s <= t."""
+def _below(lhs: float, rhs: float) -> bool:
+    """lhs <= rhs up to the slack every boolean check allows."""
+    return lhs <= rhs + _tolerance(rhs)
+
+
+def _qs_sides(k: int, s, t, q, p, values) -> tuple[float, float]:
+    """(M_{k,s,q}(v), M_{k,t,p}(v)) for q <= p and s <= t."""
     s = ensure_exponent(s, "s")
     t = ensure_exponent(t, "t")
     q = ensure_exponent(q, "q")
@@ -624,11 +749,11 @@ def check_qs_monotonicity(k: int, s, t, q, p, values) -> bool:
         raise DomainError(f"monotonicity requires q <= p and s <= t, got q={q}, p={p}, s={s}, t={t}")
     lhs = cmn_mean_fast(MeanParams(k, s, q), values).value
     rhs = cmn_mean_fast(MeanParams(k, t, p), values).value
-    return lhs <= rhs + _tolerance(rhs)
+    return lhs, rhs
 
 
-def check_k_monotonicity(k: int, s, q, values) -> bool:
-    """Check M_{k,s,q}(v) <= M_{k-1,s,q}(v) for s > q and 2 <= k <= n."""
+def _k_sides(k: int, s, q, values) -> tuple[float, float]:
+    """(M_{k,s,q}(v), M_{k-1,s,q}(v)) for s > q and 2 <= k <= n."""
     s = ensure_exponent(s, "s")
     q = ensure_exponent(q, "q")
     if not s > q:
@@ -638,7 +763,17 @@ def check_k_monotonicity(k: int, s, q, values) -> bool:
         raise DomainError(f"k={k} must satisfy 2 <= k <= n={len(vals)}")
     lhs = cmn_mean_fast(MeanParams(k, s, q), vals).value
     rhs = cmn_mean_fast(MeanParams(k - 1, s, q), vals).value
-    return lhs <= rhs + _tolerance(rhs)
+    return lhs, rhs
+
+
+def check_qs_monotonicity(k: int, s, t, q, p, values) -> bool:
+    """Check M_{k,s,q}(v) <= M_{k,t,p}(v) for q <= p and s <= t."""
+    return _below(*_qs_sides(k, s, t, q, p, values))
+
+
+def check_k_monotonicity(k: int, s, q, values) -> bool:
+    """Check M_{k,s,q}(v) <= M_{k-1,s,q}(v) for s > q and 2 <= k <= n."""
+    return _below(*_k_sides(k, s, q, values))
 
 
 def theorem1_identity_check(values) -> bool:
@@ -657,5 +792,5 @@ def theorem1_identity_check(values) -> bool:
     p_one = power_mean(1.0, vals)
     rhs = n / (n - 1) * (p_half - p_one / n)
     identity_ok = abs(lhs - rhs) <= 1e-11 * lhs
-    majorized = lhs <= p_half + _tolerance(p_half)
+    majorized = _below(lhs, p_half)
     return identity_ok and majorized

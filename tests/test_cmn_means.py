@@ -1,9 +1,11 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import mpmath
+import numpy as np
 import pytest
 
 from conftest import log_uniform_vector
@@ -21,9 +23,14 @@ from hardy_means import (
     power_mean,
     theorem1_identity_check,
 )
+from hardy_means import cmn_means
 from hardy_means.cmn_means import (
+    ElementarySymmetric,
     _elementary_symmetric,
+    _floyd_rows,
     _floyd_sample,
+    _iter_subset_index_chunks,
+    _unscaled_elementary_symmetric,
     subset_log_means,
 )
 
@@ -83,6 +90,38 @@ class TestElementarySymmetric:
     def test_too_few_terms(self):
         with pytest.raises(DomainError):
             _elementary_symmetric([1.0], 2, 1.0)
+
+    def test_unscaled_route_matches_extend_bit_for_bit(self, rng):
+        # Dropping the level scales must not move a bit wherever the range
+        # bound lets the unscaled route run; wide inputs reach the bound.
+        taken = refused = 0
+        for _ in range(600):
+            n = int(rng.integers(1, 40))
+            k = int(rng.integers(1, n + 1))
+            v = log_uniform_vector(rng, n, decades=float(rng.choice([1.0, 30.0, 100.0, 300.0])))
+            p = float(rng.choice([-3.0, -1.0, 0.2, 1.0, 2.5, 8.0]))
+            got = _unscaled_elementary_symmetric(v, k, p)
+            if got is None:
+                refused += 1
+                continue
+            taken += 1
+            ek, exponent = ElementarySymmetric(k, p).extend(np.asarray(v))
+            mantissa, shift = math.frexp(float(ek[-1]))
+            assert got == (mantissa, shift + int(exponent[-1]))
+        assert taken >= 200 and refused >= 100
+        # e_20 of 24 entries near 2**-900 or 2**900 leaves the double range
+        # unscaled (0 and nan without the bound)
+        for e in (-900, 900):
+            assert _unscaled_elementary_symmetric([math.ldexp(0.75, e)] * 24, 20, 1.0) is None
+        # entries at both ends of the widest range the bound admits
+        for n, k in [(30, 2), (30, 5), (60, 12), (500, 2)]:
+            top = (cmn_means._UNSCALED_RANGE - n) // (2 * k) - 1
+            exponents = rng.choice([-top, top - 1, 0], n)
+            v = [math.ldexp(float(m), int(e)) for m, e in zip(rng.uniform(0.5, 1.0, n), exponents)]
+            got = _unscaled_elementary_symmetric(v, k, 1.0)
+            ek, exponent = ElementarySymmetric(k, 1.0).extend(np.asarray(v))
+            mantissa, shift = math.frexp(float(ek[-1]))
+            assert got == (mantissa, shift + int(exponent[-1]))
 
 
 # --- naive evaluator ----------------------------------------------------------
@@ -248,15 +287,6 @@ class TestSampled:
         third = cmn_mean_sampled(params, v, 2000, seed=12)
         assert third.value != first.value
 
-    def test_thread_count_does_not_change_bits(self, rng, monkeypatch):
-        v = log_uniform_vector(rng, 11)
-        params = MeanParams(4, 2.0, 0.5)
-        monkeypatch.setenv("HARDY_MEANS_THREADS", "1")
-        serial = cmn_mean_sampled(params, v, 3 * 8192 + 17, seed=5)
-        monkeypatch.setenv("HARDY_MEANS_THREADS", "3")
-        threaded = cmn_mean_sampled(params, v, 3 * 8192 + 17, seed=5)
-        assert serial == threaded
-
     def test_sorted_input_invariance(self, rng):
         v = log_uniform_vector(rng, 8)
         params = MeanParams(2, 1.0, 0.0)
@@ -285,6 +315,36 @@ class TestSampled:
         assert len(counts) == 10
         for frequency in counts.values():
             assert 1600 <= frequency <= 2400
+
+    @pytest.mark.parametrize("size", [1, 17, 8192])
+    @pytest.mark.parametrize("n,k", [(5, 2), (12, 4), (9, 8), (33, 3), (50, 40), (2000, 5)])
+    def test_block_draws_match_floyd_sample(self, n, k, size):
+        # In (33, 3) the bounds 31..33 straddle 2**5, so about half the
+        # draws are retried.
+        block, reference = random.Random(n * k + size), random.Random(n * k + size)
+        rows = _floyd_rows(block, n, k, size)
+        assert rows.tolist() == [_floyd_sample(reference, n, k) for _ in range(size)]
+        assert block.getstate() == reference.getstate()
+
+    def test_draws_are_uniform_over_all_subsets(self, monkeypatch):
+        # Exact chi-square over all C(8,3) = 56 subsets, 300 expected draws
+        # each, across three sample blocks.  With entries e**i the sampled
+        # log-rows are the index rows.  The threshold, the 0.999 quantile of
+        # chi-square with 55 degrees of freedom (93.17), was fixed before
+        # the test first ran.
+        drawn = []
+        genuine = cmn_means._log_power_mean_rows
+
+        def record(q, log_rows):
+            drawn.extend(map(tuple, np.rint(log_rows).astype(int).tolist()))
+            return genuine(q, log_rows)
+
+        monkeypatch.setattr(cmn_means, "_log_power_mean_rows", record)
+        cmn_mean_sampled(MeanParams(3, 1.0, 0.0), [math.exp(i) for i in range(8)], 56 * 300, seed=1)
+        counts = Counter(drawn)
+        assert set(counts) == set(itertools.combinations(range(8), 3))
+        chi_square = sum((counts[c] - 300) ** 2 / 300 for c in counts)
+        assert chi_square < 93.17
 
 
 # --- report invariants ----------------------------------------------------------
@@ -409,26 +469,41 @@ def test_subset_log_means_budget():
         subset_log_means(list(range(1, 32)), 2, 0.0)
 
 
-def test_naive_thread_count_does_not_change_bits(rng, monkeypatch):
+@pytest.mark.parametrize("tail_elements", [1, 24, cmn_means._TAIL_ELEMENTS])
+def test_subset_chunks_are_lexicographic(monkeypatch, tail_elements):
+    # Small table caps force many heads and narrow tails.
+    monkeypatch.setattr(cmn_means, "_TAIL_ELEMENTS", tail_elements)
+    cmn_means._tail_table.cache_clear()
+    try:
+        for n in range(2, 13):
+            for k in range(1, n):
+                want = [list(c) for c in itertools.combinations(range(n), k)]
+                for chunk_rows in (1, 7, 65536):
+                    chunks = list(_iter_subset_index_chunks(n, k, chunk_rows))
+                    assert all(len(c) == chunk_rows for c in chunks[:-1])
+                    assert 1 <= len(chunks[-1]) <= chunk_rows
+                    assert np.concatenate(chunks).tolist() == want
+    finally:
+        cmn_means._tail_table.cache_clear()
+
+
+def test_naive_does_not_depend_on_chunk_size(rng, monkeypatch):
     v = log_uniform_vector(rng, 24)
     params = MeanParams(7, 2.0, -1.0)  # C(24,7) = 346104 spans several chunks
-    monkeypatch.setenv("HARDY_MEANS_THREADS", "1")
-    serial = cmn_mean_naive(params, v)
-    monkeypatch.setenv("HARDY_MEANS_THREADS", "4")
-    threaded = cmn_mean_naive(params, v)
-    assert serial == threaded
+    values = set()
+    for chunk_rows in (1, 7, 65536):
+        monkeypatch.setattr(cmn_means, "_CHUNK_ROWS", chunk_rows)
+        values.add(cmn_mean_naive(params, v).hex())
+    assert len(values) == 1
 
 
-def test_thread_env_validation(monkeypatch):
-    from hardy_means._parallel import thread_count
-
-    monkeypatch.setenv("HARDY_MEANS_THREADS", "2")
-    assert thread_count() == 2
-    monkeypatch.setenv("HARDY_MEANS_THREADS", "0")
-    assert thread_count() >= 1
-    monkeypatch.delenv("HARDY_MEANS_THREADS")
-    assert thread_count() >= 1
-    for bad in ("-1", "many"):
-        monkeypatch.setenv("HARDY_MEANS_THREADS", bad)
-        with pytest.raises(DomainError):
-            thread_count()
+def test_enumeration_memory(rng):
+    v = log_uniform_vector(rng, 22)
+    cmn_means._tail_table.cache_clear()
+    tracemalloc.start()
+    try:
+        subset_log_means(v, 11, 1.0)  # C(22,11) = 705432 subsets
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
