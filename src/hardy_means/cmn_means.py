@@ -32,7 +32,6 @@ into executable checks.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import math
 import operator
@@ -62,6 +61,8 @@ __all__ = [
     "cmn_mean_sampled",
     "check_qs_monotonicity",
     "check_k_monotonicity",
+    "compare_qs_monotonicity",
+    "compare_k_monotonicity",
     "theorem1_identity_check",
     "ElementarySymmetric",
 ]
@@ -77,9 +78,12 @@ MIN_SAMPLES = 100
 # Rows per enumeration chunk.  Smaller chunks keep a chunk's temporaries in
 # cache: C(22,11) at q = 1 peaks at 11 MiB and runs faster than with 65536.
 _CHUNK_ROWS = 8192
-# Cap on the indices held by one cached :func:`_tail_table` (1 MiB).
+# Cap on the indices held by one :func:`_tail_table` (1 MiB).
 _TAIL_ELEMENTS = 1 << 17
 _SAMPLE_BLOCK = 8192
+# :func:`_floyd_rows` copies its drawn indices into the block's array every
+# this many, so the Python ints it holds stay near 2 MiB for any k.
+_FLUSH_INDICES = 1 << 16
 # Distinct (seed, block) pairs must map to distinct PRNG states; a prime
 # stride larger than 2**32 keeps the mapping injective for any block count
 # a sane sample budget can produce.
@@ -153,11 +157,10 @@ def _ensure_enumerable(n: int, k: int) -> int:
     return count
 
 
-@functools.lru_cache(maxsize=16)
 def _tail_table(n: int, k: int) -> np.ndarray:
-    """The last r indices of every k-subset of range(n), lexicographic and
-    read-only: all r-subsets of range(k - r, n), for the largest r <= k
-    whose table holds at most ``_TAIL_ELEMENTS`` indices.
+    """The last r indices of every k-subset of range(n), lexicographic: all
+    r-subsets of range(k - r, n), for the largest r <= k whose table holds
+    at most ``_TAIL_ELEMENTS`` indices.
 
     Built a column at a time: the j-subsets of range(r - j, m) that start
     with f are f followed by the last C(m - 1 - f, j - 1) rows of the
@@ -174,7 +177,6 @@ def _tail_table(n: int, k: int) -> np.ndarray:
         rests = np.concatenate([table[len(table) - c :] for c in counts])
         table = np.hstack((np.repeat(np.array(firsts, dtype=np.intp), counts)[:, None], rests))
     table += k - r
-    table.flags.writeable = False
     return table
 
 
@@ -623,16 +625,19 @@ def _floyd_rows(rng: random.Random, n: int, k: int, size: int) -> np.ndarray:
     """
     getrandbits = rng.getrandbits
     bounds = [(j, j + 1, (j + 1).bit_length()) for j in range(n - k, n)]
-    flat: list[int] = []
-    for _ in range(size):
-        chosen: set[int] = set()
-        for j, bound, bits in bounds:
-            t = getrandbits(bits)
-            while t >= bound:
+    rows = np.empty((size, k), dtype=np.intp)
+    step = max(1, _FLUSH_INDICES // k)
+    for start in range(0, size, step):
+        flat: list[int] = []
+        for _ in range(min(step, size - start)):
+            chosen: set[int] = set()
+            for j, bound, bits in bounds:
                 t = getrandbits(bits)
-            chosen.add(j if t in chosen else t)
-        flat.extend(chosen)
-    rows = np.array(flat, dtype=np.intp).reshape(size, k)
+                while t >= bound:
+                    t = getrandbits(bits)
+                chosen.add(j if t in chosen else t)
+            flat.extend(chosen)
+        rows[start : start + len(flat) // k] = np.array(flat, dtype=np.intp).reshape(-1, k)
     rows.sort(axis=1)
     return rows
 
@@ -739,8 +744,8 @@ def _below(lhs: float, rhs: float) -> bool:
     return lhs <= rhs + _tolerance(rhs)
 
 
-def _qs_sides(k: int, s, t, q, p, values) -> tuple[float, float]:
-    """(M_{k,s,q}(v), M_{k,t,p}(v)) for q <= p and s <= t."""
+def compare_qs_monotonicity(k: int, s, t, q, p, values) -> tuple[bool, float, float]:
+    """(ok, lhs, rhs) for lhs = M_{k,s,q}(v) <= rhs = M_{k,t,p}(v), q <= p, s <= t."""
     s = ensure_exponent(s, "s")
     t = ensure_exponent(t, "t")
     q = ensure_exponent(q, "q")
@@ -749,11 +754,11 @@ def _qs_sides(k: int, s, t, q, p, values) -> tuple[float, float]:
         raise DomainError(f"monotonicity requires q <= p and s <= t, got q={q}, p={p}, s={s}, t={t}")
     lhs = cmn_mean_fast(MeanParams(k, s, q), values).value
     rhs = cmn_mean_fast(MeanParams(k, t, p), values).value
-    return lhs, rhs
+    return _below(lhs, rhs), lhs, rhs
 
 
-def _k_sides(k: int, s, q, values) -> tuple[float, float]:
-    """(M_{k,s,q}(v), M_{k-1,s,q}(v)) for s > q and 2 <= k <= n."""
+def compare_k_monotonicity(k: int, s, q, values) -> tuple[bool, float, float]:
+    """(ok, lhs, rhs) for lhs = M_{k,s,q}(v) <= rhs = M_{k-1,s,q}(v), s > q, 2 <= k <= n."""
     s = ensure_exponent(s, "s")
     q = ensure_exponent(q, "q")
     if not s > q:
@@ -763,17 +768,17 @@ def _k_sides(k: int, s, q, values) -> tuple[float, float]:
         raise DomainError(f"k={k} must satisfy 2 <= k <= n={len(vals)}")
     lhs = cmn_mean_fast(MeanParams(k, s, q), vals).value
     rhs = cmn_mean_fast(MeanParams(k - 1, s, q), vals).value
-    return lhs, rhs
+    return _below(lhs, rhs), lhs, rhs
 
 
 def check_qs_monotonicity(k: int, s, t, q, p, values) -> bool:
     """Check M_{k,s,q}(v) <= M_{k,t,p}(v) for q <= p and s <= t."""
-    return _below(*_qs_sides(k, s, t, q, p, values))
+    return compare_qs_monotonicity(k, s, t, q, p, values)[0]
 
 
 def check_k_monotonicity(k: int, s, q, values) -> bool:
     """Check M_{k,s,q}(v) <= M_{k-1,s,q}(v) for s > q and 2 <= k <= n."""
-    return _below(*_k_sides(k, s, q, values))
+    return compare_k_monotonicity(k, s, q, values)[0]
 
 
 def theorem1_identity_check(values) -> bool:

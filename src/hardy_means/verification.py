@@ -15,7 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmn_means
-from .cmn_means import MeanParams, _below, _k_sides, _qs_sides, cmn_mean_fast, cmn_mean_naive
+from .cmn_means import (
+    MeanParams,
+    cmn_mean_fast,
+    cmn_mean_naive,
+    compare_k_monotonicity,
+    compare_qs_monotonicity,
+)
 from .hardy import sharpness_limit_curve
 from .power_means import power_mean
 
@@ -76,8 +82,8 @@ def _check_qs_monotonicity(rng: np.random.Generator, draws: int) -> PropertyResu
         k = int(rng.integers(1, n + 1))
         s, t = sorted(rng.choice(EXPONENT_GRID, 2))
         q, p = sorted(rng.choice(EXPONENT_GRID, 2))
-        lhs, rhs = _qs_sides(k, s, t, q, p, v)
-        if not _below(lhs, rhs):
+        ok, lhs, rhs = compare_qs_monotonicity(k, s, t, q, p, v)
+        if not ok:
             failures += 1
         worst = max(worst, _monotonicity_margin(lhs, rhs))
     return PropertyResult(
@@ -100,8 +106,8 @@ def _check_k_monotonicity(rng: np.random.Generator, draws: int) -> PropertyResul
             s, q = rng.choice(grid, 2)
             if s > q:
                 break
-        lhs, rhs = _k_sides(k, float(s), float(q), v)
-        if not _below(lhs, rhs):
+        ok, lhs, rhs = compare_k_monotonicity(k, float(s), float(q), v)
+        if not ok:
             failures += 1
         worst = max(worst, _monotonicity_margin(lhs, rhs))
     return PropertyResult(

@@ -31,6 +31,8 @@ from hardy_means.cmn_means import (
     _floyd_sample,
     _iter_subset_index_chunks,
     _unscaled_elementary_symmetric,
+    compare_k_monotonicity,
+    compare_qs_monotonicity,
     subset_log_means,
 )
 
@@ -326,6 +328,18 @@ class TestSampled:
         assert rows.tolist() == [_floyd_sample(reference, n, k) for _ in range(size)]
         assert block.getstate() == reference.getstate()
 
+    def test_block_draw_memory(self):
+        # The drawn indices reach the block's array in batches, so a large k
+        # holds few Python ints at once: about 6 MiB here, against 16 MiB
+        # for one flat list of the whole block.
+        tracemalloc.start()
+        try:
+            rows = _floyd_rows(random.Random(5), 2000, 1000, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.nbytes + 4 * 2**20
+
     def test_draws_are_uniform_over_all_subsets(self, monkeypatch):
         # Exact chi-square over all C(8,3) = 56 subsets, 300 expected draws
         # each, across three sample blocks.  With entries e**i the sampled
@@ -376,6 +390,11 @@ class TestReport:
 class TestMonotonicityChecks:
     def test_hand_example(self):
         assert check_qs_monotonicity(2, 0.0, 1.0, 0.0, 0.0, (1, 4, 9)) is True
+        # M_{2,0,0}(1,4,9) = P_0 = 36**(1/3) <= M_{2,1,0}(1,4,9) = 11/3
+        ok, lhs, rhs = compare_qs_monotonicity(2, 0.0, 1.0, 0.0, 0.0, (1, 4, 9))
+        assert ok is True
+        assert lhs == pytest.approx(36 ** (1 / 3), rel=1e-13)
+        assert rhs == pytest.approx(11 / 3, rel=1e-13)
 
     def test_equal_parameters(self, rng):
         v = log_uniform_vector(rng, 6)
@@ -399,6 +418,10 @@ class TestMonotonicityChecks:
     def test_k_hand_example(self):
         # M_{2,1,0}(1,4,9) = 11/3 <= M_{1,1,0}(1,4,9) = P_1 = 14/3
         assert check_k_monotonicity(2, 1.0, 0.0, (1, 4, 9)) is True
+        ok, lhs, rhs = compare_k_monotonicity(2, 1.0, 0.0, (1, 4, 9))
+        assert ok is True
+        assert lhs == pytest.approx(11 / 3, rel=1e-13)
+        assert rhs == pytest.approx(14 / 3, rel=1e-13)
         assert cmn_mean_fast(MeanParams(1, 1.0, 0.0), (1, 4, 9)).value == pytest.approx(14 / 3, rel=1e-13)
 
     def test_k_equals_n(self, rng):
@@ -473,18 +496,14 @@ def test_subset_log_means_budget():
 def test_subset_chunks_are_lexicographic(monkeypatch, tail_elements):
     # Small table caps force many heads and narrow tails.
     monkeypatch.setattr(cmn_means, "_TAIL_ELEMENTS", tail_elements)
-    cmn_means._tail_table.cache_clear()
-    try:
-        for n in range(2, 13):
-            for k in range(1, n):
-                want = [list(c) for c in itertools.combinations(range(n), k)]
-                for chunk_rows in (1, 7, 65536):
-                    chunks = list(_iter_subset_index_chunks(n, k, chunk_rows))
-                    assert all(len(c) == chunk_rows for c in chunks[:-1])
-                    assert 1 <= len(chunks[-1]) <= chunk_rows
-                    assert np.concatenate(chunks).tolist() == want
-    finally:
-        cmn_means._tail_table.cache_clear()
+    for n in range(2, 13):
+        for k in range(1, n):
+            want = [list(c) for c in itertools.combinations(range(n), k)]
+            for chunk_rows in (1, 7, 65536):
+                chunks = list(_iter_subset_index_chunks(n, k, chunk_rows))
+                assert all(len(c) == chunk_rows for c in chunks[:-1])
+                assert 1 <= len(chunks[-1]) <= chunk_rows
+                assert np.concatenate(chunks).tolist() == want
 
 
 def test_naive_does_not_depend_on_chunk_size(rng, monkeypatch):
@@ -499,7 +518,6 @@ def test_naive_does_not_depend_on_chunk_size(rng, monkeypatch):
 
 def test_enumeration_memory(rng):
     v = log_uniform_vector(rng, 22)
-    cmn_means._tail_table.cache_clear()
     tracemalloc.start()
     try:
         subset_log_means(v, 11, 1.0)  # C(22,11) = 705432 subsets
