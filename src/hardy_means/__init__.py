@@ -5,43 +5,55 @@ the order-q power means of all k-element sub-tuples), measures truncated
 Hardy ratios sum_n M(a_1..a_n) / sum_n a_n for standard sequence families,
 and classifies the (k, s, q) parameter space into Hardy / NotHardy / Open
 regions.  See the ``hardy-means`` CLI for the command-line surface.
+
+Importing the package loads only the numpy-free modules (the classifier,
+the parameter specs and the error types).  Every other export is imported
+from its module on first access (PEP 562), so ``hardy-means classify`` and
+``hardy-means --help`` never load numpy.
 """
 
+import importlib
+
+# ``classify`` is bound here, after its submodule is imported, so the
+# package attribute is the function and not the submodule of that name.
 from .classify import Classification, Reason, Verdict, classification_table, classify
-from .cmn_means import (
-    CmnEvalReport,
-    EvalMethod,
-    MeanParams,
-    check_k_monotonicity,
-    check_qs_monotonicity,
-    cmn_mean_fast,
-    cmn_mean_naive,
-    cmn_mean_sampled,
-    theorem1_identity_check,
-)
 from .errors import CapacityError, DomainError
-from .hardy import (
-    CustomTerms,
-    Geometric,
-    Harmonic,
-    HarmonicTruncated,
-    HardyEstimate,
-    PowerTail,
-    format_mean,
-    hardy_partial_sum,
-    iter_hardy_checkpoints,
-    landau_constant,
-    parse_family,
-    parse_mean,
-    sharpness_constant_sweep,
-    sharpness_limit_curve,
-    sharpness_limit_experiment,
-    sharpness_sequence,
-)
-from .power_means import check_positive_vector, power_mean, power_mean_lower_bound_check
-from .verification import PropertyResult, run_verification
+from .params import MeanParams, format_mean, parse_mean
 
 __version__ = "0.1.0"
+
+# Exports imported on first access, by defining module.
+_LAZY_EXPORTS = {
+    "cmn_means": (
+        "CmnEvalReport",
+        "EvalMethod",
+        "check_k_monotonicity",
+        "check_qs_monotonicity",
+        "cmn_mean_fast",
+        "cmn_mean_naive",
+        "cmn_mean_sampled",
+        "theorem1_identity_check",
+    ),
+    "hardy": (
+        "CustomTerms",
+        "Geometric",
+        "Harmonic",
+        "HarmonicTruncated",
+        "HardyEstimate",
+        "PowerTail",
+        "hardy_partial_sum",
+        "iter_hardy_checkpoints",
+        "landau_constant",
+        "parse_family",
+        "sharpness_constant_sweep",
+        "sharpness_limit_curve",
+        "sharpness_limit_experiment",
+        "sharpness_sequence",
+    ),
+    "power_means": ("check_positive_vector", "power_mean", "power_mean_lower_bound_check"),
+    "verification": ("PropertyResult", "run_verification"),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY_EXPORTS.items() for name in names}
 
 __all__ = [
     "CapacityError",
@@ -83,3 +95,16 @@ __all__ = [
     "theorem1_identity_check",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -22,9 +22,9 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .cmn_means import MeanParams
 from .errors import DomainError
 from .extreal import ensure_exponent
+from .params import MeanParams
 
 __all__ = ["Verdict", "Reason", "Classification", "classify", "classification_table"]
 

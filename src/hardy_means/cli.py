@@ -18,35 +18,50 @@ times and is exempt.
 from __future__ import annotations
 
 import argparse
+import importlib
 import math
 import sys
 import time
 
-import numpy as np
-
 from ._format import canonical_json, rows_to_csv
 from .classify import classification_table, classify
-from .cmn_means import (
-    MAX_ENUMERATION_SUBSETS,
-    EvalMethod,
-    MeanParams,
-    cmn_mean_fast,
-    cmn_mean_naive,
-    cmn_mean_sampled,
-)
 from .errors import CapacityError, DomainError
 from .extreal import format_exponent, parse_exponent
-from .hardy import (
-    CustomTerms,
-    format_mean,
-    iter_hardy_checkpoints,
-    parse_family,
-    parse_mean,
-    sharpness_constant_sweep,
-)
-from .verification import run_verification
+from .params import MeanParams, format_mean, parse_mean
 
 __all__ = ["main", "run_bench"]
+
+# Names this module takes from the numpy-backed modules.  They are bound on
+# first use (:func:`_load_kernels`), so ``classify`` and ``--help`` never
+# import numpy.
+_KERNELS = {
+    "cmn_means": (
+        "MAX_ENUMERATION_SUBSETS",
+        "EvalMethod",
+        "cmn_mean_fast",
+        "cmn_mean_naive",
+        "cmn_mean_sampled",
+    ),
+    "hardy": ("CustomTerms", "iter_hardy_checkpoints", "parse_family", "sharpness_constant_sweep"),
+    "verification": ("run_verification",),
+}
+
+
+def _load_kernels() -> None:
+    """Import the numpy-backed modules and bind their names here.  A name
+    that is already bound (say, a wrapper set with ``setattr``) is kept."""
+    namespace = globals()
+    for module, names in _KERNELS.items():
+        source = importlib.import_module(f".{module}", __package__)
+        for name in names:
+            namespace.setdefault(name, getattr(source, name))
+
+
+def __getattr__(name):
+    if any(name in names for names in _KERNELS.values()):
+        _load_kernels()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +299,9 @@ def _time_call(fn, repetitions: int) -> tuple[float, object]:
 def run_bench(samples: int = 10**4, seed: int = 0) -> tuple[list[tuple], float]:
     """Timing rows (method, n, k, time, value, rel_error_vs_best, status)
     over the size ladder, plus the fast-vs-naive speedup at n=20, k=5."""
+    import numpy as np
+
+    _load_kernels()
     rows: list[tuple] = []
     speedup = math.nan
     rng = np.random.default_rng(seed)
@@ -486,6 +504,8 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _build_parser().parse_args(_preprocess_argv(list(argv)))
+    if args.command != "classify":
+        _load_kernels()
     try:
         return args.func(args)
     except DomainError as exc:

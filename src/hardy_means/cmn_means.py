@@ -45,6 +45,7 @@ from ._parallel import map_ordered
 from ._summation import KahanSum
 from .errors import CapacityError, DomainError
 from .extreal import ensure_exponent
+from .params import MeanParams
 from .power_means import ZERO_EXPONENT_THRESHOLD, check_positive_vector, power_mean
 
 __all__ = [
@@ -88,23 +89,6 @@ _FLUSH_INDICES = 1 << 16
 # stride larger than 2**32 keeps the mapping injective for any block count
 # a sane sample budget can produce.
 _SEED_STRIDE = 4294967311
-
-
-@dataclass(frozen=True)
-class MeanParams:
-    """Parameter triple (k, s, q) of a subset-composed mean."""
-
-    k: int
-    s: float
-    q: float
-
-    def __post_init__(self):
-        if isinstance(self.k, bool) or not isinstance(self.k, int):
-            raise DomainError(f"k must be an integer, got {self.k!r}")
-        if self.k < 1:
-            raise DomainError(f"k must be >= 1, got {self.k}")
-        object.__setattr__(self, "s", ensure_exponent(self.s, "s"))
-        object.__setattr__(self, "q", ensure_exponent(self.q, "q"))
 
 
 class EvalMethod(enum.Enum):

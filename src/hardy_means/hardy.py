@@ -50,7 +50,6 @@ from ._summation import KahanSum
 from .cmn_means import (
     MAX_ENUMERATION_N,
     ElementarySymmetric,
-    MeanParams,
     _ensure_enumerable,
     _libm,
     _pow_or_inf,
@@ -62,6 +61,7 @@ from .cmn_means import (
 )
 from .errors import CapacityError, DomainError
 from .extreal import ensure_exponent, format_exponent, parse_exponent
+from .params import MeanLike, MeanParams, format_mean, parse_mean
 from .power_means import ZERO_EXPONENT_THRESHOLD, check_positive_vector
 
 __all__ = [
@@ -293,37 +293,6 @@ def parse_family(text: str) -> SequenceFamily:
         f"unknown family {text!r}; expected harmonic, harmonic-truncated:<N0>, "
         "powertail:<alpha> or geometric:<r>"
     )
-
-
-# ---------------------------------------------------------------------------
-# Mean specs: a plain float means the power mean of that order, a
-# MeanParams triple means the subset-composed mean.
-
-MeanLike = Union[float, int, MeanParams]
-
-
-def parse_mean(text: str) -> MeanLike:
-    """Parse ``power:<p>`` or ``cmn:<k>,<s>,<q>`` (inf/-inf tokens allowed)."""
-    kind, _, arg = text.strip().partition(":")
-    kind = kind.lower()
-    if kind == "power":
-        return parse_exponent(arg, "power-mean order")
-    if kind == "cmn":
-        parts = arg.split(",")
-        if len(parts) != 3:
-            raise DomainError(f"cmn mean needs three parameters k,s,q, got {arg!r}")
-        try:
-            k = int(parts[0])
-        except ValueError:
-            raise DomainError(f"k must be an integer, got {parts[0]!r}")
-        return MeanParams(k, parse_exponent(parts[1], "s"), parse_exponent(parts[2], "q"))
-    raise DomainError(f"unknown mean {text!r}; expected power:<p> or cmn:<k>,<s>,<q>")
-
-
-def format_mean(mean: MeanLike) -> str:
-    if isinstance(mean, MeanParams):
-        return f"cmn:{mean.k},{format_exponent(mean.s)},{format_exponent(mean.q)}"
-    return f"power:{format_exponent(ensure_exponent(mean, 'p'))}"
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,63 @@
+"""Mean parameters and their text form.
+
+A mean spec is either a plain float, the order p of the power mean P_p,
+or a :class:`MeanParams` triple (k, s, q) naming the subset-composed mean
+M_{k,s,q}.  This module needs no numpy, so the classifier and the command
+line can parse and print specs without loading the numerical kernels.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Union
+
+from .errors import DomainError
+from .extreal import ensure_exponent, format_exponent, parse_exponent
+
+__all__ = ["MeanParams", "MeanLike", "parse_mean", "format_mean"]
+
+
+@dataclass(frozen=True)
+class MeanParams:
+    """Parameter triple (k, s, q) of a subset-composed mean."""
+
+    k: int
+    s: float
+    q: float
+
+    def __post_init__(self):
+        if isinstance(self.k, bool) or not isinstance(self.k, int):
+            raise DomainError(f"k must be an integer, got {self.k!r}")
+        if self.k < 1:
+            raise DomainError(f"k must be >= 1, got {self.k}")
+        object.__setattr__(self, "s", ensure_exponent(self.s, "s"))
+        object.__setattr__(self, "q", ensure_exponent(self.q, "q"))
+
+
+# A plain float means the power mean of that order, a MeanParams triple
+# means the subset-composed mean.
+MeanLike = Union[float, int, MeanParams]
+
+
+def parse_mean(text: str) -> MeanLike:
+    """Parse ``power:<p>`` or ``cmn:<k>,<s>,<q>`` (inf/-inf tokens allowed)."""
+    kind, _, arg = text.strip().partition(":")
+    kind = kind.lower()
+    if kind == "power":
+        return parse_exponent(arg, "power-mean order")
+    if kind == "cmn":
+        parts = arg.split(",")
+        if len(parts) != 3:
+            raise DomainError(f"cmn mean needs three parameters k,s,q, got {arg!r}")
+        try:
+            k = int(parts[0])
+        except ValueError:
+            raise DomainError(f"k must be an integer, got {parts[0]!r}")
+        return MeanParams(k, parse_exponent(parts[1], "s"), parse_exponent(parts[2], "q"))
+    raise DomainError(f"unknown mean {text!r}; expected power:<p> or cmn:<k>,<s>,<q>")
+
+
+def format_mean(mean: MeanLike) -> str:
+    if isinstance(mean, MeanParams):
+        return f"cmn:{mean.k},{format_exponent(mean.s)},{format_exponent(mean.q)}"
+    return f"power:{format_exponent(ensure_exponent(mean, 'p'))}"

@@ -1,12 +1,20 @@
+import contextlib
+import importlib
+import io
 import json
 import math
+import os
+import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hardy_means import MeanParams, cmn_mean_naive
-from hardy_means import cmn_means
+from hardy_means import cli, cmn_means
 from hardy_means._format import canonical_json
 from hardy_means.cli import main, run_bench
 
@@ -317,3 +325,281 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert "FastSymmetric" in result.stdout
+
+
+# ---------------------------------------------------------------------------
+# Start-up: the commands that need no arrays never import numpy
+
+
+# Prepended to the code a fresh interpreter runs: at exit it reports on the
+# last line of stderr whether numpy was ever imported.
+_REPORT_NUMPY = (
+    "import atexit, sys\n"
+    "atexit.register(lambda: sys.stderr.write(f\"numpy imported: {'numpy' in sys.modules}\\n\"))\n"
+)
+_RUN_CLI = "import runpy\nrunpy.run_module('hardy_means', run_name='__main__', alter_sys=True)\n"
+
+
+def run_fresh(code, *argv):
+    """Run ``code`` in a fresh interpreter with ``argv``; return the exit
+    code, stdout, stderr without the report line, and the report."""
+    result = subprocess.run(
+        [sys.executable, "-c", _REPORT_NUMPY + code, *argv], capture_output=True, text=True
+    )
+    *err, report = result.stderr.splitlines(keepends=True)
+    return result.returncode, result.stdout, "".join(err), report
+
+
+_CLASSIFY_GRID = ("classify", "--grid-k", "1..3", "--grid-s", "-inf,-1,0,1,2", "--grid-q", "-1,0,inf")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--help",),
+        ("classify", "--point", "2,1,0"),
+        _CLASSIFY_GRID + ("--format", "plain"),
+        _CLASSIFY_GRID + ("--format", "csv"),
+        _CLASSIFY_GRID + ("--format", "json"),
+    ],
+)
+def test_startup_without_numpy(argv):
+    code, out, err, report = run_fresh(_RUN_CLI, *argv)
+    assert code == 0
+    assert out and err == ""
+    assert report == "numpy imported: False\n"
+
+
+def test_classify_domain_error_without_numpy():
+    code, out, err, report = run_fresh(_RUN_CLI, "classify", "--point", "2,1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --point needs k,s,q, got '2,1'\n"
+    assert report == "numpy imported: False\n"
+
+
+@pytest.mark.parametrize("module", ["hardy_means", "hardy_means.cli"])
+def test_import_without_numpy(module):
+    code, _, err, report = run_fresh(f"import {module}\n")
+    assert (code, err) == (0, "")
+    assert report == "numpy imported: False\n"
+
+
+def test_numpy_commands_still_load_numpy():
+    code, out, _, report = run_fresh(_RUN_CLI, "mean", "-k", "2", "-s", "1", "-q", "0", "--data", "1,4,9")
+    assert code == 0
+    assert "FastSymmetric" in out
+    assert report == "numpy imported: True\n"
+
+
+# ---------------------------------------------------------------------------
+# Lazy exports of the package and of the CLI module
+
+
+def test_every_export_is_its_defining_object():
+    import hardy_means
+
+    for name in set(hardy_means.__all__) - {"__version__"}:
+        value = getattr(hardy_means, name)
+        defining = importlib.import_module(value.__module__)
+        assert getattr(defining, name) is value, name
+    assert hardy_means.MeanParams is cmn_means.MeanParams
+    assert hardy_means.parse_mean is importlib.import_module("hardy_means.hardy").parse_mean
+
+
+def test_classify_export_is_the_function_in_a_fresh_interpreter():
+    code, out, err, _ = run_fresh(
+        "import hardy_means.classify\n"
+        "import hardy_means\n"
+        "from hardy_means import MeanParams\n"
+        "module = sys.modules['hardy_means.classify']\n"
+        "assert hardy_means.classify is module.classify\n"
+        "print(hardy_means.classify(MeanParams(2, 1.0, 0.0)).verdict.value)\n"
+        "for name in hardy_means.__all__:\n"
+        "    getattr(hardy_means, name)\n"
+        "assert hardy_means.classify is module.classify\n"
+    )
+    assert (code, out, err) == (0, "Hardy\n", "")
+
+
+def test_package_dir_and_unknown_attribute():
+    import hardy_means
+
+    assert set(hardy_means.__all__) <= set(dir(hardy_means))
+    with pytest.raises(AttributeError):
+        hardy_means.no_such_export
+    with pytest.raises(AttributeError):
+        cli.no_such_kernel
+
+
+# The cli names the benchmark's traced run reads and patches.
+_CLI_NAMES = (
+    "classify",
+    "cmn_mean_fast",
+    "cmn_mean_sampled",
+    "iter_hardy_checkpoints",
+    "sharpness_constant_sweep",
+    "run_verification",
+    "canonical_json",
+    "rows_to_csv",
+)
+
+
+def test_cli_names_reachable_in_a_fresh_interpreter():
+    code, out, err, _ = run_fresh(
+        "import hardy_means.cli as cli\n"
+        f"for name in {_CLI_NAMES!r}:\n"
+        "    print(name, callable(getattr(cli, name)))\n"
+    )
+    assert (code, err) == (0, "")
+    assert out == "".join(f"{name} True\n" for name in _CLI_NAMES)
+
+
+def test_kernel_bound_before_main_is_kept():
+    # setattr before the first command: the loader must not overwrite it.
+    code, out, err, _ = run_fresh(
+        "import hardy_means.cli as cli\n"
+        "calls = []\n"
+        "def patched(params, values):\n"
+        "    calls.append(params)\n"
+        "    return genuine(params, values)\n"
+        "cli.cmn_mean_fast = patched\n"
+        "from hardy_means.cmn_means import cmn_mean_fast as genuine\n"
+        "code = cli.main(['mean', '-k', '2', '-s', '1', '-q', '0', '--data', '1,4,9'])\n"
+        "print(code, len(calls))\n"
+    )
+    assert err == ""
+    assert out.splitlines()[-1] == "0 1"
+
+
+def test_monkeypatched_kernel_is_called(capsys, monkeypatch):
+    calls = []
+    genuine = cmn_means.cmn_mean_fast
+
+    def patched(params, values):
+        calls.append(params)
+        return genuine(params, values)
+
+    monkeypatch.setattr(cli, "cmn_mean_fast", patched)
+    code, out, _ = run_cli(capsys, "mean", "-k", "2", "-s", "1", "-q", "0", "--data", "1,4,9")
+    assert code == 0
+    assert calls == [MeanParams(2, 1.0, 0.0)]
+
+
+def test_run_bench_without_main_in_a_fresh_interpreter():
+    code, out, err, _ = run_fresh(
+        "from hardy_means.cli import run_bench\n"
+        "rows, speedup = run_bench(samples=200)\n"
+        "print(len(rows), speedup > 0)\n"
+    )
+    assert (code, err) == (0, "")
+    # one naive (or refused), one fast and one Monte Carlo row per cell
+    assert out == f"{3 * len(cli._BENCH_SIZES) * len(cli._BENCH_SUBSETS)} True\n"
+
+
+# ---------------------------------------------------------------------------
+# Fail fast and truthfully: extreme and malformed input never escapes as a
+# traceback, and every hint names a flag of the command that printed it
+
+# Entries and exponents in the double range, then the ones every command
+# must refuse.  Examples draw from the valid ones more often.
+_GOOD_ENTRIES = ("1e-300", "1e300", "5e-324", "1", "2.5")
+_BAD_ENTRIES = ("0", "-1", "nan", "inf")
+_GOOD_EXPONENTS = ("-1e3", "-2", "-1", "-0.5", "0", "1e-300", "0.5", "1", "2", "1e3", "inf", "-inf")
+_BAD_EXPONENTS = ("nan", "1e3000", "one", "")
+_FLAGS = {
+    "mean": {"-k", "-s", "-q", "--data", "--file", "--samples", "--seed", "--format", "--output"},
+    "hardy-sum": {"--mean", "--family", "-N", "--allow-nonsummable", "--format", "--output"},
+    "estimate-constant": {"--mean", "-N", "--format", "--output"},
+}
+_FLAG = re.compile(r"(?<![\w-])--?[A-Za-z][\w-]*")
+
+_entry_lists = st.tuples(
+    st.one_of(
+        st.lists(st.sampled_from(_GOOD_ENTRIES), min_size=1, max_size=6),
+        st.lists(st.sampled_from(_GOOD_ENTRIES + _BAD_ENTRIES), min_size=1, max_size=6),
+    ),
+    st.sampled_from((0, 0, 30)),  # pads past MAX_ENUMERATION_N
+).map(lambda t: t[0] + ["1.5"] * t[1])
+_exponents = st.one_of(st.sampled_from(_GOOD_EXPONENTS), st.sampled_from(_GOOD_EXPONENTS + _BAD_EXPONENTS))
+_mean_specs = st.one_of(
+    st.builds("power:{}".format, _exponents),
+    st.builds("cmn:{},{},{}".format, st.sampled_from(("1", "2", "3", "12")), _exponents, _exponents),
+    st.builds("cmn:{},{},{}".format, st.sampled_from(("0", "-1", "x", "2.5")), _exponents, _exponents),
+    st.sampled_from(("power:", "power:abc", "cmn:2,1", "cmn:2,1,0,5", "cmn:", "cmn:2,,0", "mean:1", "")),
+)
+_lengths = st.one_of(st.sampled_from((1, 2, 30, 31, 100)), st.sampled_from((-1, 0, 1, 2, 30, 31, 100)))  # around BufferedPrefix's cap of 30
+_families = st.one_of(
+    st.sampled_from(("harmonic-truncated:10", "powertail:2", "powertail:1e3", "geometric:0.5", "geometric:1e-300", "custom")),
+    st.sampled_from(("harmonic", "harmonic-truncated:0", "powertail:-1", "powertail:nan", "geometric:2", "bogus")),
+)
+
+
+def run_quietly(argv, tmp_dir, entries):
+    """``main(argv)`` in process, with ``custom`` and ``FILE`` tokens
+    pointing at a file of ``entries``; returns (exit code, stderr)."""
+    path = os.path.join(tmp_dir, "terms.txt")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(entries) + "\n")
+    argv = [f"custom:{path}" if a == "custom" else path if a == "FILE" else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def check_fails_fast(command, argv, entries):
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        code, err = run_quietly([command, *argv], tmp_dir, entries)
+    assert code in (0, 2, 3), (argv, err)
+    assert "Traceback" not in err
+    assert err.count("\n") <= 1 and err.endswith("\n") == bool(err), (argv, err)
+    assert (code == 0) == (err == ""), (argv, err)
+    for hint in re.findall(r"hint: ([^;]*)", err):
+        flags = _FLAG.findall(hint)
+        assert flags and set(flags) <= _FLAGS[command], (argv, err)
+
+
+@settings(max_examples=100)
+@example(k="2", s="2", q="1", entries=["1.5"] * 31, source="--data", samples=None)  # capacity
+@example(k="3", s="1e3", q="-1e3", entries=["1e300", "5e-324", "1"], source="--file", samples="100")
+@given(
+    k=st.one_of(st.sampled_from(("1", "2", "3", "12")), st.sampled_from(("1", "2", "3", "12", "0", "-1"))),
+    s=_exponents,
+    q=_exponents,
+    entries=_entry_lists,
+    source=st.sampled_from(("--data", "--file")),
+    samples=st.sampled_from((None, "99", "100", "1000")),
+)
+def test_mean_fails_fast(k, s, q, entries, source, samples):
+    argv = ["-k", k, "-s", s, "-q", q]
+    argv += ["--file", "FILE"] if source == "--file" else [f"--data={','.join(entries)}"]
+    if samples is not None:
+        argv += ["--samples", samples]
+    check_fails_fast("mean", argv, entries)
+
+
+@settings(max_examples=100)
+@example(mean="cmn:12,2,-1", family="powertail:2", n=100, entries=[], nonsummable=False)  # capacity
+@example(mean="cmn:3,2,-1", family="harmonic", n=31, entries=[], nonsummable=True)  # past the cap
+@example(mean="power:1e3", family="custom", n=3, entries=["1e300", "1", "5e-324"], nonsummable=False)
+@given(
+    mean=_mean_specs,
+    family=_families,
+    n=_lengths,
+    entries=_entry_lists,
+    nonsummable=st.booleans(),
+)
+def test_hardy_sum_fails_fast(mean, family, n, entries, nonsummable):
+    argv = ["--mean", mean, "--family", family, "-N", str(n)]
+    if nonsummable:
+        argv.append("--allow-nonsummable")
+    check_fails_fast("hardy-sum", argv, entries)
+
+
+@settings(max_examples=60)
+@example(mean="cmn:12,2,-1", n=100)  # capacity
+@example(mean="cmn:3,2,-1", n=31)  # past the cap
+@given(mean=_mean_specs, n=_lengths)
+def test_estimate_constant_fails_fast(mean, n):
+    check_fails_fast("estimate-constant", ["--mean", mean, "-N", str(n)], [])

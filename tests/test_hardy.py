@@ -500,3 +500,29 @@ class TestSharpnessExperiments:
         # the bad crossover 20.5 is reported
         with pytest.raises(DomainError, match=re.escape(f"a**p left the double range for a={11.0 ** -2!r}")):
             sharpness_constant_sweep(-200.0, 100, [20.5, 10])
+
+
+# ---------------------------------------------------------------------------
+# A divergence witness for s >= k.  For s > 0 every subset term P_q(A)**s is
+# positive, so M_{k,s,q}(a_1..a_n) >= P_q(a_1..a_k) * C(n,k)**(-1/s): the
+# term of the first k entries alone.  For s >= k the right side is at least
+# a constant times n**(-k/s), whose sum over n diverges for every positive
+# sequence, so no Hardy constant exists there.
+
+
+@pytest.mark.parametrize("k, s, q", [(2, 2.0, 0.0), (2, 2.0, -1.0), (3, 3.0, -1.0), (2, 3.0, 1.0)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_divergence_witness_for_s_at_least_k(k, s, q, seed):
+    params = MeanParams(k, s, q)
+    evaluator = make_prefix_evaluator(params)
+    # the buffered evaluator enumerates every prefix and stops at its cap
+    n = MAX_ENUMERATION_N if isinstance(evaluator, BufferedPrefix) else 2000
+    rng = np.random.default_rng(seed)
+    terms = np.array(log_uniform_vector(rng, n)) / np.arange(1, n + 1) ** 2
+    values = evaluator.extend(terms)
+    head = power_mean(q, terms[:k].tolist())
+    for m in range(k, n + 1):
+        bound = head * math.comb(m, k) ** (-1.0 / s)
+        assert values[m - 1] >= bound * (1.0 - 1e-12), (m, values[m - 1], bound)
+    if n <= MAX_ENUMERATION_N:
+        assert values[-1] == pytest.approx(cmn_mean_naive(params, terms.tolist()), rel=1e-12)
