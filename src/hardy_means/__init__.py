@@ -55,44 +55,11 @@ _LAZY_EXPORTS = {
 }
 _LAZY_MODULE = {name: module for module, names in _LAZY_EXPORTS.items() for name in names}
 
+# The eager imports above, then every lazy export, each named once.
 __all__ = [
-    "CapacityError",
-    "Classification",
-    "CmnEvalReport",
-    "CustomTerms",
-    "DomainError",
-    "EvalMethod",
-    "Geometric",
-    "Harmonic",
-    "HarmonicTruncated",
-    "HardyEstimate",
-    "MeanParams",
-    "PowerTail",
-    "PropertyResult",
-    "Reason",
-    "Verdict",
-    "check_k_monotonicity",
-    "check_positive_vector",
-    "check_qs_monotonicity",
-    "classification_table",
-    "classify",
-    "cmn_mean_fast",
-    "cmn_mean_naive",
-    "cmn_mean_sampled",
-    "format_mean",
-    "hardy_partial_sum",
-    "iter_hardy_checkpoints",
-    "landau_constant",
-    "parse_family",
-    "parse_mean",
-    "power_mean",
-    "power_mean_lower_bound_check",
-    "run_verification",
-    "sharpness_constant_sweep",
-    "sharpness_limit_curve",
-    "sharpness_limit_experiment",
-    "sharpness_sequence",
-    "theorem1_identity_check",
+    "CapacityError", "Classification", "DomainError", "MeanParams", "Reason", "Verdict",
+    "classification_table", "classify", "format_mean", "parse_mean",
+    *_LAZY_MODULE,
     "__version__",
 ]
 

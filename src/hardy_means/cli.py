@@ -187,6 +187,11 @@ def _cmd_mean(args) -> int:
 def _cmd_hardy_sum(args) -> int:
     mean = parse_mean(args.mean)
     family = _parse_family_arg(args.family)
+    if not (family.summable or args.allow_nonsummable):
+        raise DomainError(
+            f"family {family.label()} is not summable (hint: --allow-nonsummable runs it anyway, "
+            "for limit experiments only)"
+        )
     rows = list(
         iter_hardy_checkpoints(
             mean, family, args.N, allow_nonsummable=args.allow_nonsummable
@@ -464,11 +469,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # Flags whose values may legitimately start with '-' (negative exponents,
-# -inf tokens).  argparse would read such values as option strings, so they
-# are glued to their flag before parsing: short options by concatenation,
-# long options with '='.
+# -inf tokens, a --data list whose first entry is refused as negative).
+# argparse would read such values as option strings, so they are glued to
+# their flag before parsing: short options by concatenation, long options
+# with '='.
 _DASH_VALUE_SHORT = ("-s", "-q")
-_DASH_VALUE_LONG = ("--grid-s", "--grid-q", "--grid-k")
+_DASH_VALUE_LONG = ("--data", "--grid-s", "--grid-q", "--grid-k")
 
 
 def _preprocess_argv(argv: list[str]) -> list[str]:

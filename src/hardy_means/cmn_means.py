@@ -46,7 +46,7 @@ from ._summation import KahanSum
 from .errors import CapacityError, DomainError
 from .extreal import ensure_exponent
 from .params import MeanParams
-from .power_means import ZERO_EXPONENT_THRESHOLD, check_positive_vector, power_mean
+from .power_means import check_positive_vector, is_zero_exponent, power_mean
 
 __all__ = [
     "MAX_ENUMERATION_N",
@@ -54,6 +54,7 @@ __all__ = [
     "MIN_SAMPLES",
     "MeanParams",
     "EvalMethod",
+    "closed_form",
     "CmnEvalReport",
     "subset_log_means",
     "power_mean_of_logs",
@@ -98,6 +99,21 @@ class EvalMethod(enum.Enum):
     MONTE_CARLO = "MonteCarlo"
 
 
+def closed_form(params: MeanParams) -> tuple[float | None, bool]:
+    """The closed forms of M_{k,s,q} that hold for every n > k, as (p, symmetric).
+
+    p is the order with M_{k,s,q} = P_p (s when k = 1, q when s = q), or
+    None; symmetric says whether the e_k form applies (q = 0, s finite
+    and nonzero).
+    """
+    k, s, q = params.k, params.s, params.q
+    if k == 1:
+        return s, False
+    if s == q:
+        return q, False
+    return None, is_zero_exponent(q) and math.isfinite(s) and not is_zero_exponent(s)
+
+
 @dataclass(frozen=True)
 class CmnEvalReport:
     """Evaluation result plus how it was obtained.
@@ -120,10 +136,6 @@ class CmnEvalReport:
             raise DomainError("samples/stderr_estimate are reported iff method is MonteCarlo")
         if self.stderr_estimate is not None and not self.stderr_estimate >= 0.0:
             raise DomainError("stderr_estimate must be nonnegative")
-
-
-def _is_zero_exponent(p: float) -> bool:
-    return abs(p) < ZERO_EXPONENT_THRESHOLD
 
 
 def _ensure_enumerable(n: int, k: int) -> int:
@@ -203,7 +215,7 @@ def _log_power_mean_rows(q: float, log_rows: np.ndarray) -> np.ndarray:
         return log_rows.max(axis=1)
     if q == -math.inf:
         return log_rows.min(axis=1)
-    if _is_zero_exponent(q):
+    if is_zero_exponent(q):
         return log_rows.mean(axis=1)
     z = q * log_rows
     zmax = z.max(axis=1)
@@ -226,7 +238,7 @@ def power_mean_of_logs(s: float, log_values: np.ndarray) -> float:
         return float(np.exp(logs.max()))
     if s == -math.inf:
         return float(np.exp(logs.min()))
-    if _is_zero_exponent(s):
+    if is_zero_exponent(s):
         return float(np.exp(logs.mean()))
     z = s * logs
     zmax = float(z.max())
@@ -568,22 +580,19 @@ def _fast_symmetric_value(vals: list[float], k: int, s: float) -> float:
 def cmn_mean_fast(params: MeanParams, values) -> CmnEvalReport:
     """Evaluate M_{k,s,q} through the cheapest applicable route.
 
-    Dispatch order: (a) k >= n collapses to P_q; (b) s == q collapses to
-    P_q (averaging order-q means of fixed-size subsets with the same outer
-    order reproduces P_q exactly); (c) q == 0 with finite nonzero s uses
-    the elementary-symmetric closed form, any sign of s; (d) everything
-    else enumerates, raising :class:`CapacityError` past the budget, at
-    which point the Monte Carlo sampler is the intended fallback.
+    Dispatch order: (a) k >= n collapses to P_q; (b) a power mean P_p by
+    :func:`closed_form` (P_s when k = 1, P_q when s = q) is Degenerate;
+    (c) q == 0 with finite nonzero s uses the elementary-symmetric closed
+    form, any sign of s; (d) everything else enumerates, raising
+    :class:`CapacityError` past the budget, at which point the Monte Carlo
+    sampler is the intended fallback.
     """
     vals = check_positive_vector(values)
-    n = len(vals)
-    k, s, q = params.k, params.s, params.q
-    if k >= n:
-        return CmnEvalReport(power_mean(q, vals), EvalMethod.DEGENERATE)
-    if s == q:
-        return CmnEvalReport(power_mean(q, vals), EvalMethod.DEGENERATE)
-    if _is_zero_exponent(q) and math.isfinite(s) and not _is_zero_exponent(s):
-        return CmnEvalReport(_fast_symmetric_value(vals, k, s), EvalMethod.FAST_SYMMETRIC)
+    order, symmetric = (params.q, False) if params.k >= len(vals) else closed_form(params)
+    if order is not None:
+        return CmnEvalReport(power_mean(order, vals), EvalMethod.DEGENERATE)
+    if symmetric:
+        return CmnEvalReport(_fast_symmetric_value(vals, params.k, params.s), EvalMethod.FAST_SYMMETRIC)
     return CmnEvalReport(cmn_mean_naive(params, vals), EvalMethod.EXACT)
 
 
@@ -643,7 +652,7 @@ def _jackknife_aggregate(s: float, log_means: np.ndarray) -> tuple[float, float]
         # identical samples: zero spread, and float centering noise must
         # not manufacture a phantom standard error
         return math.exp(float(log_means[0])), 0.0
-    if _is_zero_exponent(s):
+    if is_zero_exponent(s):
         total = float(log_means.sum())
         value = math.exp(total / m)
         estimates = np.exp((total - log_means) / (m - 1))

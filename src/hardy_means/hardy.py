@@ -10,17 +10,20 @@ for the standard sequence families, exposes the sharp power-mean constant
 (1-p)**(-1/p), and runs the sharpness experiments around the pairwise
 mean M_{2,1,0}, whose empirical constant approaches 4 from below.
 
-Prefix means are computed incrementally.  M_{2,1,0} uses the O(1)-per-step
+Prefix means are computed incrementally.  Which closed form applies is
+decided once, by :func:`~hardy_means.cmn_means.closed_form`, for this module
+and for ``cmn_mean_fast`` alike: a power mean (P_s at k = 1, P_q at s = q)
+keeps one running sum, and M_{k,s,0} keeps the elementary-symmetric levels
+e_1..e_k of b_i = a_i**(s/k) in the linear domain, each a compensated sum
+of positive terms under its own power-of-two scale, at O(k) per step.  Two
+identities are this module's own.  M_{2,1,0} uses the O(1)-per-step
 identity
 
     M_{2,1,0}(a_1..a_n) = (S_n**2 - T_n) / (n * (n - 1)),
     S_n = sum sqrt(a_i),  T_n = sum a_i,
 
-so truncations up to 10^7 stay cheap; plain power means keep one running
-sum, M_{k,2q,q} keeps the two running sums of the second-moment identity,
-and M_{k,s,0} keeps the elementary-symmetric levels e_1..e_k of
-b_i = a_i**(s/k) in the linear domain, each a compensated sum of positive
-terms under its own power-of-two scale, at O(k) per step.
+so truncations up to 10^7 stay cheap, and M_{k,2q,q} keeps the two running
+sums of the second-moment identity.
 
 The experiments run block at a time: families produce their terms as
 arrays of a fixed number of elements, and each evaluator's ``extend`` turns
@@ -57,12 +60,13 @@ from .cmn_means import (
     _symmetric_mean,
     _symmetric_means,
     _valid_prefix,
+    closed_form,
     cmn_mean_fast,
 )
 from .errors import CapacityError, DomainError
 from .extreal import ensure_exponent, format_exponent, parse_exponent
 from .params import MeanLike, MeanParams, format_mean, parse_mean
-from .power_means import ZERO_EXPONENT_THRESHOLD, check_positive_vector
+from .power_means import check_positive_vector, is_zero_exponent
 
 __all__ = [
     "Harmonic",
@@ -336,7 +340,7 @@ class PowerMeanPrefix:
         if p == -math.inf:
             self._extreme = a if self._extreme is None else min(self._extreme, a)
             return self._extreme
-        if abs(p) < ZERO_EXPONENT_THRESHOLD:
+        if is_zero_exponent(p):
             self._acc.add(math.log(a))
             return a if n == 1 else math.exp(self._acc.value / n)
         term = _pow_or_inf(a, p)
@@ -356,7 +360,7 @@ class PowerMeanPrefix:
                 self._extreme = float(values[-1])
             self._count += block.size
             return values
-        if abs(p) < ZERO_EXPONENT_THRESHOLD:
+        if is_zero_exponent(p):
             logs = _libm(math.log, block)
             means = self._acc.extend(logs) / _counts(self._count, block.size)
             values = _libm(math.exp, means)
@@ -440,7 +444,7 @@ class SecondMomentPrefix:
         if k < 2:
             raise DomainError(f"k must be >= 2, got {k}")
         q = ensure_exponent(q, "q")
-        if not math.isfinite(q) or abs(q) < ZERO_EXPONENT_THRESHOLD:
+        if not math.isfinite(q) or is_zero_exponent(q):
             raise DomainError(f"the second-moment form needs finite nonzero q, got {q!r}")
         self.k = k
         self.q = q
@@ -514,20 +518,19 @@ class SymmetricFunctionPrefix:
         if k < 2:
             raise DomainError(f"k must be >= 2, got {k}")
         s = ensure_exponent(s, "s")
-        if not math.isfinite(s) or abs(s) < ZERO_EXPONENT_THRESHOLD:
+        if not math.isfinite(s) or is_zero_exponent(s):
             raise DomainError(f"the symmetric-function form needs finite nonzero s, got {s!r}")
         self.k = k
         self.s = s
         self._esp = ElementarySymmetric(k, s / k)
-        self._log_acc = KahanSum()
+        self._head = PowerMeanPrefix(0.0)
 
     def push(self, a: float) -> float:
         ek, exponent = self._esp.push(a)
         n = self._esp.count
         if n > self.k:
             return _symmetric_mean(ek, exponent, n, self.k, self.s)
-        self._log_acc.add(math.log(a))
-        return a if n == 1 else math.exp(self._log_acc.value / n)
+        return self._head.push(a)
 
     def extend(self, block: np.ndarray) -> np.ndarray:
         done = self._esp.count
@@ -535,10 +538,7 @@ class SymmetricFunctionPrefix:
         n = _counts(done, block.size)
         head = min(max(self.k - done, 0), block.size)  # elements with n <= k
         values = np.empty(block.size)
-        logs = self._log_acc.extend(_libm(math.log, block[:head]))
-        values[:head] = _libm(math.exp, logs / n[:head])
-        if done == 0 and head:
-            values[0] = block[0]
+        values[:head] = self._head.extend(block[:head])
         values[head:] = _symmetric_means(ek[head:], exponent[head:], n[head:], self.k, self.s)
         return values
 
@@ -546,27 +546,26 @@ class SymmetricFunctionPrefix:
 class BufferedPrefix:
     """Fallback: keep the prefix and re-evaluate the mean at every step.
 
-    Every step enumerates the subsets of the prefix, so the cap defaults
-    to the longest vector enumeration accepts (``MAX_ENUMERATION_N``).
+    Every step enumerates the subsets of the prefix, so the cap is the
+    longest vector enumeration accepts (``MAX_ENUMERATION_N``).
     ``extend`` first looks for the error a term of the block would hit,
     the cap or the enumeration budget of C(n,k) subsets, and raises it
     before enumerating anything.
     """
 
-    def __init__(self, params: MeanParams, limit: int = MAX_ENUMERATION_N):
+    def __init__(self, params: MeanParams):
         self.params = params
-        self.limit = limit
         self._buffer: list[float] = []
 
     def _cap_error(self) -> DomainError:
         return DomainError(
             f"no incremental form for {format_mean(self.params)}; the buffered "
-            f"evaluator re-enumerates every prefix and is capped at {self.limit} terms, "
-            f"so N must be at most {self.limit}"
+            f"evaluator re-enumerates every prefix and is capped at {MAX_ENUMERATION_N} terms, "
+            f"so N must be at most {MAX_ENUMERATION_N}"
         )
 
     def push(self, a: float) -> float:
-        if len(self._buffer) >= self.limit:
+        if len(self._buffer) >= MAX_ENUMERATION_N:
             raise self._cap_error()
         self._buffer.append(a)
         return cmn_mean_fast(self.params, self._buffer).value
@@ -574,31 +573,31 @@ class BufferedPrefix:
     def extend(self, block: np.ndarray) -> np.ndarray:
         k = self.params.k
         for n in range(len(self._buffer) + 1, len(self._buffer) + block.size + 1):
-            if n > self.limit:
+            if n > MAX_ENUMERATION_N:
                 raise self._cap_error()
             if n > k:  # k < n enumerates
                 _ensure_enumerable(n, k)
         return np.array([self.push(a) for a in block.tolist()], dtype=np.float64)
 
 
-def make_prefix_evaluator(mean: MeanLike, buffered_limit: int = MAX_ENUMERATION_N):
-    """Build the cheapest incremental evaluator for the given mean."""
+def make_prefix_evaluator(mean: MeanLike):
+    """Build the cheapest incremental evaluator for the given mean.
+
+    The closed forms of :func:`~hardy_means.cmn_means.closed_form` come
+    first; the pair identity at (2, 1, 0) and the second-moment identity
+    at s = 2q are the prefix route's own.
+    """
     if not isinstance(mean, MeanParams):
         return PowerMeanPrefix(ensure_exponent(mean, "p"))
     k, s, q = mean.k, mean.s, mean.q
-    if k == 1:
-        # Singleton subsets: every inner mean is the entry itself, so the
-        # composed mean is the plain order-s power mean.
-        return PowerMeanPrefix(s)
-    if k == 2 and s == 1.0 and q == 0.0:
-        return PairGeometricMeanPrefix()
-    if s == q:
-        return PowerMeanPrefix(q)
-    if abs(q) < ZERO_EXPONENT_THRESHOLD and math.isfinite(s) and abs(s) >= ZERO_EXPONENT_THRESHOLD:
-        return SymmetricFunctionPrefix(k, s)
-    if math.isfinite(q) and abs(q) >= ZERO_EXPONENT_THRESHOLD and s == 2.0 * q:
+    order, symmetric = closed_form(mean)
+    if order is not None:
+        return PowerMeanPrefix(order)
+    if symmetric:
+        return PairGeometricMeanPrefix() if (k, s, q) == (2, 1.0, 0.0) else SymmetricFunctionPrefix(k, s)
+    if math.isfinite(q) and not is_zero_exponent(q) and s == 2.0 * q:
         return SecondMomentPrefix(k, q)
-    return BufferedPrefix(mean, buffered_limit)
+    return BufferedPrefix(mean)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .extreal import ensure_exponent
 __all__ = [
     "ZERO_EXPONENT_THRESHOLD",
     "check_positive_vector",
+    "is_zero_exponent",
     "power_mean",
     "power_mean_lower_bound_check",
 ]
@@ -37,6 +38,12 @@ __all__ = [
 # resolution the experiments care about; it also dodges the catastrophic
 # loss of significance in ((1/n) sum v**p)**(1/p) as p -> 0.
 ZERO_EXPONENT_THRESHOLD = 1e-12
+
+
+def is_zero_exponent(p: float) -> bool:
+    """Whether every evaluator treats the order ``p`` as 0."""
+    return abs(p) < ZERO_EXPONENT_THRESHOLD
+
 
 # Above |p| * log(max/min) = 50 the reference shift is taken at an
 # endpoint of the data instead of the log midpoint; exp() arguments in the
@@ -83,7 +90,7 @@ def power_mean(p, values) -> float:
         return lo
 
     logs = [math.log(x) for x in vals]
-    if abs(p) < ZERO_EXPONENT_THRESHOLD:
+    if is_zero_exponent(p):
         return math.exp(math.fsum(logs) / n)
 
     span = math.log(hi) - math.log(lo)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hardy_means import MeanParams, cmn_mean_naive
+from hardy_means import MeanParams, cmn_mean_naive, power_mean
 from hardy_means import cli, cmn_means
 from hardy_means._format import canonical_json
 from hardy_means.cli import main, run_bench
@@ -42,6 +42,14 @@ class TestMeanCommand:
         code, out, _ = run_cli(capsys, "mean", "-k", "2", "-s", "-inf", "-q", "1", "--data", "1,4,9")
         assert code == 0
         assert out.strip() == "2.5 (Exact)"
+
+    def test_singleton_subsets_are_the_power_mean_past_the_enumeration_limit(self, capsys):
+        data = [float(i) for i in range(1, 32)]
+        code, out, _ = run_cli(
+            capsys, "mean", "-k", "1", "-s", "2", "-q", "1", "--data", ",".join(map(str, data))
+        )
+        assert code == 0
+        assert out == f"{power_mean(2.0, data)!r} (Degenerate)\n"
 
     def test_monte_carlo_from_file(self, capsys, tmp_path):
         data = tmp_path / "big.txt"
@@ -145,6 +153,8 @@ class TestHardySumCommand:
             capsys, "hardy-sum", "--mean", "power:0.5", "--family", "harmonic", "-N", "100"
         )
         assert code == 2
+        assert "--allow-nonsummable" in err
+        assert err.count("\n") == 1
         code, out, _ = run_cli(
             capsys,
             "hardy-sum", "--mean", "power:0.5", "--family", "harmonic", "-N", "100",
@@ -563,17 +573,23 @@ def check_fails_fast(command, argv, entries):
 @settings(max_examples=100)
 @example(k="2", s="2", q="1", entries=["1.5"] * 31, source="--data", samples=None)  # capacity
 @example(k="3", s="1e3", q="-1e3", entries=["1e300", "5e-324", "1"], source="--file", samples="100")
+@example(k="2", s="1", q="0", entries=["-1", "2"], source="--data", samples=None)  # a dash-led value
 @given(
     k=st.one_of(st.sampled_from(("1", "2", "3", "12")), st.sampled_from(("1", "2", "3", "12", "0", "-1"))),
     s=_exponents,
     q=_exponents,
     entries=_entry_lists,
-    source=st.sampled_from(("--data", "--file")),
+    source=st.sampled_from(("--data", "--data=", "--file")),
     samples=st.sampled_from((None, "99", "100", "1000")),
 )
 def test_mean_fails_fast(k, s, q, entries, source, samples):
     argv = ["-k", k, "-s", s, "-q", q]
-    argv += ["--file", "FILE"] if source == "--file" else [f"--data={','.join(entries)}"]
+    if source == "--file":
+        argv += ["--file", "FILE"]
+    elif source == "--data":  # flag and value as two tokens
+        argv += ["--data", ",".join(entries)]
+    else:
+        argv += [f"--data={','.join(entries)}"]
     if samples is not None:
         argv += ["--samples", samples]
     check_fails_fast("mean", argv, entries)

@@ -33,7 +33,7 @@ from hardy_means import (
 )
 from hardy_means import hardy
 from hardy_means._summation import KahanSum
-from hardy_means.cmn_means import MAX_ENUMERATION_N
+from hardy_means.cmn_means import MAX_ENUMERATION_N, EvalMethod, cmn_mean_fast
 from hardy_means.hardy import (
     BufferedPrefix,
     PairGeometricMeanPrefix,
@@ -110,7 +110,7 @@ class TestFamilies:
 
     def test_harmonic_not_summable(self):
         assert Harmonic().summable is False
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="allow_nonsummable=True"):
             hardy_partial_sum(0.5, Harmonic(), 100)
         est = hardy_partial_sum(0.5, Harmonic(), 100, allow_nonsummable=True)
         assert est.ratio > 0
@@ -146,6 +146,31 @@ class TestMeanGrammar:
     def test_parse_errors(self, bad):
         with pytest.raises(DomainError):
             parse_mean(bad)
+
+
+# The prefix evaluators a one-shot route may pair with: both dispatchers
+# take their closed forms from one decision, so the route of a vector
+# longer than k fixes the family of the prefix evaluator.
+_PREFIX_CLASSES = {
+    EvalMethod.DEGENERATE: (PowerMeanPrefix,),
+    EvalMethod.FAST_SYMMETRIC: (SymmetricFunctionPrefix, PairGeometricMeanPrefix),
+    EvalMethod.EXACT: (SecondMomentPrefix, BufferedPrefix),
+}
+_ROUTE_EXPONENTS = (-INF, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, INF)
+
+
+@pytest.mark.parametrize(
+    "k, s, q",
+    [(k, s, q) for k in (1, 2, 3, 5) for s in _ROUTE_EXPONENTS for q in _ROUTE_EXPONENTS]
+    + [(3, 3.0, 1.5), (5, -4.0, -2.0), (2, -1.0, -0.5), (5, 0.5, 0.25)],
+)
+def test_one_shot_and_prefix_routes_agree(k, s, q):
+    params = MeanParams(k, s, q)
+    v = log_uniform_vector(np.random.default_rng(k), 8, decades=1.0)
+    report = cmn_mean_fast(params, v)
+    evaluator = make_prefix_evaluator(params)
+    assert isinstance(evaluator, _PREFIX_CLASSES[report.method]), (report.method, type(evaluator))
+    assert evaluator.extend(np.array(v))[-1] == pytest.approx(report.value, rel=1e-12)
 
 
 class TestPrefixEvaluators:
@@ -190,13 +215,6 @@ class TestPrefixEvaluators:
             else:
                 expected = power_mean(mean, prefix)
             assert got == pytest.approx(expected, rel=1e-10), (mean, i)
-
-    def test_buffered_prefix_cap(self):
-        evaluator = BufferedPrefix(MeanParams(3, 2.0, -1.0), limit=5)
-        for x in (1.0, 2.0, 3.0, 4.0, 5.0):
-            evaluator.push(x)
-        with pytest.raises(DomainError):
-            evaluator.push(6.0)
 
     def test_buffered_default_cap_is_the_enumeration_limit(self):
         evaluator = make_prefix_evaluator(MeanParams(3, 2.0, -1.0))
