@@ -27,7 +27,7 @@ from ._format import canonical_json, rows_to_csv
 from .classify import classification_table, classify
 from .errors import CapacityError, DomainError
 from .extreal import format_exponent, parse_exponent
-from .params import MeanParams, format_mean, parse_mean
+from .params import MeanParams, format_mean, parse_mean, parse_params
 
 __all__ = ["main", "run_bench"]
 
@@ -239,14 +239,7 @@ def _cmd_estimate_constant(args) -> int:
 
 def _cmd_classify(args) -> int:
     if args.point is not None:
-        parts = args.point.split(",")
-        if len(parts) != 3:
-            raise DomainError(f"--point needs k,s,q, got {args.point!r}")
-        try:
-            k = int(parts[0])
-        except ValueError:
-            raise DomainError(f"k must be an integer, got {parts[0]!r}")
-        params = MeanParams(k, parse_exponent(parts[1], "s"), parse_exponent(parts[2], "q"))
+        params = parse_params(args.point, "--point needs k,s,q")
         table = [(params, classify(params))]
     else:
         if args.grid_k is None or args.grid_s is None or args.grid_q is None:

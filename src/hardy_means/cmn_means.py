@@ -65,6 +65,7 @@ __all__ = [
     "check_k_monotonicity",
     "compare_qs_monotonicity",
     "compare_k_monotonicity",
+    "compare_theorem1_identity",
     "theorem1_identity_check",
     "ElementarySymmetric",
 ]
@@ -224,7 +225,8 @@ def _log_power_mean_rows(q: float, log_rows: np.ndarray) -> np.ndarray:
 
 
 def power_mean_of_logs(s: float, log_values: np.ndarray) -> float:
-    """Power mean of order ``s`` of exp(log_values), computed from the logs.
+    """Power mean of order ``s`` of exp(log_values), computed from the logs
+    by :func:`_log_power_mean_rows` as one row.
 
     Accuracy degrades as |s| approaches the geometric switch point
     (exponents below 1e-12 collapse to the geometric branch), which is far
@@ -234,16 +236,13 @@ def power_mean_of_logs(s: float, log_values: np.ndarray) -> float:
     logs = np.asarray(log_values, dtype=np.float64)
     if logs.size == 0:
         raise DomainError("cannot average an empty collection of subset means")
-    if s == math.inf:
-        return float(np.exp(logs.max()))
-    if s == -math.inf:
-        return float(np.exp(logs.min()))
-    if is_zero_exponent(s):
-        return float(np.exp(logs.mean()))
-    z = s * logs
-    zmax = float(z.max())
-    total = float(np.exp(z - zmax).sum())
-    return float(np.exp((zmax + math.log(total) - math.log(logs.size)) / s))
+    return float(np.exp(_log_power_mean_rows(s, logs.reshape(1, -1))[0]))
+
+
+def _log_means(logs: np.ndarray, q: float, index_blocks: Iterator[np.ndarray]) -> np.ndarray:
+    """log P_q of ``logs[rows]`` for every row of every (m, k) index block,
+    in stream order: one ``map_ordered`` item per block."""
+    return np.concatenate(map_ordered(lambda idx: _log_power_mean_rows(q, logs[idx]), index_blocks))
 
 
 def subset_log_means(values, k: int, q: float) -> np.ndarray:
@@ -260,11 +259,7 @@ def subset_log_means(values, k: int, q: float) -> np.ndarray:
     q = ensure_exponent(q, "q")
     _ensure_enumerable(n, k)
     logs = np.log(np.sort(np.asarray(vals, dtype=np.float64)))
-    rows = map_ordered(
-        lambda idx: _log_power_mean_rows(q, logs[idx]),
-        _iter_subset_index_chunks(n, k, _CHUNK_ROWS),
-    )
-    return np.concatenate(rows)
+    return _log_means(logs, q, _iter_subset_index_chunks(n, k, _CHUNK_ROWS))
 
 
 def cmn_mean_naive(params: MeanParams, values) -> float:
@@ -635,9 +630,12 @@ def _floyd_rows(rng: random.Random, n: int, k: int, size: int) -> np.ndarray:
     return rows
 
 
-def _sample_block(logs: np.ndarray, k: int, q: float, seed: int, block_index: int, size: int) -> np.ndarray:
-    rng = random.Random(seed * _SEED_STRIDE + block_index)
-    return _log_power_mean_rows(q, logs[_floyd_rows(rng, logs.size, k, size)])
+def _sample_index_blocks(n: int, k: int, samples: int, seed: int) -> Iterator[np.ndarray]:
+    """Floyd rows for ``samples`` draws in blocks of ``_SAMPLE_BLOCK``,
+    block b drawn from ``random.Random(seed * _SEED_STRIDE + b)``."""
+    for b, start in enumerate(range(0, samples, _SAMPLE_BLOCK)):
+        rng = random.Random(seed * _SEED_STRIDE + b)
+        yield _floyd_rows(rng, n, k, min(_SAMPLE_BLOCK, samples - start))
 
 
 def _jackknife_aggregate(s: float, log_means: np.ndarray) -> tuple[float, float]:
@@ -702,12 +700,7 @@ def cmn_mean_sampled(params: MeanParams, values, samples: int, seed: int) -> Cmn
         )
 
     logs = np.log(np.sort(np.asarray(vals, dtype=np.float64)))
-    blocks = [
-        (b, min(_SAMPLE_BLOCK, samples - b * _SAMPLE_BLOCK))
-        for b in range((samples + _SAMPLE_BLOCK - 1) // _SAMPLE_BLOCK)
-    ]
-    rows = map_ordered(lambda spec: _sample_block(logs, k, q, seed, spec[0], spec[1]), blocks)
-    log_means = np.concatenate(rows)
+    log_means = _log_means(logs, q, _sample_index_blocks(n, k, samples, seed))
 
     if s == math.inf or s == -math.inf:
         extremum = float(log_means.max() if s == math.inf else log_means.min())
@@ -774,12 +767,12 @@ def check_k_monotonicity(k: int, s, q, values) -> bool:
     return compare_k_monotonicity(k, s, q, values)[0]
 
 
-def theorem1_identity_check(values) -> bool:
-    """Verify the pairwise-mean identity and its majorization consequence.
+def compare_theorem1_identity(values) -> tuple[bool, float]:
+    """(ok, gap) for the pairwise-mean identity and its majorization consequence.
 
-    Checks, to 1e-11 relative, that the mean of sqrt(a_i a_j) over pairs
-    equals n/(n-1) * (P_{1/2}(v) - P_1(v)/n), and that it never exceeds
-    P_{1/2}(v).
+    ok says, to 1e-11 relative, that the mean lhs of sqrt(a_i a_j) over
+    pairs equals rhs = n/(n-1) * (P_{1/2}(v) - P_1(v)/n), and that it never
+    exceeds P_{1/2}(v); gap is |lhs - rhs| / lhs.
     """
     vals = check_positive_vector(values)
     n = len(vals)
@@ -789,6 +782,11 @@ def theorem1_identity_check(values) -> bool:
     p_half = power_mean(0.5, vals)
     p_one = power_mean(1.0, vals)
     rhs = n / (n - 1) * (p_half - p_one / n)
-    identity_ok = abs(lhs - rhs) <= 1e-11 * lhs
-    majorized = _below(lhs, p_half)
-    return identity_ok and majorized
+    gap = abs(lhs - rhs)
+    return gap <= 1e-11 * lhs and _below(lhs, p_half), gap / lhs
+
+
+def theorem1_identity_check(values) -> bool:
+    """Check the pairwise-mean identity and its majorization consequence
+    (see :func:`compare_theorem1_identity`)."""
+    return compare_theorem1_identity(values)[0]

@@ -29,13 +29,8 @@ def ensure_exponent(value, name: str = "exponent") -> float:
 
 def parse_exponent(text: str, name: str = "exponent") -> float:
     """Parse an exponent token: a decimal literal, ``inf`` or ``-inf``."""
-    token = text.strip().lower()
-    if token in ("inf", "+inf"):
-        return math.inf
-    if token == "-inf":
-        return -math.inf
     try:
-        p = float(token)
+        p = float(text.strip())
     except ValueError:
         raise DomainError(f"cannot parse {name} from {text!r}")
     if math.isnan(p):

@@ -437,7 +437,8 @@ class SecondMomentPrefix:
         p1 = sum b_i,  p2 = sum b_i**2,
 
     with both sums compensated, so each step costs O(1).  While n <= k the
-    mean is P_q of the prefix (the k >= n branch of the definition).
+    mean is P_q of the prefix (the k >= n branch of the definition), read
+    from a :class:`PowerMeanPrefix`.
     """
 
     def __init__(self, k: int, q: float):
@@ -452,6 +453,7 @@ class SecondMomentPrefix:
         self._count = 0
         self._p1 = KahanSum()
         self._p2 = KahanSum()
+        self._head = PowerMeanPrefix(q)
 
     def _range_error(self, a: float) -> DomainError:
         return DomainError(
@@ -468,12 +470,9 @@ class SecondMomentPrefix:
         self._p2.add(square)
         self._count += 1
         n, k = self._count, self.k
-        if n == 1:
-            return a
-        p1 = self._p1.value
         if n <= k:
-            return (p1 / n) ** (1.0 / self.q)
-        p2 = self._p2.value
+            return self._head.push(a)
+        p1, p2 = self._p1.value, self._p2.value
         moment = ((k / n) * p2 + (k * (k - 1)) / (n * (n - 1)) * (p1 * p1 - p2)) / (k * k)
         if not (moment > 0.0 and math.isfinite(moment)):
             raise DomainError(_MOMENT_LOST)
@@ -490,14 +489,12 @@ class SecondMomentPrefix:
         k = self.k
         head = min(max(k - self._count, 0), size)  # elements with n <= k
         values = np.empty(size)
-        values[:head] = _libm(operator.pow, p1[:head] / n[:head], 1.0 / self.q)
+        values[:head] = self._head.extend(block[:head])
         m, p1, p2 = n[head:], p1[head:], p2[head:]
         moment = ((k / m) * p2 + (k * (k - 1)) / (m * (m - 1.0)) * (p1 * p1 - p2)) / (k * k)
         if not ((moment > 0.0) & np.isfinite(moment)).all():
             raise DomainError(_MOMENT_LOST)
         values[head:] = _libm(operator.pow, moment, 1.0 / self.s)
-        if self._count == 0 and size:
-            values[0] = block[0]
         self._count += size
         if size < block.size:
             raise self._range_error(float(block[size]))

@@ -14,7 +14,7 @@ from typing import Union
 from .errors import DomainError
 from .extreal import ensure_exponent, format_exponent, parse_exponent
 
-__all__ = ["MeanParams", "MeanLike", "parse_mean", "format_mean"]
+__all__ = ["MeanParams", "MeanLike", "parse_params", "parse_mean", "format_mean"]
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,18 @@ class MeanParams:
 MeanLike = Union[float, int, MeanParams]
 
 
+def parse_params(text: str, needs: str) -> MeanParams:
+    """Parse ``<k>,<s>,<q>``; a wrong part count raises ``"<needs>, got <text>"``."""
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise DomainError(f"{needs}, got {text!r}")
+    try:
+        k = int(parts[0])
+    except ValueError:
+        raise DomainError(f"k must be an integer, got {parts[0]!r}")
+    return MeanParams(k, parse_exponent(parts[1], "s"), parse_exponent(parts[2], "q"))
+
+
 def parse_mean(text: str) -> MeanLike:
     """Parse ``power:<p>`` or ``cmn:<k>,<s>,<q>`` (inf/-inf tokens allowed)."""
     kind, _, arg = text.strip().partition(":")
@@ -46,14 +58,7 @@ def parse_mean(text: str) -> MeanLike:
     if kind == "power":
         return parse_exponent(arg, "power-mean order")
     if kind == "cmn":
-        parts = arg.split(",")
-        if len(parts) != 3:
-            raise DomainError(f"cmn mean needs three parameters k,s,q, got {arg!r}")
-        try:
-            k = int(parts[0])
-        except ValueError:
-            raise DomainError(f"k must be an integer, got {parts[0]!r}")
-        return MeanParams(k, parse_exponent(parts[1], "s"), parse_exponent(parts[2], "q"))
+        return parse_params(arg, "cmn mean needs three parameters k,s,q")
     raise DomainError(f"unknown mean {text!r}; expected power:<p> or cmn:<k>,<s>,<q>")
 
 

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cmn_means
 from .cmn_means import (
     MeanParams,
     cmn_mean_fast,
     cmn_mean_naive,
     compare_k_monotonicity,
     compare_qs_monotonicity,
+    compare_theorem1_identity,
 )
 from .hardy import sharpness_limit_curve
 from .power_means import power_mean
@@ -69,49 +69,36 @@ def _check_oracle_equivalence(rng: np.random.Generator, vectors: int) -> Propert
     )
 
 
-def _monotonicity_margin(lhs: float, rhs: float) -> float:
-    return (lhs - rhs) / rhs
+def _qs_draw(rng: np.random.Generator, n: int, v: list[float]) -> tuple[bool, float, float]:
+    k = int(rng.integers(1, n + 1))
+    s, t = sorted(rng.choice(EXPONENT_GRID, 2))
+    q, p = sorted(rng.choice(EXPONENT_GRID, 2))
+    return compare_qs_monotonicity(k, s, t, q, p, v)
 
 
-def _check_qs_monotonicity(rng: np.random.Generator, draws: int) -> PropertyResult:
+def _k_draw(rng: np.random.Generator, n: int, v: list[float]) -> tuple[bool, float, float]:
+    k = int(rng.integers(2, n + 1))
+    while True:
+        s, q = rng.choice(EXPONENT_GRID, 2)
+        if s > q:
+            break
+    return compare_k_monotonicity(k, float(s), float(q), v)
+
+
+def _check_monotonicity(name: str, draw, rng: np.random.Generator, draws: int) -> PropertyResult:
+    """Run ``draw(rng, n, v)``, an (ok, lhs, rhs) comparison, on ``draws``
+    random vectors."""
     worst = -math.inf
     failures = 0
     for _ in range(draws):
         n = int(rng.integers(2, 11))
         v = _random_vector(rng, n)
-        k = int(rng.integers(1, n + 1))
-        s, t = sorted(rng.choice(EXPONENT_GRID, 2))
-        q, p = sorted(rng.choice(EXPONENT_GRID, 2))
-        ok, lhs, rhs = compare_qs_monotonicity(k, s, t, q, p, v)
+        ok, lhs, rhs = draw(rng, n, v)
         if not ok:
             failures += 1
-        worst = max(worst, _monotonicity_margin(lhs, rhs))
+        worst = max(worst, (lhs - rhs) / rhs)
     return PropertyResult(
-        "qs-monotonicity",
-        failures == 0,
-        worst,
-        f"{failures} violations in {draws} draws; worst (lhs-rhs)/rhs margin",
-    )
-
-
-def _check_k_monotonicity(rng: np.random.Generator, draws: int) -> PropertyResult:
-    worst = -math.inf
-    failures = 0
-    grid = [e for e in EXPONENT_GRID]
-    for _ in range(draws):
-        n = int(rng.integers(2, 11))
-        v = _random_vector(rng, n)
-        k = int(rng.integers(2, n + 1))
-        while True:
-            s, q = rng.choice(grid, 2)
-            if s > q:
-                break
-        ok, lhs, rhs = compare_k_monotonicity(k, float(s), float(q), v)
-        if not ok:
-            failures += 1
-        worst = max(worst, _monotonicity_margin(lhs, rhs))
-    return PropertyResult(
-        "k-monotonicity",
+        name,
         failures == 0,
         worst,
         f"{failures} violations in {draws} draws; worst (lhs-rhs)/rhs margin",
@@ -123,13 +110,9 @@ def _check_theorem1_identity(rng: np.random.Generator, vectors: int) -> Property
     ok = True
     for _ in range(vectors):
         n = int(rng.integers(2, 51))
-        v = _random_vector(rng, n)
-        lhs = cmn_mean_fast(MeanParams(2, 1.0, 0.0), v).value
-        p_half = power_mean(0.5, v)
-        rhs = n / (n - 1) * (p_half - power_mean(1.0, v) / n)
-        worst = max(worst, abs(lhs - rhs) / lhs)
-        if not cmn_means.theorem1_identity_check(v):
-            ok = False
+        identity_ok, gap = compare_theorem1_identity(_random_vector(rng, n))
+        worst = max(worst, gap)
+        ok = ok and identity_ok
     return PropertyResult(
         "theorem1-identity",
         ok and worst <= 1e-11,
@@ -222,8 +205,8 @@ def run_verification(
     rng = np.random.default_rng(seed)
     return [
         _check_oracle_equivalence(rng, vectors),
-        _check_qs_monotonicity(rng, draws),
-        _check_k_monotonicity(rng, draws),
+        _check_monotonicity("qs-monotonicity", _qs_draw, rng, draws),
+        _check_monotonicity("k-monotonicity", _k_draw, rng, draws),
         _check_theorem1_identity(rng, vectors),
         _check_internality(rng, vectors),
         _check_homogeneity(rng, vectors),

@@ -33,6 +33,8 @@ from hardy_means.cmn_means import (
     _unscaled_elementary_symmetric,
     compare_k_monotonicity,
     compare_qs_monotonicity,
+    compare_theorem1_identity,
+    power_mean_of_logs,
     subset_log_means,
 )
 
@@ -340,6 +342,15 @@ class TestSampled:
             tracemalloc.stop()
         assert peak < rows.nbytes + 4 * 2**20
 
+    def test_pinned_multi_block_value(self):
+        # 20000 draws come in three blocks (8192, 8192 and 3616), each from
+        # its own seeded stream; value and stderr are pinned bit for bit.
+        assert -(-20000 // cmn_means._SAMPLE_BLOCK) == 3
+        v = [1.0 + (i * 7919 % 97) / 10 for i in range(60)]
+        report = cmn_mean_sampled(MeanParams(4, 1.5, -0.5), v, 20000, seed=2026)
+        assert report.value.hex() == "0x1.3c2e5aa949fd4p+2"
+        assert report.stderr_estimate.hex() == "0x1.76c639c09e64ap-7"
+
     def test_draws_are_uniform_over_all_subsets(self, monkeypatch):
         # Exact chi-square over all C(8,3) = 56 subsets, 300 expected draws
         # each, across three sample blocks.  With entries e**i the sampled
@@ -468,11 +479,43 @@ class TestTheorem1Identity:
             n = int(rng.integers(2, 51))
             assert theorem1_identity_check(log_uniform_vector(rng, n)) is True
 
+    def test_compare_reports_the_gap(self, rng):
+        v = log_uniform_vector(rng, 12)
+        ok, gap = compare_theorem1_identity(v)
+        lhs = cmn_mean_fast(MeanParams(2, 1.0, 0.0), v).value
+        rhs = 12 / 11 * (power_mean(0.5, v) - power_mean(1.0, v) / 12)
+        assert ok is True
+        assert gap == abs(lhs - rhs) / lhs <= 1e-11
+
     def test_strict_majorization_when_not_constant(self, rng):
         for _ in range(50):
             v = log_uniform_vector(rng, int(rng.integers(2, 20)))
             lhs = cmn_mean_fast(MeanParams(2, 1.0, 0.0), v).value
             assert lhs < power_mean(0.5, v)
+
+
+# --- power mean of logs -------------------------------------------------------------
+
+
+class TestPowerMeanOfLogs:
+    def test_preconditions(self):
+        with pytest.raises(DomainError):
+            power_mean_of_logs(1.0, [])
+        with pytest.raises(DomainError):
+            power_mean_of_logs(math.nan, [0.0, 1.0])
+
+    def test_extremes_and_geometric(self):
+        logs = np.array([-3.5, 0.25, 2.0, 7.0])
+        assert power_mean_of_logs(INF, logs) == math.exp(7.0)
+        assert power_mean_of_logs(-INF, logs) == math.exp(-3.5)
+        for s in (0.0, 1e-13, -5e-13):
+            assert power_mean_of_logs(s, logs) == float(np.exp(logs.mean()))
+
+    def test_agrees_with_power_mean(self, rng):
+        for _ in range(2000):
+            logs = rng.uniform(-690.0, 690.0, int(rng.integers(1, 40))) * rng.choice([1.0, 0.1, 1e-3])
+            s = float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-2.0, 3.0))
+            assert power_mean_of_logs(s, logs) == pytest.approx(power_mean(s, np.exp(logs)), rel=1e-12)
 
 
 # --- collapse identities ----------------------------------------------------------

@@ -1,0 +1,163 @@
+#!/usr/bin/env python3
+"""Compare the command-line output of two source trees, byte for byte.
+
+Run from anywhere:
+
+    python tools/compare_outputs.py PARENT CHANGE [--seeds 1,2,3]
+
+PARENT and CHANGE are checkouts of this repository.  The invocations are
+every op that ``perfbench/workloads.build`` makes for each workload and
+seed (from the ``perfbench/`` next to this script, imported read-only),
+then the fixed list of :func:`extra_invocations`; an argv that repeats is
+run once.  Each one runs as ``python -m hardy_means <argv>`` in a fresh
+interpreter, from each tree's ``src/`` in turn, with
+``PYTHONDONTWRITEBYTECODE=1`` and a scratch working directory.  Exit
+status, stdout and stderr must match.  The script prints each argv that
+differs and then "N invocations, M differ", and exits 1 if M > 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.dont_write_bytecode = True  # leave perfbench/ as it is
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+from workloads import WORKLOADS, build  # noqa: E402
+
+
+def _data(values) -> str:
+    return ",".join(repr(float(v)) for v in values)
+
+
+def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
+    """Invocations the workloads leave out: ``verify``, Monte Carlo at
+    s = +-inf and over several sample blocks, enumeration, ``hardy-sum``
+    over every prefix evaluator, and parse-error paths."""
+    sixty = _data(1.0 + (i * 7919 % 97) / 10 for i in range(60))
+    # no ties among subset means, so the sampled extremum depends on the draws
+    spread = _data(math.exp(math.sin(3.7 * i)) for i in range(60))
+    terms = workdir / "terms.txt"
+    terms.write_text("".join(f"{1.0 / i**2!r}\n" for i in range(1, 41)), encoding="utf-8")
+    huge = workdir / "huge.txt"
+    huge.write_text("1.0\n2.0\n1e200\n", encoding="utf-8")
+    custom, overflow = f"custom:{terms}", f"custom:{huge}"
+    # 20000 draws: three sample blocks (8192, 8192, 3616)
+    sampled = ("--data", sixty, "--samples", "20000", "--seed", "2026")
+    extremum = ("--data", spread, "--samples", "20000", "--seed", "2026")
+    invocations = [
+        ("verify", "--quick"),
+        ("verify", "--quick", "--format", "json"),
+        ("verify", "--vectors", "25", "-N", "1000", "--seed", "3"),
+        ("mean", "-k", "4", "-s", "inf", "-q", "1", *extremum),
+        ("mean", "-k", "4", "-s", "-inf", "-q", "1", *extremum, "--format", "json"),
+        ("mean", "-k", "4", "-s", "1.5", "-q", "-0.5", *sampled, "--format", "json"),
+        ("mean", "-k", "4", "-s", "0", "-q", "2", *sampled),
+        ("mean", "-k", "3", "-s", "0.5", "-q", "-1", "--data", "1,2,3,4,5,6,7,8",
+         "--samples", "5000", "--seed", "42", "--format", "csv"),
+        ("mean", "-k", "3", "-s", "2", "-q", "1", "--data", "4.2,4.2,4.2,4.2", "--samples", "500"),
+        ("mean", "-k", "7", "-s", "2", "-q", "-1", "--data", _data(range(1, 25)), "--format", "json"),
+        ("mean", "-k", "3", "-s", "-inf", "-q", "0.5", "--data", _data(range(1, 26))),
+        ("mean", "-k", "2", "-s", "0.5", "-q", "inf", "--data", "1,4,9,16"),
+        ("mean", "-k", "3", "-s", "0", "-q", "-2", "--data", "1e-300,1e300,3,7,11"),
+        ("mean", "-k", "14", "-s", "1", "-q", "1", "--data", _data(range(1, 29))),
+        ("mean", "-k", "5", "-s", "2", "-q", "0", "--data", _data(range(1, 26))),
+        ("mean", "-k", "2", "-s", "3", "-q", "0", "--data", "1e-300,1e300,2,5"),
+        ("mean", "-k", "1", "-s", "2", "-q", "1", "--data", _data(range(1, 31))),
+    ]
+    prefix = [
+        ("power:0.5", "powertail:2", "500"),
+        ("power:inf", "geometric:0.5", "200"),
+        ("power:-inf", "geometric:0.5", "200"),
+        ("power:0", "geometric:0.5", "200"),
+        ("cmn:1,2,1", "powertail:2", "300"),
+        ("cmn:3,-1,-1", "powertail:1.5", "300"),
+        ("cmn:2,1,0", "powertail:2", "1000"),
+        ("cmn:3,2,0", "harmonic-truncated:10", "500"),
+        ("cmn:4,-2,0", custom, "40"),
+        ("cmn:2,2,1", "powertail:2", "1000"),
+        ("cmn:5,1,0.5", custom, "40"),
+        ("cmn:4,-2,-1", custom, "3"),
+        ("cmn:2,2,1", overflow, "3"),
+        ("cmn:2,1,1", "powertail:2", "30"),
+        ("cmn:2,1,1", "powertail:2", "31"),
+        ("power:0.5", "harmonic", "100"),
+    ]
+    for mean, family, n in prefix:
+        invocations.append(("hardy-sum", "--mean", mean, "--family", family, "-N", n, "--format", "json"))
+    invocations += [
+        ("estimate-constant", "--mean", "cmn:2,1,0", "-N", "1000"),
+        ("estimate-constant", "--mean", "power:0.5", "-N", "1000", "--format", "csv"),
+        # parse-error paths, and tokens that must parse
+        (),
+        ("--help",),
+        ("classify", "--point", "2,1"),
+        ("classify", "--point", "x,1,0"),
+        ("classify", "--point", "2,nan,0"),
+        ("classify", "--point", "2,1,zz"),
+        ("classify", "--point", "2, +inf ,-INF"),
+        ("classify", "--point", "3,Infinity,-1"),
+        ("classify", "--grid-k", "2..3", "--grid-s", "inf,,-inf", "--grid-q", "x"),
+        ("hardy-sum", "--mean", "cmn:2,1", "--family", "powertail:2", "-N", "10"),
+        ("hardy-sum", "--mean", "cmn:x,1,0", "--family", "powertail:2", "-N", "10"),
+        ("hardy-sum", "--mean", "bogus:1", "--family", "powertail:2", "-N", "10"),
+        ("hardy-sum", "--mean", "power:nan", "--family", "powertail:2", "-N", "10"),
+        ("hardy-sum", "--mean", "power:abc", "--family", "powertail:2", "-N", "10"),
+        ("hardy-sum", "--mean", "cmn:2,INF,-inf", "--family", "powertail:2", "-N", "10"),
+        ("mean", "-k", "2", "-s", "nan", "-q", "0", "--data", "1,2,3"),
+        ("mean", "-k", "2", "-s", "+inf", "-q", "1e400", "--data", "1,2,3"),
+        ("mean", "-k", "2", "-s", "1", "-q", "0", "--data", "-1,2"),
+    ]
+    return invocations
+
+
+def run(tree: Path, argv: tuple[str, ...], cwd: Path) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.Popen(
+        [sys.executable, "-m", "hardy_means", *argv],
+        cwd=cwd, env=env, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--seeds", default="1,2,3", help="comma-separated workload seeds")
+    args = parser.parse_args()
+    trees = [args.parent.resolve(), args.change.resolve()]
+    for tree in trees:
+        if not (tree / "src" / "hardy_means").is_dir():
+            parser.error(f"{tree} has no src/hardy_means")
+    seeds = [int(seed) for seed in args.seeds.split(",")]
+
+    with tempfile.TemporaryDirectory() as scratch:
+        scratch = Path(scratch)
+        invocations: dict[tuple[str, ...], None] = {}
+        for seed in seeds:
+            workdir = scratch / f"seed-{seed}"
+            workdir.mkdir()
+            for workload in WORKLOADS:
+                invocations.update((op.argv, None) for op in build(workload, seed, workdir))
+        invocations.update((argv, None) for argv in extra_invocations(scratch))
+
+        differ = 0
+        for argv in invocations:
+            procs = [run(tree, argv, scratch) for tree in trees]  # both trees at once
+            outputs = [proc.communicate() for proc in procs]
+            codes = [proc.returncode for proc in procs]
+            if codes[0] != codes[1] or outputs[0] != outputs[1]:
+                differ += 1
+                print(f"differs (exit {codes[0]} vs {codes[1]}): {' '.join(argv)[:300]}", flush=True)
+    print(f"{len(invocations)} invocations, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
