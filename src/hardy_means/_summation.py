@@ -24,8 +24,8 @@ class KahanSum:
 
     __slots__ = ("_sum", "_compensation")
 
-    def __init__(self, start: float = 0.0):
-        self._sum = float(start)
+    def __init__(self):
+        self._sum = 0.0
         self._compensation = 0.0
 
     def add(self, term: float) -> None:

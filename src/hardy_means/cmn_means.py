@@ -595,21 +595,14 @@ def cmn_mean_fast(params: MeanParams, values) -> CmnEvalReport:
 # Monte Carlo estimator
 
 
-def _floyd_sample(rng: random.Random, n: int, k: int) -> list[int]:
-    """Uniform k-subset of range(n) in O(k) draws (Floyd's algorithm)."""
-    chosen: set[int] = set()
-    for j in range(n - k, n):
-        t = rng.randrange(j + 1)
-        chosen.add(j if t in chosen else t)
-    return sorted(chosen)
-
-
 def _floyd_rows(rng: random.Random, n: int, k: int, size: int) -> np.ndarray:
-    """``size`` Floyd samples as a (size, k) array of sorted index rows.
+    """``size`` uniform k-subsets of range(n) by Floyd's algorithm, as a
+    (size, k) array of sorted index rows.
 
-    Consumes ``rng`` exactly as ``size`` calls of :func:`_floyd_sample`
-    do: ``randrange(j + 1)`` is CPython's ``getrandbits`` of the bound's
-    bit length, retried while the value is out of range.
+    Consumes ``rng`` exactly as ``size`` runs of Floyd's algorithm with
+    ``rng.randrange(j + 1)`` for j = n-k..n-1 do: ``randrange(j + 1)`` is
+    CPython's ``getrandbits`` of the bound's bit length, retried while the
+    value is out of range.
     """
     getrandbits = rng.getrandbits
     bounds = [(j, j + 1, (j + 1).bit_length()) for j in range(n - k, n)]

@@ -63,7 +63,7 @@ from .cmn_means import (
     closed_form,
     cmn_mean_fast,
 )
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 from .extreal import ensure_exponent, format_exponent, parse_exponent
 from .params import MeanLike, MeanParams, format_mean, parse_mean
 from .power_means import check_positive_vector, is_zero_exponent
@@ -779,9 +779,8 @@ def sharpness_constant_sweep(
     All crossovers walk the indices in one pass: 1/i and the C library's
     i**-2 are computed once per index, and each crossover takes its terms
     from them with its own evaluator and sums.  Each estimate equals
-    :func:`hardy_partial_sum` over its family bit for bit.  A crossover
-    that is not a positive integer is reported after the smaller ones have
-    run, as a sweep of one crossover at a time would report it.
+    :func:`hardy_partial_sum` over its family bit for bit.  Every crossover
+    is checked before any of them runs.
     """
     _require_length(n)
     if n0_values is None:
@@ -791,33 +790,23 @@ def sharpness_constant_sweep(
             n0_values.append(scale)
             scale *= 10
         n0_values.append(n)
-    runs = []  # (family, evaluator, mean sum, term sum), in ladder order
-    failure = None
-    for n0 in sorted(set(n0_values)):
-        try:
-            family = HarmonicTruncated(_require_length(n0, "n0"))
-            runs.append((family, make_prefix_evaluator(mean), KahanSum(), KahanSum()))
-        except (DomainError, CapacityError) as exc:
-            failure = exc
-            break
-    totals = {}
+    families = [HarmonicTruncated(_require_length(n0, "n0")) for n0 in sorted(set(n0_values))]
+    if not families:
+        return []
+    runs = [(family, make_prefix_evaluator(mean), KahanSum(), KahanSum()) for family in families]
     for lo, hi in _block_ranges(n):
-        if not runs:
-            break
         i = np.arange(lo, hi, dtype=np.float64)
         inverse = 1.0 / i
         square = np.empty_like(i)
-        first = min(max(runs[0][0].crossover - lo + 1, 0), i.size)  # the earliest tail
+        first = min(max(families[0].crossover - lo + 1, 0), i.size)  # the earliest tail
         square[first:] = _libm(operator.pow, i[first:], -2.0)
         for family, evaluator, mean_sum, term_sum in runs:
             cut = min(max(family.crossover - lo + 1, 0), i.size)
-            block = np.concatenate((inverse[:cut], square[cut:]))
-            sums, norms = _advance(evaluator, mean_sum, term_sum, block)
-            if hi > n:
-                totals[family] = float(sums[-1]), float(norms[-1]), float(sums[-1] / norms[-1])
-    if failure is not None:
-        raise failure
+            _advance(evaluator, mean_sum, term_sum, np.concatenate((inverse[:cut], square[cut:])))
     return [
-        HardyEstimate(ratio=ratio, n=n, family=family, mean=mean, mean_sum=mean_sum, term_sum=term_sum)
-        for family, (mean_sum, term_sum, ratio) in totals.items()
+        HardyEstimate(
+            ratio=mean_sum.value / term_sum.value, n=n, family=family, mean=mean,
+            mean_sum=mean_sum.value, term_sum=term_sum.value,
+        )
+        for family, _, mean_sum, term_sum in runs
     ]

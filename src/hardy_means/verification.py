@@ -22,6 +22,7 @@ from .cmn_means import (
     compare_qs_monotonicity,
     compare_theorem1_identity,
 )
+from .errors import DomainError
 from .hardy import sharpness_limit_curve
 from .power_means import power_mean
 
@@ -38,141 +39,103 @@ class PropertyResult:
     detail: str
 
 
-def _random_vector(rng: np.random.Generator, n: int) -> list[float]:
-    # Log-uniform over [1e-3, 1e3]: wide enough to stress the log-domain
-    # paths, narrow enough that the stated tolerances are meaningful.
+def _random_vector(rng: np.random.Generator, lo: int, hi: int) -> list[float]:
+    # A length in [lo, hi), then entries log-uniform over [1e-3, 1e3]: wide
+    # enough to stress the log-domain paths, narrow enough that the stated
+    # tolerances are meaningful.
+    n = int(rng.integers(lo, hi))
     return list(np.exp(rng.uniform(-3.0, 3.0, n) * math.log(10.0)))
 
 
-def _check_oracle_equivalence(rng: np.random.Generator, vectors: int) -> PropertyResult:
-    worst = 0.0
-    worst_case = ""
-    for _ in range(vectors):
-        n = int(rng.integers(2, 11))
-        v = _random_vector(rng, n)
-        k = int(rng.integers(1, n + 1))
-        for _ in range(4):
-            s = float(rng.choice(EXPONENT_GRID))
-            q = float(rng.choice(EXPONENT_GRID))
-            params = MeanParams(k, s, q)
-            fast = cmn_mean_fast(params, v).value
-            naive = cmn_mean_naive(params, v)
-            rel = abs(fast - naive) / naive
-            if rel > worst:
-                worst = rel
-                worst_case = f"k={k}, s={s}, q={q}, n={n}"
-    return PropertyResult(
-        "oracle-equivalence",
-        worst <= 1e-10,
-        worst,
-        f"max |fast - naive|/naive over random draws (worst at {worst_case})",
-    )
+def _exponent(rng: np.random.Generator) -> float:
+    return float(rng.choice(EXPONENT_GRID))
 
 
-def _qs_draw(rng: np.random.Generator, n: int, v: list[float]) -> tuple[bool, float, float]:
-    k = int(rng.integers(1, n + 1))
+def _gap(got: float, want: float) -> float:
+    return abs(got - want) / want
+
+
+# Each draw takes one random input from the generator and yields a
+# (residual, ok, where) triple for each comparison it makes on that input.
+
+
+def _oracle_draw(rng: np.random.Generator):
+    v = _random_vector(rng, 2, 11)
+    k = int(rng.integers(1, len(v) + 1))
+    for _ in range(4):
+        params = MeanParams(k, _exponent(rng), _exponent(rng))
+        where = f"k={k}, s={params.s}, q={params.q}, n={len(v)}"
+        yield _gap(cmn_mean_fast(params, v).value, cmn_mean_naive(params, v)), True, where
+
+
+def _qs_draw(rng: np.random.Generator):
+    v = _random_vector(rng, 2, 11)
+    k = int(rng.integers(1, len(v) + 1))
     s, t = sorted(rng.choice(EXPONENT_GRID, 2))
     q, p = sorted(rng.choice(EXPONENT_GRID, 2))
-    return compare_qs_monotonicity(k, s, t, q, p, v)
+    ok, lhs, rhs = compare_qs_monotonicity(k, s, t, q, p, v)
+    yield (lhs - rhs) / rhs, ok, ""
 
 
-def _k_draw(rng: np.random.Generator, n: int, v: list[float]) -> tuple[bool, float, float]:
-    k = int(rng.integers(2, n + 1))
+def _k_draw(rng: np.random.Generator):
+    v = _random_vector(rng, 2, 11)
+    k = int(rng.integers(2, len(v) + 1))
     while True:
         s, q = rng.choice(EXPONENT_GRID, 2)
         if s > q:
             break
-    return compare_k_monotonicity(k, float(s), float(q), v)
+    ok, lhs, rhs = compare_k_monotonicity(k, float(s), float(q), v)
+    yield (lhs - rhs) / rhs, ok, ""
 
 
-def _check_monotonicity(name: str, draw, rng: np.random.Generator, draws: int) -> PropertyResult:
-    """Run ``draw(rng, n, v)``, an (ok, lhs, rhs) comparison, on ``draws``
-    random vectors."""
-    worst = -math.inf
-    failures = 0
-    for _ in range(draws):
-        n = int(rng.integers(2, 11))
-        v = _random_vector(rng, n)
-        ok, lhs, rhs = draw(rng, n, v)
-        if not ok:
-            failures += 1
-        worst = max(worst, (lhs - rhs) / rhs)
-    return PropertyResult(
-        name,
-        failures == 0,
-        worst,
-        f"{failures} violations in {draws} draws; worst (lhs-rhs)/rhs margin",
-    )
+def _theorem1_draw(rng: np.random.Generator):
+    ok, gap = compare_theorem1_identity(_random_vector(rng, 2, 51))
+    yield gap, ok, ""
 
 
-def _check_theorem1_identity(rng: np.random.Generator, vectors: int) -> PropertyResult:
-    worst = 0.0
-    ok = True
-    for _ in range(vectors):
-        n = int(rng.integers(2, 51))
-        identity_ok, gap = compare_theorem1_identity(_random_vector(rng, n))
-        worst = max(worst, gap)
-        ok = ok and identity_ok
-    return PropertyResult(
-        "theorem1-identity",
-        ok and worst <= 1e-11,
-        worst,
-        "max relative gap between M(2,1,0) and n/(n-1)(P_1/2 - P_1/n)",
-    )
+def _internality_draw(rng: np.random.Generator):
+    # the residuals are negative while a mean stays inside the range
+    v = _random_vector(rng, 1, 13)
+    lo, hi = min(v), max(v)
+    means = [power_mean(_exponent(rng), v)]
+    if len(v) >= 2:
+        k = int(rng.integers(1, len(v)))
+        means.append(cmn_mean_fast(MeanParams(k, _exponent(rng), _exponent(rng)), v).value)
+    for m in means:
+        yield (lo - m) / lo, True, ""
+        yield (m - hi) / hi, True, ""
 
 
-def _check_internality(rng: np.random.Generator, vectors: int) -> PropertyResult:
-    worst = 0.0
-    for _ in range(vectors):
-        n = int(rng.integers(1, 13))
-        v = _random_vector(rng, n)
-        lo, hi = min(v), max(v)
-        p = float(rng.choice(EXPONENT_GRID))
-        m = power_mean(p, v)
-        worst = max(worst, (lo - m) / lo, (m - hi) / hi)
-        if n >= 2:
-            k = int(rng.integers(1, n))
-            s = float(rng.choice(EXPONENT_GRID))
-            q = float(rng.choice(EXPONENT_GRID))
-            mk = cmn_mean_fast(MeanParams(k, s, q), v).value
-            worst = max(worst, (lo - mk) / lo, (mk - hi) / hi)
-    return PropertyResult(
-        "internality",
-        worst <= 1e-12,
-        worst,
-        "max relative excursion of any mean outside [min(v), max(v)]",
-    )
+def _homogeneity_draw(rng: np.random.Generator):
+    v = _random_vector(rng, 2, 13)
+    c = float(np.exp(rng.uniform(-2.0, 2.0) * math.log(10.0)))
+    scaled = [c * x for x in v]
+    p = _exponent(rng)
+    yield _gap(power_mean(p, scaled), c * power_mean(p, v)), True, ""
+    params = MeanParams(int(rng.integers(1, len(v))), _exponent(rng), _exponent(rng))
+    yield _gap(cmn_mean_fast(params, scaled).value, c * cmn_mean_fast(params, v).value), True, ""
 
 
-def _check_homogeneity(rng: np.random.Generator, vectors: int) -> PropertyResult:
-    worst = 0.0
-    for _ in range(vectors):
-        n = int(rng.integers(2, 13))
-        v = _random_vector(rng, n)
-        c = float(np.exp(rng.uniform(-2.0, 2.0) * math.log(10.0)))
-        scaled = [c * x for x in v]
-        p = float(rng.choice(EXPONENT_GRID))
-        worst = max(worst, abs(power_mean(p, scaled) - c * power_mean(p, v)) / (c * power_mean(p, v)))
-        k = int(rng.integers(1, n))
-        s = float(rng.choice(EXPONENT_GRID))
-        q = float(rng.choice(EXPONENT_GRID))
-        params = MeanParams(k, s, q)
-        base = cmn_mean_fast(params, v).value
-        worst = max(worst, abs(cmn_mean_fast(params, scaled).value - c * base) / (c * base))
-    return PropertyResult(
-        "homogeneity",
-        worst <= 1e-12,
-        worst,
-        "max relative gap between M(c*v) and c*M(v)",
-    )
+def _run_property(name: str, draw, rng, count: int, bound: float, detail: str, worst=0.0) -> PropertyResult:
+    """Call ``draw(rng)`` ``count`` times; keep the largest residual above
+    ``worst`` and where it first occurred.  The property passes when every
+    comparison is ok and that residual is within ``bound``.  ``detail`` is
+    formatted with ``failures``, ``count`` and ``where``."""
+    where, failures = "", 0
+    for _ in range(count):
+        for residual, ok, at in draw(rng):
+            failures += not ok
+            if residual > worst:
+                worst, where = residual, at
+    detail = detail.format(failures=failures, count=count, where=where)
+    return PropertyResult(name, failures == 0 and worst <= bound, worst, detail)
 
 
 def _check_limit_experiment(n_limit: int) -> PropertyResult:
-    marks = [100]
-    while marks[-1] * 10 <= n_limit:
+    marks = [100]  # the powers of ten below N, then N
+    while marks[-1] < n_limit:
         marks.append(marks[-1] * 10)
-    if marks[-1] != n_limit:
-        marks.append(n_limit)
+    marks[-1] = n_limit
     curve = sharpness_limit_curve(marks)
     values = [v for _, v in curve]
     monotone = all(a < b for a, b in zip(values, values[1:]))
@@ -201,14 +164,24 @@ def run_verification(
         vectors = 100 if quick else 300
     if n_limit is None:
         n_limit = 10**4 if quick else 10**6
-    draws = 4 * vectors
+    if vectors < 1:
+        raise DomainError(f"vectors must be >= 1, got {vectors}")
+    if n_limit < 2:
+        raise DomainError(f"N must be >= 2, got {n_limit}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
+    margin = "{failures} violations in {count} draws; worst (lhs-rhs)/rhs margin"
+    oracle = "max |fast - naive|/naive over random draws (worst at {where})"
+    theorem1 = "max relative gap between M(2,1,0) and n/(n-1)(P_1/2 - P_1/n)"
+    internality = "max relative excursion of any mean outside [min(v), max(v)]"
+    homogeneity = "max relative gap between M(c*v) and c*M(v)"
     return [
-        _check_oracle_equivalence(rng, vectors),
-        _check_monotonicity("qs-monotonicity", _qs_draw, rng, draws),
-        _check_monotonicity("k-monotonicity", _k_draw, rng, draws),
-        _check_theorem1_identity(rng, vectors),
-        _check_internality(rng, vectors),
-        _check_homogeneity(rng, vectors),
+        _run_property("oracle-equivalence", _oracle_draw, rng, vectors, 1e-10, oracle),
+        _run_property("qs-monotonicity", _qs_draw, rng, 4 * vectors, math.inf, margin, worst=-math.inf),
+        _run_property("k-monotonicity", _k_draw, rng, 4 * vectors, math.inf, margin, worst=-math.inf),
+        _run_property("theorem1-identity", _theorem1_draw, rng, vectors, 1e-11, theorem1),
+        _run_property("internality", _internality_draw, rng, vectors, 1e-12, internality),
+        _run_property("homogeneity", _homogeneity_draw, rng, vectors, 1e-12, homogeneity),
         _check_limit_experiment(n_limit),
     ]

@@ -17,6 +17,7 @@ from hardy_means import MeanParams, cmn_mean_naive, power_mean
 from hardy_means import cli, cmn_means
 from hardy_means._format import canonical_json
 from hardy_means.cli import main, run_bench
+from hardy_means.hardy import sharpness_limit_curve
 
 
 def run_cli(capsys, *argv):
@@ -308,6 +309,27 @@ class TestVerifyCommand:
         assert code == 1
         assert "[FAIL] oracle-equivalence" in out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--vectors", "0"), "vectors must be >= 1, got 0"),
+            (("--vectors", "-3"), "vectors must be >= 1, got -3"),
+            (("-N", "1"), "N must be >= 2, got 1"),
+            (("--seed", "-1"), "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_sizes_out_of_range_exit_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_limit_gap_is_reported_at_N(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "-N", "50", "--vectors", "2", "--format", "json")
+        assert code == 0
+        rows = {row["property"]: row for row in json.loads(out)["rows"]}
+        [(_, value)] = sharpness_limit_curve([50])
+        assert rows["limit-experiment"]["worst"] == 4.0 - value
+        assert "at N=50 " in rows["limit-experiment"]["detail"]
+
 
 class TestBenchCommand:
     def test_rows_and_speedup(self):
@@ -521,6 +543,7 @@ _FLAGS = {
     "mean": {"-k", "-s", "-q", "--data", "--file", "--samples", "--seed", "--format", "--output"},
     "hardy-sum": {"--mean", "--family", "-N", "--allow-nonsummable", "--format", "--output"},
     "estimate-constant": {"--mean", "-N", "--format", "--output"},
+    "verify": {"--quick", "-N", "--vectors", "--seed", "--format", "--output"},
 }
 _FLAG = re.compile(r"(?<![\w-])--?[A-Za-z][\w-]*")
 
@@ -558,13 +581,15 @@ def run_quietly(argv, tmp_dir, entries):
     return code, err.getvalue()
 
 
-def check_fails_fast(command, argv, entries):
+def check_fails_fast(command, argv, entries, quiet=(0,), codes=(0, 2, 3)):
+    """Run ``command``: it exits with one of ``codes`` and prints one line
+    to stderr, or nothing exactly when it exits with one of ``quiet``."""
     with tempfile.TemporaryDirectory() as tmp_dir:
         code, err = run_quietly([command, *argv], tmp_dir, entries)
-    assert code in (0, 2, 3), (argv, err)
+    assert code in codes, (argv, err)
     assert "Traceback" not in err
     assert err.count("\n") <= 1 and err.endswith("\n") == bool(err), (argv, err)
-    assert (code == 0) == (err == ""), (argv, err)
+    assert (code in quiet) == (err == ""), (argv, err)
     for hint in re.findall(r"hint: ([^;]*)", err):
         flags = _FLAG.findall(hint)
         assert flags and set(flags) <= _FLAGS[command], (argv, err)
@@ -619,3 +644,19 @@ def test_hardy_sum_fails_fast(mean, family, n, entries, nonsummable):
 @given(mean=_mean_specs, n=_lengths)
 def test_estimate_constant_fails_fast(mean, n):
     check_fails_fast("estimate-constant", ["--mean", mean, "-N", str(n)], [])
+
+
+@settings(max_examples=40)
+@example(n="1", vectors="2", seed="0", fmt="plain")
+@example(n="50", vectors="0", seed="1", fmt="json")
+@example(n="2", vectors="1", seed="-1", fmt="csv")
+@given(
+    n=st.sampled_from(("-1", "0", "1", "2", "50", "100", "1000")),
+    vectors=st.sampled_from(("-3", "0", "1", "2", "3")),
+    seed=st.sampled_from(("-1", "0", "1", str(2**64))),
+    fmt=st.sampled_from(("plain", "json", "csv")),
+)
+def test_verify_fails_fast(n, vectors, seed, fmt):
+    # exit 1 is a property failure: reported on stdout, not stderr
+    argv = ["-N", n, "--vectors", vectors, "--seed", seed, "--format", fmt]
+    check_fails_fast("verify", argv, [], quiet=(0, 1), codes=(0, 1, 2))

@@ -28,7 +28,6 @@ from hardy_means.cmn_means import (
     ElementarySymmetric,
     _elementary_symmetric,
     _floyd_rows,
-    _floyd_sample,
     _iter_subset_index_chunks,
     _unscaled_elementary_symmetric,
     compare_k_monotonicity,
@@ -48,6 +47,16 @@ GRID = (-INF, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, INF)
 def esp_bruteforce(terms, k):
     """e_k by direct enumeration of all k-products; exact reduction."""
     return math.fsum(math.prod(combo) for combo in itertools.combinations(terms, k))
+
+
+def _floyd_sample(rng, n, k):
+    """Uniform k-subset of range(n) in O(k) draws (Floyd's algorithm), one
+    ``randrange`` per draw."""
+    chosen = set()
+    for j in range(n - k, n):
+        t = rng.randrange(j + 1)
+        chosen.add(j if t in chosen else t)
+    return sorted(chosen)
 
 
 def cmn_bruteforce(params, v):

@@ -514,10 +514,13 @@ class TestSharpnessExperiments:
     def test_sweep_raises_the_first_crossovers_error(self):
         with pytest.raises(DomainError, match="n0 must be >= 1"):
             sharpness_constant_sweep(0.5, 100, [50, 0, 10])
-        # a**p overflows at a = 11**-2 for crossover 10, which runs before
-        # the bad crossover 20.5 is reported
-        with pytest.raises(DomainError, match=re.escape(f"a**p left the double range for a={11.0 ** -2!r}")):
+        # every crossover is checked before any runs: the bad crossover 20.5
+        # is reported although crossover 10 would overflow first
+        with pytest.raises(DomainError, match="n0 must be an integer, got 20.5"):
             sharpness_constant_sweep(-200.0, 100, [20.5, 10])
+        # a**p overflows at a = 11**-2 for crossover 10
+        with pytest.raises(DomainError, match=re.escape(f"a**p left the double range for a={11.0 ** -2!r}")):
+            sharpness_constant_sweep(-200.0, 100, [10])
 
 
 # ---------------------------------------------------------------------------

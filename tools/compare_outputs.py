@@ -55,6 +55,10 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
         ("verify", "--quick"),
         ("verify", "--quick", "--format", "json"),
         ("verify", "--vectors", "25", "-N", "1000", "--seed", "3"),
+        ("verify", "-N", "50", "--vectors", "3"),
+        ("verify", "--vectors", "0"),
+        ("verify", "-N", "1"),
+        ("verify", "--seed", "-1", "--vectors", "1", "-N", "100"),
         ("mean", "-k", "4", "-s", "inf", "-q", "1", *extremum),
         ("mean", "-k", "4", "-s", "-inf", "-q", "1", *extremum, "--format", "json"),
         ("mean", "-k", "4", "-s", "1.5", "-q", "-0.5", *sampled, "--format", "json"),
@@ -94,6 +98,9 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
     invocations += [
         ("estimate-constant", "--mean", "cmn:2,1,0", "-N", "1000"),
         ("estimate-constant", "--mean", "power:0.5", "-N", "1000", "--format", "csv"),
+        ("estimate-constant", "--mean", "cmn:3,2,0", "-N", "1"),
+        ("estimate-constant", "--mean", "cmn:3,2,0", "-N", "10"),
+        ("estimate-constant", "--mean", "cmn:3,2,0", "-N", "11"),
         # parse-error paths, and tokens that must parse
         (),
         ("--help",),
