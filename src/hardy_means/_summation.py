@@ -40,26 +40,36 @@ class KahanSum:
         """Add every element of ``terms`` in order; return the compensated
         value after each one.
 
-        Bit-identical to calling :meth:`add` once per element:
-        ``np.add.accumulate`` adds strictly left to right, so the running
-        sum and the running compensation (with the carried state folded
-        into element 0) round exactly as the scalar updates do.
+        Bit-identical to calling :meth:`add` once per element.  One
+        ``np.cumsum`` seeded with the carried sum adds strictly left to
+        right, so each running sum rounds as the scalar update does.  Each
+        error is Knuth's TwoSum (TAOCP vol. 2, sec. 4.2.2), which gives the
+        exact rounding error of ``prev + x`` without a branch, as
+        Neumaier's branch in :meth:`add` does for finite sums (a sum that
+        overflows is nan at the same positions under both).  A second
+        ``np.cumsum``, seeded with the carried compensation, adds the
+        errors in the same order as :meth:`add`.
         """
         x = np.asarray(terms, dtype=np.float64)
         if x.size == 0:
             return np.empty(0)
-        carried = x.copy()
-        carried[0] = self._sum + x[0]
-        totals = np.cumsum(carried)
-        prev = np.empty_like(totals)
-        prev[0] = self._sum
-        prev[1:] = totals[:-1]
-        errors = np.where(np.abs(prev) >= np.abs(x), (prev - totals) + x, (x - totals) + prev)
-        errors[0] = self._compensation + errors[0]
-        compensation = np.cumsum(errors)
-        self._sum = float(totals[-1])
+        sums = np.empty(x.size + 1)
+        sums[0] = self._sum
+        sums[1:] = x
+        np.cumsum(sums, out=sums)
+        prev, totals = sums[:-1], sums[1:]
+        back = totals - prev
+        compensation = np.empty_like(sums)
+        compensation[0] = self._compensation
+        errors = compensation[1:]
+        np.subtract(totals, back, out=errors)
+        np.subtract(prev, errors, out=errors)
+        np.subtract(x, back, out=back)
+        np.add(errors, back, out=errors)
+        np.cumsum(compensation, out=compensation)
+        self._sum = float(sums[-1])
         self._compensation = float(compensation[-1])
-        return totals + compensation
+        return np.add(totals, errors, out=back)
 
     def ldexp(self, exponent: int) -> None:
         """Multiply the running state by 2**exponent; exact while it stays

@@ -297,6 +297,8 @@ def _time_call(fn, repetitions: int) -> tuple[float, object]:
 def run_bench(samples: int = 10**4, seed: int = 0) -> tuple[list[tuple], float]:
     """Timing rows (method, n, k, time, value, rel_error_vs_best, status)
     over the size ladder, plus the fast-vs-naive speedup at n=20, k=5."""
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     import numpy as np
 
     _load_kernels()

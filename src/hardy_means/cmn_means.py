@@ -34,7 +34,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass
 from typing import Iterator
@@ -279,17 +278,16 @@ def cmn_mean_naive(params: MeanParams, values) -> float:
 # Fast paths
 
 
-def _libm(fn, values: np.ndarray, *args) -> np.ndarray:
-    """``fn(v, *args)`` for every element, through the same C library
-    call the per-term code makes.
+def _libm(fn, values: np.ndarray) -> np.ndarray:
+    """``fn(v)`` for every element, through the same C library call the
+    per-term code makes.
 
-    numpy's SIMD pow, log and exp round differently from the C library on
-    a share of inputs (about 5% of ``i ** -2.0`` over i <= 10^6 on an
-    AVX-512 machine), so array code calls ``math``/``operator`` element by
-    element to stay bit-identical to scalar code.
+    numpy's SIMD log and exp round differently from the C library on a
+    share of inputs, so array code calls ``math.log``/``math.exp`` element
+    by element to stay bit-identical to scalar code.  ``pow`` needs no
+    such loop: see :func:`_pows`.
     """
-    args = [itertools.repeat(a) for a in args]
-    return np.fromiter(map(fn, values.tolist(), *args), np.float64, values.size)
+    return np.fromiter(map(fn, values.tolist()), np.float64, values.size)
 
 
 def _valid_prefix(ok: np.ndarray) -> int:
@@ -307,11 +305,16 @@ def _pow_or_inf(a: float, p: float) -> float:
 
 
 def _pows(values: np.ndarray, p: float) -> np.ndarray:
-    """:func:`_pow_or_inf` of every element through :func:`_libm`."""
-    try:
-        return _libm(operator.pow, values, p)
-    except OverflowError:
-        return _libm(_pow_or_inf, values, p)
+    """:func:`_pow_or_inf` of every element, in one call.
+
+    ``np.float_power`` has no SIMD loop: it calls the C library's ``pow``
+    once per element, as ``math.pow`` does, and so gives the same bits.
+    ``np.power`` does not (about 5% of ``i ** -2.0`` over i <= 10^6 differ
+    by an ulp on an AVX-512 machine).  A result past the double range is
+    inf, as in :func:`_pow_or_inf`.
+    """
+    with np.errstate(over="ignore"):
+        return np.float_power(values, p)
 
 
 # Smallest positive normal double.
@@ -508,7 +511,7 @@ def _symmetric_means(ek: np.ndarray, ek_exponent: np.ndarray, n: np.ndarray, k: 
     normal = (top >= -1021) & (top <= 1024)
     out = np.empty(ratio.size)
     x = np.ldexp(ratio[normal], exponent[normal])
-    out[normal] = np.sqrt(x) if s == 2.0 else _libm(operator.pow, x, 1.0 / s)
+    out[normal] = np.sqrt(x) if s == 2.0 else _pows(x, 1.0 / s)
     for i in np.flatnonzero(~normal).tolist():
         out[i] = _scaled_root(float(ratio[i]), int(exponent[i]), s)
     return out
@@ -684,6 +687,9 @@ def cmn_mean_sampled(params: MeanParams, values, samples: int, seed: int) -> Cmn
         raise DomainError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise DomainError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        # random.Random seeds from |seed|, so a negative seed would repeat a positive one's draws
+        raise DomainError(f"seed must be >= 0, got {seed}")
     if k >= n:
         raise DomainError(f"sampling needs k < n, got k={k}, n={n}")
     if min(vals) == max(vals):

@@ -31,10 +31,12 @@ a block into the running means after each element, with the compensated
 sums of :meth:`KahanSum.extend`.  Every result is bit-identical to feeding
 the same terms one at a time through ``push`` and ``KahanSum.add``, and so
 does not depend on the block size.  Two things make that hold: the running
-sums use ``np.add.accumulate``, which adds strictly in order, and ``pow``,
-``log`` and ``exp`` are applied element by element through the C library
-(:func:`_libm`), because numpy's vectorised versions differ from it by an
-ulp on a share of inputs.  Memory stays at a few blocks whatever N is.
+sums use ``np.cumsum``, which adds strictly in order, and every ``pow``,
+``log`` and ``exp`` is the C library's.  ``pow`` is ``np.float_power``
+(:func:`_pows`), which calls the C library once per element; ``log`` and
+``exp`` go element by element through ``math`` (:func:`_libm`), because
+numpy's vectorised versions differ from it by an ulp on a share of inputs.
+Memory stays at a few blocks whatever N is.
 The crossover sweep walks the indices once for all its crossovers, so each
 term 1/i or i**-2 is computed once.
 """
@@ -43,7 +45,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
@@ -174,7 +175,7 @@ class HarmonicTruncated(_BlockTerms):
     def _block(self, i: np.ndarray) -> np.ndarray:
         out = 1.0 / i
         tail = i > self.crossover
-        out[tail] = _libm(operator.pow, i[tail], -2.0)
+        out[tail] = _pows(i[tail], -2.0)
         return out
 
     def label(self) -> str:
@@ -196,7 +197,7 @@ class PowerTail(_BlockTerms):
 
     def blocks(self, count: int) -> Iterator[np.ndarray]:
         _require_length(count, "count")
-        return (_libm(operator.pow, i, -self.exponent) for i in _index_blocks(count))
+        return (_pows(i, -self.exponent) for i in _index_blocks(count))
 
     def label(self) -> str:
         return f"powertail:{format_exponent(self.exponent)}"
@@ -369,7 +370,7 @@ class PowerMeanPrefix:
             terms = _pows(block, p)
             size = _valid_prefix(np.isfinite(terms) & (terms > 0.0))
             means = self._acc.extend(terms[:size]) / _counts(self._count, size)
-            values = _libm(operator.pow, means, 1.0 / p)
+            values = _pows(means, 1.0 / p)
         if self._count == 0 and size:
             values[0] = block[0]
         self._count += size
@@ -494,7 +495,7 @@ class SecondMomentPrefix:
         moment = ((k / m) * p2 + (k * (k - 1)) / (m * (m - 1.0)) * (p1 * p1 - p2)) / (k * k)
         if not ((moment > 0.0) & np.isfinite(moment)).all():
             raise DomainError(_MOMENT_LOST)
-        values[head:] = _libm(operator.pow, moment, 1.0 / self.s)
+        values[head:] = _pows(moment, 1.0 / self.s)
         self._count += size
         if size < block.size:
             raise self._range_error(float(block[size]))
@@ -799,7 +800,7 @@ def sharpness_constant_sweep(
         inverse = 1.0 / i
         square = np.empty_like(i)
         first = min(max(families[0].crossover - lo + 1, 0), i.size)  # the earliest tail
-        square[first:] = _libm(operator.pow, i[first:], -2.0)
+        square[first:] = _pows(i[first:], -2.0)
         for family, evaluator, mean_sum, term_sum in runs:
             cut = min(max(family.crossover - lo + 1, 0), i.size)
             _advance(evaluator, mean_sum, term_sum, np.concatenate((inverse[:cut], square[cut:])))

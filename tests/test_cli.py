@@ -86,6 +86,15 @@ class TestMeanCommand:
         code, _, err = run_cli(capsys, "mean", "-k", "2", "-s", "1", "-q", "0")
         assert code == 2
 
+    def test_negative_seed_exit_2(self, capsys):
+        # random.Random seeds from |seed|, so -1 used to print the bytes of --seed 1
+        code, out, err = run_cli(
+            capsys,
+            "mean", "-k", "2", "-s", "1", "-q", "1", "--data", "1,2,3,4,5,6,7,8,9,10",
+            "--samples", "1000", "--seed", "-1",
+        )
+        assert (code, out, err) == (2, "", "error: seed must be >= 0, got -1\n")
+
     def test_json_row(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -342,6 +351,10 @@ class TestBenchCommand:
         for n, k in ((10, 2), (15, 3), (20, 5)):
             assert methods[("fast", n, k)][5] <= 1e-10
         assert speedup >= 10.0
+
+    def test_negative_seed_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "--seed", "-1")
+        assert (code, out, err) == (2, "", "error: seed must be >= 0, got -1\n")
 
     def test_cli_exit_zero(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--samples", "200", "--format", "plain")

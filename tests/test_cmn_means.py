@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import tracemalloc
+import warnings
 from collections import Counter
 
 import mpmath
@@ -29,6 +30,8 @@ from hardy_means.cmn_means import (
     _elementary_symmetric,
     _floyd_rows,
     _iter_subset_index_chunks,
+    _pow_or_inf,
+    _pows,
     _unscaled_elementary_symmetric,
     compare_k_monotonicity,
     compare_qs_monotonicity,
@@ -382,6 +385,39 @@ class TestSampled:
 
 
 # --- report invariants ----------------------------------------------------------
+
+
+class TestPows:
+    """``_pows`` must give the C library's bits, as ``math.pow`` does.  Any
+    warning fails, so a numpy that vectorised ``float_power`` shows here
+    instead of quietly moving outputs."""
+
+    @staticmethod
+    def check(bases, p):
+        bases = np.asarray(bases, dtype=np.float64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _pows(bases, p).tolist()
+        want = [_pow_or_inf(a, p) for a in bases.tolist()]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        return got
+
+    @pytest.mark.parametrize("p", [-2.0, -1.7])
+    def test_index_powers(self, p):
+        self.check(np.arange(1, 2 * 10**5 + 1), p)
+
+    def test_random_pairs(self):
+        # 10^5 pairs: 1000 exponents, |p| in [1e-3, 1e3], each on 100 bases in [1e-300, 1e300]
+        rng = np.random.default_rng(20130427)
+        exponents = rng.choice([-1.0, 1.0], 1000) * 10.0 ** rng.uniform(-3.0, 3.0, 1000)
+        for p in exponents.tolist():
+            self.check(10.0 ** rng.uniform(-300.0, 300.0, 100), p)
+
+    def test_range_edges(self):
+        assert self.check([3.0, 1e300], 1000.0) == [math.inf, math.inf]
+        assert self.check([2.0], -1074.0) == [5e-324]  # the least subnormal
+        assert 0.0 < self.check([2.0], -1060.5)[0] < 2.0**-1022  # a subnormal
+        assert self.check([1e-300], 4.0 / 3.0) == [0.0]  # underflow to zero
 
 
 class TestReport:

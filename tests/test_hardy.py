@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import regression_fixtures as fixtures
@@ -312,6 +312,16 @@ finite_magnitudes = st.one_of(
     tail=st.lists(finite_magnitudes, max_size=60),
     cuts=st.lists(st.integers(min_value=0, max_value=60), max_size=4),
 )
+# |x| > |prev| at 1e100, then -1e100 cancels it and leaves the compensation's 2.0
+@example(head=[], tail=[1.0, 1e100, 1.0, -1e100], cuts=[])
+@example(head=[], tail=[1.0, 1e100, 1.0, -1e100], cuts=[1, 2, 3])
+@example(head=[1.0], tail=[1e100, 1.0, -1e100], cuts=[2])
+# a compensation of 1.0 carried across every cut
+@example(head=[2.0**53, 1.0], tail=[1.0, 1.0, -(2.0**53), 1.0], cuts=[0, 1, 2, 3])
+@example(head=[], tail=[2.0**53, 1.0, 1.0, 1.0, -(2.0**53), 1.0], cuts=[2, 4])
+# a sum that overflows: nan from the overflow on, under both
+@example(head=[], tail=[1e308, 1e308, 1.0, -1e308], cuts=[])
+@example(head=[1e308], tail=[1e308, 1.0, -1e308], cuts=[1, 2])
 def test_kahan_extend_matches_add(head, tail, cuts):
     reference = KahanSum()
     blocked = KahanSum()

@@ -39,7 +39,8 @@ def _data(values) -> str:
 def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
     """Invocations the workloads leave out: ``verify``, Monte Carlo at
     s = +-inf and over several sample blocks, enumeration, ``hardy-sum``
-    over every prefix evaluator, and parse-error paths."""
+    over every prefix evaluator, every ``pow`` call site at extreme
+    exponents, negative seeds, and parse-error paths."""
     sixty = _data(1.0 + (i * 7919 % 97) / 10 for i in range(60))
     # no ties among subset means, so the sampled extremum depends on the draws
     spread = _data(math.exp(math.sin(3.7 * i)) for i in range(60))
@@ -48,6 +49,9 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
     huge = workdir / "huge.txt"
     huge.write_text("1.0\n2.0\n1e200\n", encoding="utf-8")
     custom, overflow = f"custom:{terms}", f"custom:{huge}"
+    # 400 entries from 1e-300 to 1e300: the e_k route's powers leave the double range
+    wide = workdir / "wide.txt"
+    wide.write_text("".join(f"{10.0 ** (-300 + 1.5 * i)!r}\n" for i in range(400)), encoding="utf-8")
     # 20000 draws: three sample blocks (8192, 8192, 3616)
     sampled = ("--data", sixty, "--samples", "20000", "--seed", "2026")
     extremum = ("--data", spread, "--samples", "20000", "--seed", "2026")
@@ -74,6 +78,11 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
         ("mean", "-k", "5", "-s", "2", "-q", "0", "--data", _data(range(1, 26))),
         ("mean", "-k", "2", "-s", "3", "-q", "0", "--data", "1e-300,1e300,2,5"),
         ("mean", "-k", "1", "-s", "2", "-q", "1", "--data", _data(range(1, 31))),
+        ("mean", "-k", "40", "-s", "-3", "-q", "0", "--file", str(wide)),
+        # a negative seed is refused (exit 2)
+        ("mean", "-k", "2", "-s", "1", "-q", "1", "--data", _data(range(1, 11)),
+         "--samples", "1000", "--seed", "-1"),
+        ("bench", "--seed", "-1"),
     ]
     prefix = [
         ("power:0.5", "powertail:2", "500"),
@@ -92,6 +101,12 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
         ("cmn:2,1,1", "powertail:2", "30"),
         ("cmn:2,1,1", "powertail:2", "31"),
         ("power:0.5", "harmonic", "100"),
+        # each pow call site at exponents the workloads skip
+        ("power:1000", "powertail:2", "100"),
+        ("power:-1000", "powertail:1.5", "100"),
+        ("cmn:3,-2,0", "geometric:0.75", "2000"),
+        ("cmn:3,-2,-1", "powertail:1.7", "100000"),
+        ("power:-3", "harmonic-truncated:50", "20000"),
     ]
     for mean, family, n in prefix:
         invocations.append(("hardy-sum", "--mean", mean, "--family", family, "-N", n, "--format", "json"))
