@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import math
+import os
 import sys
 import time
 
@@ -50,6 +51,12 @@ _KERNELS = {
 def _load_kernels() -> None:
     """Import the numpy-backed modules and bind their names here.  A name
     that is already bound (say, a wrapper set with ``setattr``) is kept."""
+    # The package calls no BLAS routine, but OpenBLAS starts a worker pool
+    # when numpy loads, and on a 2-CPU machine its worker burnt up to 0.15 s
+    # of CPU per command (hardy-sum over 1000 terms: 0.34 s of CPU pooled,
+    # 0.24 s pinned).  Only the first import of numpy reads this variable,
+    # and a value the caller set is kept.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     namespace = globals()
     for module, names in _KERNELS.items():
         source = importlib.import_module(f".{module}", __package__)
@@ -299,9 +306,9 @@ def run_bench(samples: int = 10**4, seed: int = 0) -> tuple[list[tuple], float]:
     over the size ladder, plus the fast-vs-naive speedup at n=20, k=5."""
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
+    _load_kernels()
     import numpy as np
 
-    _load_kernels()
     rows: list[tuple] = []
     speedup = math.nan
     rng = np.random.default_rng(seed)

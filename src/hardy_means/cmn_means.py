@@ -83,9 +83,10 @@ _CHUNK_ROWS = 8192
 # Cap on the indices held by one :func:`_tail_table` (1 MiB).
 _TAIL_ELEMENTS = 1 << 17
 _SAMPLE_BLOCK = 8192
-# :func:`_floyd_rows` copies its drawn indices into the block's array every
-# this many, so the Python ints it holds stay near 2 MiB for any k.
-_FLUSH_INDICES = 1 << 16
+# :func:`_floyd_rows` draws at most this many words at a time and resolves
+# collisions on at most this many indices at a time, so each of its
+# temporaries stays near 128 KiB for any k.
+_DRAW_CHUNK = 1 << 14
 # Distinct (seed, block) pairs must map to distinct PRNG states; a prime
 # stride larger than 2**32 keeps the mapping injective for any block count
 # a sane sample budget can produce.
@@ -599,31 +600,105 @@ def cmn_mean_fast(params: MeanParams, values) -> CmnEvalReport:
 
 
 def _floyd_rows(rng: random.Random, n: int, k: int, size: int) -> np.ndarray:
-    """``size`` uniform k-subsets of range(n) by Floyd's algorithm, as a
-    (size, k) array of sorted index rows.
+    """``size`` (at least 1) uniform k-subsets of range(n), n < 2**31, by
+    Floyd's algorithm, as a (size, k) array of sorted index rows.
 
     Consumes ``rng`` exactly as ``size`` runs of Floyd's algorithm with
-    ``rng.randrange(j + 1)`` for j = n-k..n-1 do: ``randrange(j + 1)`` is
-    CPython's ``getrandbits`` of the bound's bit length, retried while the
-    value is out of range.
+    ``rng.randrange(j + 1)`` for j = n-k..n-1 do, and leaves it in the
+    same state.  ``randrange(j + 1)`` is CPython's ``getrandbits`` of the
+    bound's bit length b, retried while the value is out of range, and
+    ``getrandbits(b)`` is the generator's next 32-bit word shifted right
+    by 32 - b.  So column j takes a word w iff w < (j + 1) << (32 - b).
+    numpy's ``MT19937``, loaded with the state of ``rng``, yields the same
+    words a block at a time.  A word every column takes or every column
+    refuses needs no column; only the words some columns take and others
+    refuse are walked in Python.
     """
-    getrandbits = rng.getrandbits
-    bounds = [(j, j + 1, (j + 1).bit_length()) for j in range(n - k, n)]
-    rows = np.empty((size, k), dtype=np.intp)
-    step = max(1, _FLUSH_INDICES // k)
+    shifts = np.array([32 - (j + 1).bit_length() for j in range(n - k, n)], dtype=np.uint64)
+    limits = np.arange(n - k + 1, n + 1, dtype=np.uint64) << shifts
+    lo, hi = int(limits.min()), int(limits.max())
+    words_per_row = float((2.0**32 / limits).sum())
+    # The walk compares words shifted right by the least shift, as small
+    # ints: each limit is a multiple of 2**low, so w < limit iff
+    # w >> low < limit >> low.
+    low = shifts.min()
+    version, internal, gauss = rng.getstate()
+    mt = np.random.MT19937(0)
+    mt.state = {
+        "bit_generator": "MT19937",
+        "state": {"key": np.array(internal[:-1], dtype=np.uint32), "pos": internal[-1]},
+    }
+    rows = np.empty((size, k), dtype=np.int64)
+    flat = rows.reshape(-1)  # row-major, so flat[i] is in column i % k
+    taken = 0
+    while taken < flat.size:
+        before = mt.state
+        words = mt.random_raw(min(_DRAW_CHUNK, int((flat.size - taken) / k * words_per_row) + 64))
+        kept = np.flatnonzero(words < hi)  # words some column takes
+        kept_words = words[kept]
+        split = np.flatnonzero(kept_words >= lo)  # ... and some column refuses
+        # Each refusal moves the later words one column back.  The limits,
+        # repeated, are indexed by column + laps * k - refusals so far, which
+        # stays in range without a modulo.
+        laps = split.size // k + 1
+        wrapped = (limits >> low).tolist() * (laps + 1)
+        refusals = 0
+        refused = [
+            i
+            for i, c, w in zip(
+                range(split.size),
+                ((split + taken) % k + laps * k).tolist(),
+                (kept_words[split] >> low).tolist(),
+            )
+            if w >= wrapped[c - refusals] and (refusals := refusals + 1)
+        ]
+        taken_at = np.delete(kept, split[refused])[: flat.size - taken]
+        flat[taken : taken + taken_at.size] = words[taken_at]
+        taken += taken_at.size
+    mt.state = before
+    mt.random_raw(int(taken_at[-1]) + 1)
+    state = mt.state["state"]
+    rng.setstate((version, (*state["key"].tolist(), state["pos"]), gauss))
+    rows >>= shifts.astype(np.int64)
+    step = max(1, _DRAW_CHUNK // k)
     for start in range(0, size, step):
-        flat: list[int] = []
-        for _ in range(min(step, size - start)):
-            chosen: set[int] = set()
-            for j, bound, bits in bounds:
-                t = getrandbits(bits)
-                while t >= bound:
-                    t = getrandbits(bits)
-                chosen.add(j if t in chosen else t)
-            flat.extend(chosen)
-        rows[start : start + len(flat) // k] = np.array(flat, dtype=np.intp).reshape(-1, k)
-    rows.sort(axis=1)
+        _floyd_collisions(rows[start : start + step], n, k)
     return rows
+
+
+def _floyd_collisions(rows: np.ndarray, n: int, k: int) -> None:
+    """Floyd's collision step on rows of drawn values t_0..t_{k-1}, in
+    place, then each row sorted.
+
+    Column c (j = n-k+c) takes j instead of t_c if t_c was chosen before.
+    The values chosen before column c are t_0..t_{c-1} (each was either
+    taken or already chosen) and the j of each earlier column that
+    collided.  So column c collides iff t_c repeats an earlier t, or t_c is
+    the j of an earlier column that collided.
+    """
+    js = np.arange(n - k, n)
+    keys = rows * k + np.arange(k)
+    keys.sort(axis=1)  # by value, then by column
+    keys = keys.reshape(-1)
+    values = keys // k
+    # the later of two equal values in a sorted row
+    later = np.flatnonzero(values[1:] == values[:-1]) + 1
+    later = later[later % k != 0]
+    collided = np.zeros(rows.size, dtype=bool)
+    collided[later - later % k + keys[later] % k] = True
+    # t_c = j of an earlier column: follow each chain of such links to its
+    # end by pointer doubling, or-ing the flags on the way
+    link = np.arange(rows.size)
+    target = np.flatnonzero((rows >= n - k) & (rows != js))
+    link[target] = target - target % k + rows.reshape(-1)[target] - (n - k)
+    while True:
+        collided |= collided[link]
+        further = link[link]
+        if np.array_equal(further, link):
+            break
+        link = further
+    np.copyto(rows, js, where=collided.reshape(rows.shape))
+    rows.sort(axis=1)
 
 
 def _sample_index_blocks(n: int, k: int, samples: int, seed: int) -> Iterator[np.ndarray]:
@@ -692,6 +767,8 @@ def cmn_mean_sampled(params: MeanParams, values, samples: int, seed: int) -> Cmn
         raise DomainError(f"seed must be >= 0, got {seed}")
     if k >= n:
         raise DomainError(f"sampling needs k < n, got k={k}, n={n}")
+    if n >= 1 << 31:
+        raise DomainError(f"sampling needs n < 2**31, got n={n}")
     if min(vals) == max(vals):
         # every subset mean equals the common entry; exact, no draws needed
         return CmnEvalReport(

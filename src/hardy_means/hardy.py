@@ -693,12 +693,19 @@ def iter_hardy_checkpoints(
     mean_sum = KahanSum()
     term_sum = KahanSum()
     for done, block, inside in _checkpoint_blocks(family.blocks(n), marks):
-        sums, norms = _advance(evaluator, mean_sum, term_sum, block)
+        # an overflow is reported below, at its first index, not as warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums, norms = _advance(evaluator, mean_sum, term_sum, block)
+        size = _valid_prefix(np.isfinite(sums) & np.isfinite(norms))
         for i in inside:
-            if i > done + sums.size:
+            if i > done + size:
                 break
             j = i - done - 1
             yield i, float(sums[j]), float(norms[j]), float(sums[j] / norms[j])
+        if size < sums.size:
+            raise DomainError(
+                f"the partial sum or norm left the double range at n={done + size + 1}"
+            )
         if sums.size < block.size:
             raise DomainError(
                 f"family {family.label()} produced a non-positive term at index {done + sums.size + 1}"

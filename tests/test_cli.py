@@ -202,6 +202,21 @@ class TestHardySumCommand:
             "the incremental evaluator needs representable powers\n"
         )
 
+    @pytest.mark.parametrize("mean", ["power:0.5", "cmn:3,2,0"])
+    def test_overflowing_sums_are_a_domain_error(self, tmp_path, mean):
+        # the partial sums pass the largest double at n = 2: one error line,
+        # no rows and no numpy warnings
+        path = tmp_path / "terms.txt"
+        path.write_text("1.797e308\n" * 4)
+        result = subprocess.run(
+            [sys.executable, "-m", "hardy_means", "hardy-sum", "--mean", mean,
+             "--family", f"custom:{path}", "-N", "4"],
+            capture_output=True,
+            text=True,
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "error: the partial sum or norm left the double range at n=2\n"
+
 
 class TestEstimateConstantCommand:
     def test_sweep_reports_max(self, capsys):
@@ -373,26 +388,37 @@ def test_module_entry_point():
 
 
 # ---------------------------------------------------------------------------
-# Start-up: the commands that need no arrays never import numpy
+# Start-up: the commands that need no arrays never import numpy, and the
+# ones that do run on one thread
 
 
 # Prepended to the code a fresh interpreter runs: at exit it reports on the
-# last line of stderr whether numpy was ever imported.
+# last line of stderr whether numpy was ever imported, and how many OS
+# threads the process holds (None where /proc/self/task is absent).
 _REPORT_NUMPY = (
-    "import atexit, sys\n"
-    "atexit.register(lambda: sys.stderr.write(f\"numpy imported: {'numpy' in sys.modules}\\n\"))\n"
+    "import atexit, os, sys\n"
+    "def _report():\n"
+    "    tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None\n"
+    "    sys.stderr.write(f\"numpy imported: {'numpy' in sys.modules}; threads: {tasks}\\n\")\n"
+    "atexit.register(_report)\n"
 )
 _RUN_CLI = "import runpy\nrunpy.run_module('hardy_means', run_name='__main__', alter_sys=True)\n"
 
 
-def run_fresh(code, *argv):
+def run_fresh(code, *argv, blas_threads=None):
     """Run ``code`` in a fresh interpreter with ``argv``; return the exit
-    code, stdout, stderr without the report line, and the report."""
+    code, stdout, stderr without the report line, the numpy part of the
+    report and the thread count.  OPENBLAS_NUM_THREADS is set to
+    ``blas_threads``, or unset."""
+    env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     result = subprocess.run(
-        [sys.executable, "-c", _REPORT_NUMPY + code, *argv], capture_output=True, text=True
+        [sys.executable, "-c", _REPORT_NUMPY + code, *argv], capture_output=True, text=True, env=env
     )
-    *err, report = result.stderr.splitlines(keepends=True)
-    return result.returncode, result.stdout, "".join(err), report
+    *err, last = result.stderr.splitlines(keepends=True)
+    report, _, threads = last.rstrip("\n").partition("; threads: ")
+    return result.returncode, result.stdout, "".join(err), report + "\n", None if threads == "None" else int(threads)
 
 
 _CLASSIFY_GRID = ("classify", "--grid-k", "1..3", "--grid-s", "-inf,-1,0,1,2", "--grid-q", "-1,0,inf")
@@ -409,14 +435,14 @@ _CLASSIFY_GRID = ("classify", "--grid-k", "1..3", "--grid-s", "-inf,-1,0,1,2", "
     ],
 )
 def test_startup_without_numpy(argv):
-    code, out, err, report = run_fresh(_RUN_CLI, *argv)
+    code, out, err, report, _ = run_fresh(_RUN_CLI, *argv)
     assert code == 0
     assert out and err == ""
     assert report == "numpy imported: False\n"
 
 
 def test_classify_domain_error_without_numpy():
-    code, out, err, report = run_fresh(_RUN_CLI, "classify", "--point", "2,1")
+    code, out, err, report, _ = run_fresh(_RUN_CLI, "classify", "--point", "2,1")
     assert code == 2
     assert out == ""
     assert err == "error: --point needs k,s,q, got '2,1'\n"
@@ -425,16 +451,43 @@ def test_classify_domain_error_without_numpy():
 
 @pytest.mark.parametrize("module", ["hardy_means", "hardy_means.cli"])
 def test_import_without_numpy(module):
-    code, _, err, report = run_fresh(f"import {module}\n")
+    code, _, err, report, _ = run_fresh(f"import {module}\n")
     assert (code, err) == (0, "")
     assert report == "numpy imported: False\n"
 
 
 def test_numpy_commands_still_load_numpy():
-    code, out, _, report = run_fresh(_RUN_CLI, "mean", "-k", "2", "-s", "1", "-q", "0", "--data", "1,4,9")
+    code, out, _, report, _ = run_fresh(_RUN_CLI, "mean", "-k", "2", "-s", "1", "-q", "0", "--data", "1,4,9")
     assert code == 0
     assert "FastSymmetric" in out
     assert report == "numpy imported: True\n"
+
+
+_NUMPY_COMMANDS = [
+    ("mean", "-k", "2", "-s", "1", "-q", "0", "--data", "1,4,9", "--format", "json"),
+    ("hardy-sum", "--mean", "cmn:2,1,0", "--family", "powertail:2", "-N", "1000", "--format", "csv"),
+    ("verify", "--quick"),
+]
+
+
+@pytest.mark.parametrize("argv", _NUMPY_COMMANDS, ids=lambda argv: argv[0])
+def test_numpy_commands_run_on_one_thread(argv):
+    code, out, err, report, threads = run_fresh(_RUN_CLI, *argv)
+    if threads is None:
+        pytest.skip("no /proc/self/task to count threads")
+    assert (code, err, report) == (0, "", "numpy imported: True\n")
+    assert threads == 1
+    # a pool the caller asks for is kept, and changes no output byte
+    assert run_fresh(_RUN_CLI, *argv, blas_threads="2")[:3] == (code, out, err)
+
+
+def test_only_the_cli_pins_blas_threads():
+    show = "import os\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    library = "import hardy_means.cmn_means, hardy_means.hardy, hardy_means.verification\n"
+    cli_loaded = "import hardy_means.cli as cli\ncli._load_kernels()\n"
+    assert run_fresh(library + show)[:3] == (0, "None\n", "")
+    assert run_fresh(cli_loaded + show)[:3] == (0, "1\n", "")
+    assert run_fresh(cli_loaded + show, blas_threads="2")[:3] == (0, "2\n", "")
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +506,7 @@ def test_every_export_is_its_defining_object():
 
 
 def test_classify_export_is_the_function_in_a_fresh_interpreter():
-    code, out, err, _ = run_fresh(
+    code, out, err, *_ = run_fresh(
         "import hardy_means.classify\n"
         "import hardy_means\n"
         "from hardy_means import MeanParams\n"
@@ -491,7 +544,7 @@ _CLI_NAMES = (
 
 
 def test_cli_names_reachable_in_a_fresh_interpreter():
-    code, out, err, _ = run_fresh(
+    code, out, err, *_ = run_fresh(
         "import hardy_means.cli as cli\n"
         f"for name in {_CLI_NAMES!r}:\n"
         "    print(name, callable(getattr(cli, name)))\n"
@@ -502,7 +555,7 @@ def test_cli_names_reachable_in_a_fresh_interpreter():
 
 def test_kernel_bound_before_main_is_kept():
     # setattr before the first command: the loader must not overwrite it.
-    code, out, err, _ = run_fresh(
+    code, out, err, *_ = run_fresh(
         "import hardy_means.cli as cli\n"
         "calls = []\n"
         "def patched(params, values):\n"
@@ -532,7 +585,7 @@ def test_monkeypatched_kernel_is_called(capsys, monkeypatch):
 
 
 def test_run_bench_without_main_in_a_fresh_interpreter():
-    code, out, err, _ = run_fresh(
+    code, out, err, *_ = run_fresh(
         "from hardy_means.cli import run_bench\n"
         "rows, speedup = run_bench(samples=200)\n"
         "print(len(rows), speedup > 0)\n"

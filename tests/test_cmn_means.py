@@ -332,20 +332,29 @@ class TestSampled:
         for frequency in counts.values():
             assert 1600 <= frequency <= 2400
 
-    @pytest.mark.parametrize("size", [1, 17, 8192])
-    @pytest.mark.parametrize("n,k", [(5, 2), (12, 4), (9, 8), (33, 3), (50, 40), (2000, 5)])
+    @pytest.mark.parametrize(
+        "n,k,size",
+        [
+            (n, k, size)
+            for n, k in [(5, 2), (12, 4), (9, 8), (33, 3), (50, 40), (2000, 5), (1030, 10), (70000, 3)]
+            for size in (1, 17, 8192)
+        ]
+        + [(2000, 1000, 512)],
+    )
     def test_block_draws_match_floyd_sample(self, n, k, size):
         # In (33, 3) the bounds 31..33 straddle 2**5, so about half the
-        # draws are retried.
+        # draws are retried; in (1030, 10) the bounds 1021..1030 straddle
+        # 2**10, so the columns shift their words by 22 and 21 bits.  (70000,
+        # 3) draws 17-bit words, and in (2000, 1000) most rows collide.
         block, reference = random.Random(n * k + size), random.Random(n * k + size)
         rows = _floyd_rows(block, n, k, size)
         assert rows.tolist() == [_floyd_sample(reference, n, k) for _ in range(size)]
         assert block.getstate() == reference.getstate()
 
     def test_block_draw_memory(self):
-        # The drawn indices reach the block's array in batches, so a large k
-        # holds few Python ints at once: about 6 MiB here, against 16 MiB
-        # for one flat list of the whole block.
+        # Words are drawn, and collisions resolved, a chunk at a time, so a
+        # large k holds few temporaries at once: about 7 MiB here, of which
+        # the rows take 3.9 MiB.
         tracemalloc.start()
         try:
             rows = _floyd_rows(random.Random(5), 2000, 1000, 512)

@@ -285,6 +285,14 @@ class TestPrefixEvaluators:
         # terms past the last checkpoint are never consumed
         assert len(list(iter_hardy_checkpoints(0.5, Stub(), 4, [1, 2]))) == 2
 
+    def test_overflowing_sums_end_the_stream_after_earlier_rows(self):
+        # both sums pass the largest double at n = 4, and nothing before
+        family = CustomTerms((1e308, 1e307, 1e307, 1e308))
+        rows = iter_hardy_checkpoints(0.5, family, 4, [1, 2, 3, 4])
+        assert [next(rows)[0] for _ in range(3)] == [1, 2, 3]
+        with pytest.raises(DomainError, match=r"left the double range at n=4$"):
+            next(rows)
+
     def test_buffered_extend_fails_before_enumerating(self, monkeypatch):
         enumerated = []
         monkeypatch.setattr(hardy, "cmn_mean_fast", lambda *args: enumerated.append(args))

@@ -38,9 +38,10 @@ def _data(values) -> str:
 
 def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
     """Invocations the workloads leave out: ``verify``, Monte Carlo at
-    s = +-inf and over several sample blocks, enumeration, ``hardy-sum``
-    over every prefix evaluator, every ``pow`` call site at extreme
-    exponents, negative seeds, and parse-error paths."""
+    s = +-inf, over several sample blocks and at the sampler's edge shapes,
+    enumeration, ``hardy-sum`` over every prefix evaluator and past the
+    double range, every ``pow`` call site at extreme exponents, negative
+    seeds, and parse-error paths."""
     sixty = _data(1.0 + (i * 7919 % 97) / 10 for i in range(60))
     # no ties among subset means, so the sampled extremum depends on the draws
     spread = _data(math.exp(math.sin(3.7 * i)) for i in range(60))
@@ -52,9 +53,20 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
     # 400 entries from 1e-300 to 1e300: the e_k route's powers leave the double range
     wide = workdir / "wide.txt"
     wide.write_text("".join(f"{10.0 ** (-300 + 1.5 * i)!r}\n" for i in range(400)), encoding="utf-8")
+    # the partial sums pass the largest double at n = 2
+    edge = workdir / "edge.txt"
+    edge.write_text("1.797e308\n" * 4, encoding="utf-8")
     # 20000 draws: three sample blocks (8192, 8192, 3616)
     sampled = ("--data", sixty, "--samples", "20000", "--seed", "2026")
     extremum = ("--data", spread, "--samples", "20000", "--seed", "2026")
+    # sampler shapes: bounds 1021..1030 straddle 2**10; k = 1000 of 2000,
+    # where most draws collide; k = n - 1, where the bounds 2..200 have seven
+    # bit lengths
+    shapes = []
+    for n, k, samples in ((1030, 10, 20000), (2000, 1000, 300), (200, 199, 2000)):
+        path = workdir / f"sampler-{n}.txt"
+        path.write_text("".join(f"{math.exp(math.sin(1.3 * i))!r}\n" for i in range(n)), encoding="utf-8")
+        shapes.append((str(k), str(path), str(samples)))
     invocations = [
         ("verify", "--quick"),
         ("verify", "--quick", "--format", "json"),
@@ -84,6 +96,11 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
          "--samples", "1000", "--seed", "-1"),
         ("bench", "--seed", "-1"),
     ]
+    for k, path, samples in shapes:
+        for seed in ("0", "2147483647"):
+            invocations.append(
+                ("mean", "-k", k, "-s", "2", "-q", "1", "--file", path, "--samples", samples, "--seed", seed)
+            )
     prefix = [
         ("power:0.5", "powertail:2", "500"),
         ("power:inf", "geometric:0.5", "200"),
@@ -98,6 +115,7 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
         ("cmn:5,1,0.5", custom, "40"),
         ("cmn:4,-2,-1", custom, "3"),
         ("cmn:2,2,1", overflow, "3"),
+        ("power:0.5", f"custom:{edge}", "4"),
         ("cmn:2,1,1", "powertail:2", "30"),
         ("cmn:2,1,1", "powertail:2", "31"),
         ("power:0.5", "harmonic", "100"),
