@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from .errors import DomainError
 from .extreal import ensure_exponent
-from .params import MeanParams
+from .params import MeanParams, require_int
 
 __all__ = ["Verdict", "Reason", "Classification", "classify", "classification_table"]
 
@@ -125,10 +125,8 @@ def classification_table(
     ``ks`` is either an iterable of subset sizes or a single integer k_max
     meaning 1..k_max.
     """
-    if isinstance(ks, bool):
-        raise DomainError("k grid must be integers")
-    if isinstance(ks, int):
-        ks = range(1, ks + 1)
+    if not isinstance(ks, Iterable):
+        ks = range(1, require_int(ks, "k_max", 1) + 1)
     k_list = sorted(set(ks))
     s_list = sorted({ensure_exponent(s, "s") for s in s_values})
     q_list = sorted({ensure_exponent(q, "q") for q in q_values})

@@ -28,7 +28,7 @@ from ._format import canonical_json, rows_to_csv
 from .classify import classification_table, classify
 from .errors import CapacityError, DomainError
 from .extreal import format_exponent, parse_exponent
-from .params import MeanParams, format_mean, parse_mean, parse_params
+from .params import MeanParams, format_mean, parse_mean, parse_params, require_int
 
 __all__ = ["main", "run_bench"]
 
@@ -304,8 +304,7 @@ def _time_call(fn, repetitions: int) -> tuple[float, object]:
 def run_bench(samples: int = 10**4, seed: int = 0) -> tuple[list[tuple], float]:
     """Timing rows (method, n, k, time, value, rel_error_vs_best, status)
     over the size ladder, plus the fast-vs-naive speedup at n=20, k=5."""
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    seed = require_int(seed, "seed", 0)
     _load_kernels()
     import numpy as np
 

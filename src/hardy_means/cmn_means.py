@@ -44,7 +44,7 @@ from ._parallel import map_ordered
 from ._summation import KahanSum
 from .errors import CapacityError, DomainError
 from .extreal import ensure_exponent
-from .params import MeanParams
+from .params import MeanParams, require_int
 from .power_means import check_positive_vector, is_zero_exponent, power_mean
 
 __all__ = [
@@ -132,6 +132,8 @@ class CmnEvalReport:
     def __post_init__(self):
         if not (self.value > 0.0):
             raise DomainError(f"mean value must be positive, got {self.value!r}")
+        if self.value == math.inf:
+            raise DomainError("the computed mean left the double range")
         is_mc = self.method is EvalMethod.MONTE_CARLO
         if is_mc != (self.stderr_estimate is not None) or is_mc != (self.samples is not None):
             raise DomainError("samples/stderr_estimate are reported iff method is MonteCarlo")
@@ -254,7 +256,8 @@ def subset_log_means(values, k: int, q: float) -> np.ndarray:
     """
     vals = check_positive_vector(values)
     n = len(vals)
-    if not (1 <= k < n):
+    k = require_int(k, "k", 1)
+    if k >= n:
         raise DomainError(f"subset size k={k} must satisfy 1 <= k < n={n}")
     q = ensure_exponent(q, "q")
     _ensure_enumerable(n, k)
@@ -390,9 +393,7 @@ class ElementarySymmetric:
     """
 
     def __init__(self, order: int, power: float):
-        if order < 1:
-            raise DomainError(f"order must be >= 1, got {order}")
-        self.order = order
+        self.order = order = require_int(order, "order", 1)
         self.power = power
         self.count = 0
         self._levels = [KahanSum() for _ in range(order)]
@@ -487,7 +488,7 @@ def _scaled_root(x: float, e: int, s: float) -> float:
 
     power = Fraction(e) / Fraction(s)
     whole = math.floor(power)
-    return math.ldexp(x ** (1.0 / s) * 2.0 ** float(power - whole), whole)
+    return _ldexp_or_inf(x ** (1.0 / s) * 2.0 ** float(power - whole), whole)
 
 
 def _symmetric_mean(ek: float, ek_exponent: int, n: int, k: int, s: float) -> float:
@@ -500,7 +501,7 @@ def _symmetric_mean(ek: float, ek_exponent: int, n: int, k: int, s: float) -> fl
     ratio, exponent = ek / c, ek_exponent - c_exponent
     if -1021 <= math.frexp(ratio)[1] + exponent <= 1024:
         x = math.ldexp(ratio, exponent)
-        return math.sqrt(x) if s == 2.0 else x ** (1.0 / s)
+        return math.sqrt(x) if s == 2.0 else _pow_or_inf(x, 1.0 / s)
     return _scaled_root(ratio, exponent, s)
 
 
@@ -540,16 +541,11 @@ def _unscaled_elementary_symmetric(values: list[float], k: int, p: float) -> tup
         return None
     level = [1.0] * (n - k + 1)  # e_0 before each term that e_k depends on
     for j in range(k):
-        total = compensation = 0.0
+        acc = KahanSum()
         sums = []
         for b_i, before in zip(b[j : n - k + j + 1], level):
-            term = b_i * before
-            previous, total = total, total + term
-            if previous >= term:
-                compensation += (previous - total) + term
-            else:
-                compensation += (term - total) + previous
-            sums.append(total + compensation)
+            acc.add(b_i * before)
+            sums.append(acc.value)
         level = sums
     return math.frexp(level[-1])
 
@@ -756,15 +752,9 @@ def cmn_mean_sampled(params: MeanParams, values, samples: int, seed: int) -> Cmn
     vals = check_positive_vector(values)
     n = len(vals)
     k, s, q = params.k, params.s, params.q
-    if isinstance(samples, bool) or not isinstance(samples, int):
-        raise DomainError(f"samples must be an integer, got {samples!r}")
-    if samples < MIN_SAMPLES:
-        raise DomainError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise DomainError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        # random.Random seeds from |seed|, so a negative seed would repeat a positive one's draws
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    samples = require_int(samples, "samples", MIN_SAMPLES)
+    # random.Random seeds from |seed|, so a negative seed would repeat a positive one's draws
+    seed = require_int(seed, "seed", 0)
     if k >= n:
         raise DomainError(f"sampling needs k < n, got k={k}, n={n}")
     if n >= 1 << 31:
@@ -826,7 +816,8 @@ def compare_k_monotonicity(k: int, s, q, values) -> tuple[bool, float, float]:
     if not s > q:
         raise DomainError(f"subset-size monotonicity requires s > q, got s={s}, q={q}")
     vals = check_positive_vector(values)
-    if not 2 <= k <= len(vals):
+    k = require_int(k, "k", 2)
+    if k > len(vals):
         raise DomainError(f"k={k} must satisfy 2 <= k <= n={len(vals)}")
     lhs = cmn_mean_fast(MeanParams(k, s, q), vals).value
     rhs = cmn_mean_fast(MeanParams(k - 1, s, q), vals).value

@@ -33,9 +33,7 @@ def parse_exponent(text: str, name: str = "exponent") -> float:
         p = float(text.strip())
     except ValueError:
         raise DomainError(f"cannot parse {name} from {text!r}")
-    if math.isnan(p):
-        raise DomainError(f"{name} must not be NaN")
-    return p
+    return ensure_exponent(p, name)
 
 
 def format_exponent(p: float) -> str:

@@ -66,7 +66,7 @@ from .cmn_means import (
 )
 from .errors import DomainError
 from .extreal import ensure_exponent, format_exponent, parse_exponent
-from .params import MeanLike, MeanParams, format_mean, parse_mean
+from .params import MeanLike, MeanParams, format_mean, parse_mean, require_int
 from .power_means import check_positive_vector, is_zero_exponent
 
 __all__ = [
@@ -99,14 +99,6 @@ _TINY = 5e-324
 # working set does (a few arrays of this length), so peak memory stays
 # flat in N.
 _BLOCK = 8192
-
-
-def _require_length(n, name: str = "N") -> int:
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise DomainError(f"{name} must be an integer, got {n!r}")
-    if n < 1:
-        raise DomainError(f"{name} must be >= 1, got {n}")
-    return n
 
 
 def _block_ranges(count: int) -> Iterator[tuple[int, int]]:
@@ -146,8 +138,7 @@ class Harmonic(_BlockTerms):
     summable = False
 
     def blocks(self, count: int) -> Iterator[np.ndarray]:
-        _require_length(count, "count")
-        return (1.0 / i for i in _index_blocks(count))
+        return (1.0 / i for i in _index_blocks(require_int(count, "count", 1)))
 
     def label(self) -> str:
         return "harmonic"
@@ -166,11 +157,10 @@ class HarmonicTruncated(_BlockTerms):
     summable = True
 
     def __post_init__(self):
-        _require_length(self.crossover, "crossover")
+        object.__setattr__(self, "crossover", require_int(self.crossover, "crossover", 1))
 
     def blocks(self, count: int) -> Iterator[np.ndarray]:
-        _require_length(count, "count")
-        return (self._block(i) for i in _index_blocks(count))
+        return (self._block(i) for i in _index_blocks(require_int(count, "count", 1)))
 
     def _block(self, i: np.ndarray) -> np.ndarray:
         out = 1.0 / i
@@ -196,8 +186,7 @@ class PowerTail(_BlockTerms):
         object.__setattr__(self, "exponent", alpha)
 
     def blocks(self, count: int) -> Iterator[np.ndarray]:
-        _require_length(count, "count")
-        return (_pows(i, -self.exponent) for i in _index_blocks(count))
+        return (_pows(i, -self.exponent) for i in _index_blocks(require_int(count, "count", 1)))
 
     def label(self) -> str:
         return f"powertail:{format_exponent(self.exponent)}"
@@ -228,7 +217,7 @@ class Geometric(_BlockTerms):
         return int(math.floor(math.log(_TINY) / math.log(self.ratio)))
 
     def blocks(self, count: int) -> Iterator[np.ndarray]:
-        _require_length(count, "count")
+        count = require_int(count, "count", 1)
         if count > self.max_length():
             raise DomainError(
                 f"geometric ratio {self.ratio} underflows after {self.max_length()} terms; "
@@ -262,7 +251,7 @@ class CustomTerms(_BlockTerms):
         object.__setattr__(self, "values", tuple(check_positive_vector(self.values)))
 
     def blocks(self, count: int) -> Iterator[np.ndarray]:
-        _require_length(count, "count")
+        count = require_int(count, "count", 1)
         if count > len(self.values):
             raise DomainError(
                 f"custom family has {len(self.values)} strictly positive terms; "
@@ -348,7 +337,7 @@ class PowerMeanPrefix:
         if not math.isfinite(term) or term <= 0.0:
             raise _power_range_error(a, p)
         self._acc.add(term)
-        return a if n == 1 else (self._acc.value / n) ** (1.0 / p)
+        return a if n == 1 else _pow_or_inf(self._acc.value / n, 1.0 / p)
 
     def extend(self, block: np.ndarray) -> np.ndarray:
         p = self.p
@@ -443,8 +432,7 @@ class SecondMomentPrefix:
     """
 
     def __init__(self, k: int, q: float):
-        if k < 2:
-            raise DomainError(f"k must be >= 2, got {k}")
+        k = require_int(k, "k", 2)
         q = ensure_exponent(q, "q")
         if not math.isfinite(q) or is_zero_exponent(q):
             raise DomainError(f"the second-moment form needs finite nonzero q, got {q!r}")
@@ -477,7 +465,7 @@ class SecondMomentPrefix:
         moment = ((k / n) * p2 + (k * (k - 1)) / (n * (n - 1)) * (p1 * p1 - p2)) / (k * k)
         if not (moment > 0.0 and math.isfinite(moment)):
             raise DomainError(_MOMENT_LOST)
-        return moment ** (1.0 / self.s)
+        return _pow_or_inf(moment, 1.0 / self.s)
 
     def extend(self, block: np.ndarray) -> np.ndarray:
         b = _pows(block, self.q)
@@ -513,8 +501,7 @@ class SymmetricFunctionPrefix:
     """
 
     def __init__(self, k: int, s: float):
-        if k < 2:
-            raise DomainError(f"k must be >= 2, got {k}")
+        k = require_int(k, "k", 2)
         s = ensure_exponent(s, "s")
         if not math.isfinite(s) or is_zero_exponent(s):
             raise DomainError(f"the symmetric-function form needs finite nonzero s, got {s!r}")
@@ -621,7 +608,7 @@ class HardyEstimate:
 def default_checkpoints(n: int) -> list[int]:
     """Logarithmic checkpoint ladder 1, 2, 5, 10, ... capped by (and
     always including) n."""
-    _require_length(n)
+    n = require_int(n, "N", 1)
     points = {n}
     scale = 1
     while scale <= n:
@@ -677,7 +664,7 @@ def iter_hardy_checkpoints(
     Non-summable families are rejected unless explicitly allowed, since a
     ratio against a divergent norm estimates nothing.
     """
-    _require_length(n)
+    n = require_int(n, "N", 1)
     if not family.summable and not allow_nonsummable:
         raise DomainError(
             f"family {family.label()} is not summable; pass allow_nonsummable=True "
@@ -689,6 +676,7 @@ def iter_hardy_checkpoints(
         marks = sorted(set(checkpoints))
         if not marks or marks[0] < 1 or marks[-1] > n:
             raise DomainError(f"checkpoints must lie in 1..{n}")
+        marks = [require_int(m, "checkpoint", 1) for m in marks]
     evaluator = make_prefix_evaluator(mean)
     mean_sum = KahanSum()
     term_sum = KahanSum()
@@ -746,8 +734,8 @@ def sharpness_sequence(n0: int, n: int) -> list[float]:
     4 while the inverse-square tail keeps the sequence summable; no
     constant below 4 survives all such sequences.
     """
-    n0 = _require_length(n0, "n0")
-    n = _require_length(n)
+    n0 = require_int(n0, "n0", 1)
+    n = require_int(n, "N", 1)
     if n0 > n:
         raise DomainError(f"need n0 <= n, got n0={n0}, n={n}")
     return list(HarmonicTruncated(n0).terms(n))
@@ -760,11 +748,9 @@ def sharpness_limit_experiment(n: int) -> float:
 
 def sharpness_limit_curve(checkpoints: Sequence[int]) -> list[tuple[int, float]]:
     """The limit experiment at several truncations in one forward pass."""
-    marks = sorted(set(checkpoints))
-    if not marks or marks[0] < 2:
-        raise DomainError("checkpoints must be integers >= 2")
-    for m in marks:
-        _require_length(m, "checkpoint")
+    marks = [require_int(m, "checkpoint", 2) for m in sorted(set(checkpoints))]
+    if not marks:
+        raise DomainError("need at least one checkpoint")
     evaluator = PairGeometricMeanPrefix()
     out = []
     for done, block, inside in _checkpoint_blocks(Harmonic().blocks(marks[-1]), marks):
@@ -790,7 +776,7 @@ def sharpness_constant_sweep(
     :func:`hardy_partial_sum` over its family bit for bit.  Every crossover
     is checked before any of them runs.
     """
-    _require_length(n)
+    n = require_int(n, "N", 1)
     if n0_values is None:
         n0_values = []
         scale = 10
@@ -798,7 +784,7 @@ def sharpness_constant_sweep(
             n0_values.append(scale)
             scale *= 10
         n0_values.append(n)
-    families = [HarmonicTruncated(_require_length(n0, "n0")) for n0 in sorted(set(n0_values))]
+    families = [HarmonicTruncated(require_int(n0, "n0", 1)) for n0 in sorted(set(n0_values))]
     if not families:
         return []
     runs = [(family, make_prefix_evaluator(mean), KahanSum(), KahanSum()) for family in families]

@@ -8,13 +8,31 @@ line can parse and print specs without loading the numerical kernels.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Union
 
 from .errors import DomainError
 from .extreal import ensure_exponent, format_exponent, parse_exponent
 
-__all__ = ["MeanParams", "MeanLike", "parse_params", "parse_mean", "format_mean"]
+__all__ = ["MeanParams", "MeanLike", "require_int", "parse_params", "parse_mean", "format_mean"]
+
+
+def require_int(value, name: str, minimum: int) -> int:
+    """``value`` as a Python int of at least ``minimum``.
+
+    Accepts what ``operator.index`` accepts (ints and numpy integers) except
+    ``bool``; every count, size and seed the package takes goes through here.
+    """
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        number = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if number < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {number}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -26,10 +44,7 @@ class MeanParams:
     q: float
 
     def __post_init__(self):
-        if isinstance(self.k, bool) or not isinstance(self.k, int):
-            raise DomainError(f"k must be an integer, got {self.k!r}")
-        if self.k < 1:
-            raise DomainError(f"k must be >= 1, got {self.k}")
+        object.__setattr__(self, "k", require_int(self.k, "k", 1))
         object.__setattr__(self, "s", ensure_exponent(self.s, "s"))
         object.__setattr__(self, "q", ensure_exponent(self.q, "q"))
 

@@ -22,8 +22,8 @@ from .cmn_means import (
     compare_qs_monotonicity,
     compare_theorem1_identity,
 )
-from .errors import DomainError
 from .hardy import sharpness_limit_curve
+from .params import require_int
 from .power_means import power_mean
 
 __all__ = ["PropertyResult", "run_verification", "EXPONENT_GRID"]
@@ -164,12 +164,9 @@ def run_verification(
         vectors = 100 if quick else 300
     if n_limit is None:
         n_limit = 10**4 if quick else 10**6
-    if vectors < 1:
-        raise DomainError(f"vectors must be >= 1, got {vectors}")
-    if n_limit < 2:
-        raise DomainError(f"N must be >= 2, got {n_limit}")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    vectors = require_int(vectors, "vectors", 1)
+    n_limit = require_int(n_limit, "N", 2)
+    seed = require_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     margin = "{failures} violations in {count} draws; worst (lhs-rhs)/rhs margin"
     oracle = "max |fast - naive|/naive over random draws (worst at {where})"

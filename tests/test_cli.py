@@ -218,6 +218,27 @@ class TestHardySumCommand:
         assert result.stderr == "error: the partial sum or norm left the double range at n=2\n"
 
 
+    @pytest.mark.parametrize("command", ["mean", "hardy-sum"])
+    def test_e_k_root_past_the_largest_double_is_a_domain_error(self, tmp_path, command):
+        # the e_k route rounds the mean of entries at the largest double past
+        # it: one error line, no traceback
+        largest = repr(sys.float_info.max)
+        path = tmp_path / "terms.txt"
+        path.write_text(f"{largest}\n" * 5)
+        argv = {
+            "mean": ["mean", "-k", "2", "-s", "-1", "-q", "0", "--data", ",".join([largest] * 3)],
+            "hardy-sum": ["hardy-sum", "--mean", "cmn:2,-1,0", "--family", f"custom:{path}", "-N", "5"],
+        }[command]
+        result = subprocess.run(
+            [sys.executable, "-m", "hardy_means", *argv], capture_output=True, text=True
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == {
+            "mean": "error: the computed mean left the double range\n",
+            "hardy-sum": "error: the partial sum or norm left the double range at n=2\n",
+        }[command]
+
+
 class TestEstimateConstantCommand:
     def test_sweep_reports_max(self, capsys):
         code, out, _ = run_cli(

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -252,6 +253,24 @@ class TestPrefixEvaluators:
             got.extend(blocked.extend(np.array(v[lo:hi])).tolist())
         got.append(blocked.push(v[399]))  # the state carried by extend serves push too
         assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    @pytest.mark.parametrize(
+        "evaluator, args, size",
+        [
+            (PowerMeanPrefix, (0.3,), 4),
+            (PowerMeanPrefix, (-1.0,), 4),
+            # M_{2,0.5,0.25}: the root of the P_q head and of the moment
+            (SecondMomentPrefix, (2, 0.25), 5),
+        ],
+    )
+    def test_push_matches_extend_past_the_largest_double(self, evaluator, args, size):
+        # the running mean of entries at the largest double rounds past it:
+        # inf from push, as from extend, rather than OverflowError
+        v = [sys.float_info.max] * size
+        want = evaluator(*args).extend(np.array(v)).tolist()
+        reference = evaluator(*args)
+        assert [reference.push(a).hex() for a in v] == [x.hex() for x in want]
+        assert math.inf in want
 
     def test_extend_keeps_the_per_term_checks(self):
         for a in (1e-200, 1e200):

@@ -1,0 +1,135 @@
+import re
+
+import numpy as np
+import pytest
+
+from hardy_means import (
+    CustomTerms,
+    DomainError,
+    Geometric,
+    Harmonic,
+    HarmonicTruncated,
+    MeanParams,
+    PowerTail,
+    cmn_mean_sampled,
+    hardy_partial_sum,
+    iter_hardy_checkpoints,
+    sharpness_constant_sweep,
+    sharpness_limit_curve,
+    sharpness_sequence,
+)
+from hardy_means import cli
+from hardy_means.classify import classification_table
+from hardy_means.cmn_means import (
+    ElementarySymmetric,
+    compare_k_monotonicity,
+    compare_qs_monotonicity,
+    subset_log_means,
+)
+from hardy_means.hardy import SecondMomentPrefix, SymmetricFunctionPrefix, default_checkpoints
+from hardy_means.params import require_int
+from hardy_means.verification import run_verification
+
+BLOCK = np.array([1.0, 2.0, 3.0, 5.0, 8.0])
+
+
+class TestRequireInt:
+    @pytest.mark.parametrize("value", [0, 7, 2**70, np.int64(7), np.uint8(7), np.intp(0)])
+    def test_returns_a_python_int(self, value):
+        got = require_int(value, "n", 0)
+        assert type(got) is int and got == int(value)
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, False, np.True_, "3", None, np.float64(3.0)])
+    def test_refuses_what_is_not_an_integer(self, value):
+        with pytest.raises(DomainError, match=f"^n must be an integer, got {re.escape(repr(value))}$"):
+            require_int(value, "n", 0)
+
+    def test_range_error_prints_the_int(self):
+        with pytest.raises(DomainError, match=r"^seed must be >= 0, got -3$"):
+            require_int(np.int64(-3), "seed", 0)
+        assert require_int(-3, "shift", -3) == -3
+
+
+def _bench_values(seed):
+    # every bench column but the wall time
+    rows, _ = cli.run_bench(samples=200, seed=seed)
+    return [row[:3] + row[4:] for row in rows]
+
+
+def _verify(**sizes):
+    options = {"quick": True, "n_limit": 100, "vectors": 1, "seed": 1, **sizes}
+    return [(r.name, r.passed, r.worst, r.detail) for r in run_verification(**options)]
+
+
+def _esp(order):
+    ek, exponent = ElementarySymmetric(order, 0.5).extend(BLOCK)
+    return ek.tolist(), exponent.tolist()
+
+
+def _sweep(**kwargs):
+    return [(e.family, e.mean_sum, e.term_sum) for e in sharpness_constant_sweep(0.5, **kwargs)]
+
+
+ALL = (2.5, True, "3")
+
+# (argument, a valid value, the call, the wrong values it must refuse)
+ENTRY_POINTS = {
+    "MeanParams": ("k", 3, lambda v: MeanParams(v, 1.0, 0.0), ALL),
+    "ElementarySymmetric": ("order", 2, _esp, ALL),
+    "SecondMomentPrefix": ("k", 2, lambda v: SecondMomentPrefix(v, 1.0).extend(BLOCK).tolist(), ALL),
+    "SymmetricFunctionPrefix": ("k", 3, lambda v: SymmetricFunctionPrefix(v, 1.0).extend(BLOCK).tolist(), ALL),
+    "Harmonic.terms": ("count", 5, lambda v: list(Harmonic().terms(v)), ALL),
+    "HarmonicTruncated.terms": ("count", 5, lambda v: list(HarmonicTruncated(2).terms(v)), ALL),
+    "HarmonicTruncated": ("crossover", 2, lambda v: list(HarmonicTruncated(v).terms(5)), ALL),
+    "PowerTail.terms": ("count", 5, lambda v: list(PowerTail(2.0).terms(v)), ALL),
+    "Geometric.terms": ("count", 5, lambda v: list(Geometric(0.5).terms(v)), ALL),
+    "CustomTerms.terms": ("count", 3, lambda v: list(CustomTerms((1.0, 0.5, 0.25)).terms(v)), ALL),
+    "default_checkpoints": ("N", 50, default_checkpoints, ALL),
+    "iter_hardy_checkpoints": ("N", 20, lambda v: list(iter_hardy_checkpoints(0.5, PowerTail(2.0), v)), ALL),
+    # a str among int checkpoints fails the ladder's sort first
+    "iter_hardy_checkpoints.checkpoints": (
+        "checkpoint", 3, lambda v: list(iter_hardy_checkpoints(0.5, PowerTail(2.0), 10, [v, 10])), (2.5, True),
+    ),
+    "hardy_partial_sum": ("N", 20, lambda v: hardy_partial_sum(0.5, PowerTail(2.0), v).ratio, ALL),
+    "sharpness_sequence.n0": ("n0", 3, lambda v: sharpness_sequence(v, 10), ALL),
+    "sharpness_sequence.n": ("N", 10, lambda v: sharpness_sequence(3, v), ALL),
+    "sharpness_limit_curve": ("checkpoint", 50, lambda v: sharpness_limit_curve([v]), ALL),
+    "sharpness_constant_sweep.n": ("N", 100, lambda v: _sweep(n=v), ALL),
+    "sharpness_constant_sweep.n0_values": ("n0", 10, lambda v: _sweep(n=100, n0_values=[v]), ALL),
+    "subset_log_means": ("k", 2, lambda v: subset_log_means([1.0, 2.0, 3.0, 4.0], v, 1.0).tolist(), ALL),
+    "compare_qs_monotonicity": ("k", 2, lambda v: compare_qs_monotonicity(v, 1.0, 2.0, 0.0, 1.0, BLOCK), ALL),
+    "compare_k_monotonicity": ("k", 3, lambda v: compare_k_monotonicity(v, 2.0, 1.0, BLOCK), ALL),
+    # a str is a grid of k values, each of which MeanParams refuses as k
+    "classification_table": ("k_max", 3, lambda v: classification_table(v, [0.5], [0.0]), (2.5, True)),
+    "cmn_mean_sampled.samples": (
+        "samples", 200, lambda v: cmn_mean_sampled(MeanParams(2, 1.0, 1.0), range(1, 30), v, 7), ALL,
+    ),
+    # the seed times the block stride leaves int64: only a Python int keeps the stream
+    "cmn_mean_sampled.seed": (
+        "seed", 2**40, lambda v: cmn_mean_sampled(MeanParams(2, 1.0, 1.0), range(1, 30), 200, v), ALL,
+    ),
+    "run_verification.vectors": ("vectors", 2, lambda v: _verify(vectors=v), ALL),
+    "run_verification.n_limit": ("N", 100, lambda v: _verify(n_limit=v), ALL),
+    "run_verification.seed": ("seed", 3, lambda v: _verify(seed=v), ALL),
+    "run_bench": ("seed", 3, _bench_values, ALL),
+}
+
+
+@pytest.fixture(autouse=True)
+def small_bench(monkeypatch):
+    monkeypatch.setattr(cli, "_BENCH_SIZES", (10,))
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_integer_arguments(entry):
+    name, good, call, wrong = ENTRY_POINTS[entry]
+    for value in wrong:
+        with pytest.raises(DomainError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            call(value)
+    assert call(np.int64(good)) == call(good)
+
+
+def test_numpy_integers_are_stored_as_ints():
+    assert type(MeanParams(np.int64(3), 1.0, 0.0).k) is int
+    assert type(HarmonicTruncated(np.int64(3)).crossover) is int
+    assert type(cmn_mean_sampled(MeanParams(2, 1.0, 1.0), range(1, 30), np.int64(200), 7).samples) is int

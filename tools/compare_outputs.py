@@ -41,7 +41,8 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
     s = +-inf, over several sample blocks and at the sampler's edge shapes,
     enumeration, ``hardy-sum`` over every prefix evaluator and past the
     double range, every ``pow`` call site at extreme exponents, negative
-    seeds, and parse-error paths."""
+    seeds, the e_k root of entries at the largest double, parse-error paths
+    and every integer range error the command line can reach."""
     sixty = _data(1.0 + (i * 7919 % 97) / 10 for i in range(60))
     # no ties among subset means, so the sampled extremum depends on the draws
     spread = _data(math.exp(math.sin(3.7 * i)) for i in range(60))
@@ -56,6 +57,10 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
     # the partial sums pass the largest double at n = 2
     edge = workdir / "edge.txt"
     edge.write_text("1.797e308\n" * 4, encoding="utf-8")
+    # the e_k route rounds the mean of entries at the largest double past it
+    largest = repr(sys.float_info.max)
+    top = workdir / "top.txt"
+    top.write_text(f"{largest}\n" * 5, encoding="utf-8")
     # 20000 draws: three sample blocks (8192, 8192, 3616)
     sampled = ("--data", sixty, "--samples", "20000", "--seed", "2026")
     extremum = ("--data", spread, "--samples", "20000", "--seed", "2026")
@@ -95,6 +100,7 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
         ("mean", "-k", "2", "-s", "1", "-q", "1", "--data", _data(range(1, 11)),
          "--samples", "1000", "--seed", "-1"),
         ("bench", "--seed", "-1"),
+        ("mean", "-k", "2", "-s", "-1", "-q", "0", "--data", ",".join([largest] * 3)),
     ]
     for k, path, samples in shapes:
         for seed in ("0", "2147483647"):
@@ -116,6 +122,7 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
         ("cmn:4,-2,-1", custom, "3"),
         ("cmn:2,2,1", overflow, "3"),
         ("power:0.5", f"custom:{edge}", "4"),
+        ("cmn:2,-1,0", f"custom:{top}", "5"),
         ("cmn:2,1,1", "powertail:2", "30"),
         ("cmn:2,1,1", "powertail:2", "31"),
         ("power:0.5", "harmonic", "100"),
@@ -153,6 +160,14 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
         ("mean", "-k", "2", "-s", "nan", "-q", "0", "--data", "1,2,3"),
         ("mean", "-k", "2", "-s", "+inf", "-q", "1e400", "--data", "1,2,3"),
         ("mean", "-k", "2", "-s", "1", "-q", "0", "--data", "-1,2"),
+        # integer range errors
+        ("mean", "-k", "0", "-s", "1", "-q", "0", "--data", "1,2,3"),
+        ("mean", "-k", "2", "-s", "1", "-q", "1", "--data", _data(range(1, 11)), "--samples", "99"),
+        ("classify", "--point", "0,1,0"),
+        ("hardy-sum", "--mean", "cmn:0,1,0", "--family", "powertail:2", "-N", "10"),
+        ("hardy-sum", "--mean", "power:0.5", "--family", "powertail:2", "-N", "0"),
+        ("hardy-sum", "--mean", "power:0.5", "--family", "harmonic-truncated:0", "-N", "10"),
+        ("estimate-constant", "--mean", "cmn:2,1,0", "-N", "0"),
     ]
     return invocations
 
