@@ -9,7 +9,8 @@ regions.  See the ``hardy-means`` CLI for the command-line surface.
 Importing the package loads only the numpy-free modules (the classifier,
 the parameter specs and the error types).  Every other export is imported
 from its module on first access (PEP 562), so ``hardy-means classify`` and
-``hardy-means --help`` never load numpy.
+``hardy-means --help`` never load numpy, and neither do ``cmn_mean_fast``,
+``EvalMethod`` and ``CmnEvalReport`` (from the numpy-free ``routes``).
 """
 
 import importlib
@@ -25,11 +26,8 @@ __version__ = "0.1.0"
 # Exports imported on first access, by defining module.
 _LAZY_EXPORTS = {
     "cmn_means": (
-        "CmnEvalReport",
-        "EvalMethod",
         "check_k_monotonicity",
         "check_qs_monotonicity",
-        "cmn_mean_fast",
         "cmn_mean_naive",
         "cmn_mean_sampled",
         "theorem1_identity_check",
@@ -51,6 +49,7 @@ _LAZY_EXPORTS = {
         "sharpness_sequence",
     ),
     "power_means": ("check_positive_vector", "power_mean", "power_mean_lower_bound_check"),
+    "routes": ("CmnEvalReport", "EvalMethod", "cmn_mean_fast"),
     "verification": ("PropertyResult", "run_verification"),
 }
 _LAZY_MODULE = {name: module for module, names in _LAZY_EXPORTS.items() for name in names}

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 __all__ = ["KahanSum"]
 
 
@@ -36,7 +34,7 @@ class KahanSum:
             self._compensation += (term - total) + self._sum
         self._sum = total
 
-    def extend(self, terms) -> np.ndarray:
+    def extend(self, terms) -> "np.ndarray":
         """Add every element of ``terms`` in order; return the compensated
         value after each one.
 
@@ -50,6 +48,8 @@ class KahanSum:
         ``np.cumsum``, seeded with the carried compensation, adds the
         errors in the same order as :meth:`add`.
         """
+        import numpy as np  # here, not at the top: :meth:`add` needs no numpy
+
         x = np.asarray(terms, dtype=np.float64)
         if x.size == 0:
             return np.empty(0)

@@ -32,35 +32,41 @@ from .params import MeanParams, format_mean, parse_mean, parse_params, require_i
 
 __all__ = ["main", "run_bench"]
 
-# Names this module takes from the numpy-backed modules.  They are bound on
-# first use (:func:`_load_kernels`), so ``classify`` and ``--help`` never
-# import numpy.
+# Names this module takes from the kernel modules.  They are bound on first
+# use (:func:`_load_kernels`), so ``classify`` and ``--help`` never import
+# numpy, and each command loads only the modules it runs.
 _KERNELS = {
-    "cmn_means": (
-        "MAX_ENUMERATION_SUBSETS",
-        "EvalMethod",
-        "cmn_mean_fast",
-        "cmn_mean_naive",
-        "cmn_mean_sampled",
-    ),
+    "routes": ("EvalMethod", "cmn_mean_fast"),
+    "cmn_means": ("cmn_mean_naive", "cmn_mean_sampled"),
     "hardy": ("CustomTerms", "iter_hardy_checkpoints", "parse_family", "sharpness_constant_sweep"),
     "verification": ("run_verification",),
 }
+# The kernel modules each command runs.  ``routes`` imports no numpy: a
+# mean whose route needs arrays imports ``cmn_means`` when it runs.
+_COMMAND_KERNELS = {
+    "mean": ("routes",),
+    "hardy-sum": ("hardy",),
+    "estimate-constant": ("hardy",),
+    "verify": ("verification",),
+    "bench": tuple(_KERNELS),
+}
 
 
-def _load_kernels() -> None:
-    """Import the numpy-backed modules and bind their names here.  A name
-    that is already bound (say, a wrapper set with ``setattr``) is kept."""
+def _load_kernels(*modules: str) -> None:
+    """Import the named kernel modules (all of them when none is named) and
+    bind their names here.  A name that is already bound (say, a wrapper
+    set with ``setattr``) is kept."""
     # The package calls no BLAS routine, but OpenBLAS starts a worker pool
     # when numpy loads, and on a 2-CPU machine its worker burnt up to 0.15 s
     # of CPU per command (hardy-sum over 1000 terms: 0.34 s of CPU pooled,
     # 0.24 s pinned).  Only the first import of numpy reads this variable,
-    # and a value the caller set is kept.
+    # so it is set before any kernel module can import numpy, and a value
+    # the caller set is kept.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     namespace = globals()
-    for module, names in _KERNELS.items():
+    for module in modules or _KERNELS:
         source = importlib.import_module(f".{module}", __package__)
-        for name in names:
+        for name in _KERNELS[module]:
             namespace.setdefault(name, getattr(source, name))
 
 
@@ -512,13 +518,18 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = _build_parser().parse_args(_preprocess_argv(list(argv)))
     if args.command != "classify":
-        _load_kernels()
+        modules = _COMMAND_KERNELS[args.command]
+        if args.command == "mean" and args.samples is not None:
+            modules += ("cmn_means",)
+        _load_kernels(*modules)
     try:
         return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapacityError as exc:
+        from .routes import MAX_ENUMERATION_SUBSETS  # loaded by whatever raised
+
         hint = _CAPACITY_HINTS.get(args.command)
         advice = f"hint: {hint}; " if hint else ""
         print(

@@ -20,6 +20,11 @@ likewise scaled.  ``cmn_mean_sampled`` is a Monte Carlo
 estimator over uniform random k-subsets for inputs beyond the enumeration
 budget.
 
+The dispatch of ``cmn_mean_fast`` and its scalar routes (the power means
+and the e_k recurrence on short vectors) live in the numpy-free
+:mod:`~hardy_means.routes`, which calls back into this module only for
+enumeration and the vector e_k engine; this module re-exports them.
+
 The comparison helpers at the bottom turn the family's monotonicity
 inequalities (in the inner/outer exponents and in the subset size k) and
 the pairwise-mean identity
@@ -31,11 +36,9 @@ into executable checks.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -46,6 +49,24 @@ from .errors import CapacityError, DomainError
 from .extreal import ensure_exponent
 from .params import MeanParams, require_int
 from .power_means import check_positive_vector, is_zero_exponent, power_mean
+from .routes import (  # noqa: F401  (re-exported: the one-shot dispatch and its scalar routes)
+    _MIN_NORMAL,
+    _UNSCALED_RANGE,
+    _UNSCALED_TERMS,
+    MAX_ENUMERATION_N,
+    MAX_ENUMERATION_SUBSETS,
+    CmnEvalReport,
+    EvalMethod,
+    _binomial,
+    _elementary_symmetric,
+    _ldexp_or_inf,
+    _pow_or_inf,
+    _scaled_root,
+    _symmetric_mean,
+    _unscaled_elementary_symmetric,
+    closed_form,
+    cmn_mean_fast,
+)
 
 __all__ = [
     "MAX_ENUMERATION_N",
@@ -69,12 +90,6 @@ __all__ = [
     "ElementarySymmetric",
 ]
 
-# Enumeration refuses beyond this many subsets (2**22) or entries; the
-# worst admissible case stays comfortably interactive and anything larger
-# belongs to the closed-form or Monte Carlo paths.
-MAX_ENUMERATION_N = 30
-MAX_ENUMERATION_SUBSETS = 1 << 22
-
 MIN_SAMPLES = 100
 
 # Rows per enumeration chunk.  Smaller chunks keep a chunk's temporaries in
@@ -91,54 +106,6 @@ _DRAW_CHUNK = 1 << 14
 # stride larger than 2**32 keeps the mapping injective for any block count
 # a sane sample budget can produce.
 _SEED_STRIDE = 4294967311
-
-
-class EvalMethod(enum.Enum):
-    EXACT = "Exact"
-    FAST_SYMMETRIC = "FastSymmetric"
-    DEGENERATE = "Degenerate"
-    MONTE_CARLO = "MonteCarlo"
-
-
-def closed_form(params: MeanParams) -> tuple[float | None, bool]:
-    """The closed forms of M_{k,s,q} that hold for every n > k, as (p, symmetric).
-
-    p is the order with M_{k,s,q} = P_p (s when k = 1, q when s = q), or
-    None; symmetric says whether the e_k form applies (q = 0, s finite
-    and nonzero).
-    """
-    k, s, q = params.k, params.s, params.q
-    if k == 1:
-        return s, False
-    if s == q:
-        return q, False
-    return None, is_zero_exponent(q) and math.isfinite(s) and not is_zero_exponent(s)
-
-
-@dataclass(frozen=True)
-class CmnEvalReport:
-    """Evaluation result plus how it was obtained.
-
-    ``samples`` and ``stderr_estimate`` are present exactly when the value
-    came from the Monte Carlo estimator.
-    """
-
-    value: float
-    method: EvalMethod
-    samples: int | None = None
-    stderr_estimate: float | None = None
-    note: str | None = None
-
-    def __post_init__(self):
-        if not (self.value > 0.0):
-            raise DomainError(f"mean value must be positive, got {self.value!r}")
-        if self.value == math.inf:
-            raise DomainError("the computed mean left the double range")
-        is_mc = self.method is EvalMethod.MONTE_CARLO
-        if is_mc != (self.stderr_estimate is not None) or is_mc != (self.samples is not None):
-            raise DomainError("samples/stderr_estimate are reported iff method is MonteCarlo")
-        if self.stderr_estimate is not None and not self.stderr_estimate >= 0.0:
-            raise DomainError("stderr_estimate must be nonnegative")
 
 
 def _ensure_enumerable(n: int, k: int) -> int:
@@ -279,7 +246,8 @@ def cmn_mean_naive(params: MeanParams, values) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Fast paths
+# The vector e_k engine, for the prefix experiments and for the e_k inputs
+# the scalar route of :mod:`~hardy_means.routes` leaves
 
 
 def _libm(fn, values: np.ndarray) -> np.ndarray:
@@ -299,15 +267,6 @@ def _valid_prefix(ok: np.ndarray) -> int:
     return ok.size if ok.all() else int(ok.argmin())
 
 
-def _pow_or_inf(a: float, p: float) -> float:
-    """``math.pow``, with inf where the result leaves the double range
-    (``math.pow`` raises OverflowError there), so range checks see it."""
-    try:
-        return math.pow(a, p)
-    except OverflowError:
-        return math.inf
-
-
 def _pows(values: np.ndarray, p: float) -> np.ndarray:
     """:func:`_pow_or_inf` of every element, in one call.
 
@@ -321,19 +280,11 @@ def _pows(values: np.ndarray, p: float) -> np.ndarray:
         return np.float_power(values, p)
 
 
-# Smallest positive normal double.
-_MIN_NORMAL = 2.0**-1022
 # A level of :class:`ElementarySymmetric` is rescaled before it takes a
 # term above this, so that the term lands in [0.5, 1).  Levels then stay in
 # [0.5, 2**(512 + 53)], far from both ends of the double range, and so do
 # the products of the next level.
 _LEVEL_CEILING = 2.0**512
-# :func:`_elementary_symmetric` takes the scalar route while each level has
-# fewer terms than this (near the measured break-even with ``extend``, for
-# any k), and only within the range bound of
-# :func:`_unscaled_elementary_symmetric`.
-_UNSCALED_TERMS = 256
-_UNSCALED_RANGE = 900
 
 
 def _scaled_pow(a: float, p: float) -> tuple[float, int]:
@@ -364,13 +315,6 @@ def _scaled_pows(values: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
     for i in np.flatnonzero(~((x >= _MIN_NORMAL) & (x < math.inf))).tolist():
         mantissa[i], exponent[i] = _scaled_pow(float(values[i]), p)
     return mantissa, exponent
-
-
-def _ldexp_or_inf(x: float, e: int) -> float:
-    try:
-        return math.ldexp(x, e)
-    except OverflowError:
-        return math.inf
 
 
 class ElementarySymmetric:
@@ -461,16 +405,6 @@ class ElementarySymmetric:
         return values, scales
 
 
-def _binomial(n: int, k: int) -> tuple[float, int]:
-    """C(n, k) as (m, e): the float product of (n - t) / (t + 1), rescaled
-    by ``frexp`` after every factor."""
-    mantissa, exponent = 1.0, 0
-    for t in range(k):
-        mantissa, e = math.frexp(mantissa * (n - t) / (t + 1))
-        exponent += e
-    return mantissa, exponent
-
-
 def _binomials(n: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_binomial` of every element of the float array ``n``."""
     mantissa = np.ones(n.size)
@@ -479,30 +413,6 @@ def _binomials(n: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         mantissa, e = np.frexp(mantissa * (n - t) / (t + 1))
         exponent += e
     return mantissa, exponent
-
-
-def _scaled_root(x: float, e: int, s: float) -> float:
-    """(x * 2**e) ** (1/s) where x * 2**e lies outside the double range;
-    e/s is split exactly into whole and fractional parts."""
-    from fractions import Fraction  # only here: it adds to every start-up otherwise
-
-    power = Fraction(e) / Fraction(s)
-    whole = math.floor(power)
-    return _ldexp_or_inf(x ** (1.0 / s) * 2.0 ** float(power - whole), whole)
-
-
-def _symmetric_mean(ek: float, ek_exponent: int, n: int, k: int, s: float) -> float:
-    """(e_k / C(n, k)) ** (1/s) from e_k = ek * 2**ek_exponent.
-
-    The root is the C library's ``pow``, or for s = 2 the correctly
-    rounded ``sqrt``, which numpy and ``math`` share.
-    """
-    c, c_exponent = _binomial(n, k)
-    ratio, exponent = ek / c, ek_exponent - c_exponent
-    if -1021 <= math.frexp(ratio)[1] + exponent <= 1024:
-        x = math.ldexp(ratio, exponent)
-        return math.sqrt(x) if s == 2.0 else _pow_or_inf(x, 1.0 / s)
-    return _scaled_root(ratio, exponent, s)
 
 
 def _symmetric_means(ek: np.ndarray, ek_exponent: np.ndarray, n: np.ndarray, k: int, s: float) -> np.ndarray:
@@ -517,78 +427,6 @@ def _symmetric_means(ek: np.ndarray, ek_exponent: np.ndarray, n: np.ndarray, k: 
     for i in np.flatnonzero(~normal).tolist():
         out[i] = _scaled_root(float(ratio[i]), int(exponent[i]), s)
     return out
-
-
-def _unscaled_elementary_symmetric(values: list[float], k: int, p: float) -> tuple[float, int] | None:
-    """e_k of values**p as (m, e) by the recurrence of
-    :class:`ElementarySymmetric` without its scales, or None where that
-    could differ from the scaled result.
-
-    Scaling by a power of two commutes with every rounding while all
-    values stay normal.  With every b = a**p and 1/b below 2**L, the
-    level values, products and Kahan errors of both computations lie
-    within 2**(+-(2*k*L + n + 53)), a level's scale being the exponent of
-    one of its terms; so for 2*k*L + n <= ``_UNSCALED_RANGE`` the result
-    is bit-identical to ``extend``'s.
-    """
-    try:
-        b = [math.pow(a, p) for a in values]
-    except OverflowError:
-        return None
-    n = len(b)
-    lo, hi = min(b), max(b)
-    if lo < _MIN_NORMAL or 2 * k * max(math.frexp(hi)[1], 1 - math.frexp(lo)[1]) + n > _UNSCALED_RANGE:
-        return None
-    level = [1.0] * (n - k + 1)  # e_0 before each term that e_k depends on
-    for j in range(k):
-        acc = KahanSum()
-        sums = []
-        for b_i, before in zip(b[j : n - k + j + 1], level):
-            acc.add(b_i * before)
-            sums.append(acc.value)
-        level = sums
-    return math.frexp(level[-1])
-
-
-def _elementary_symmetric(values, k: int, p: float) -> tuple[float, int]:
-    """e_k of values**p as (m, e), meaning m * 2**e; needs at least k values.
-
-    Short inputs whose powers stay in range take the scalar recurrence,
-    where numpy's per-call cost would outweigh its vector work.
-    """
-    if len(values) < k:
-        raise DomainError(f"e_{k} of {len(values)} terms is zero; need at least k terms")
-    values = np.asarray(values, dtype=np.float64)
-    if values.size - k + 1 < _UNSCALED_TERMS:
-        result = _unscaled_elementary_symmetric(values.tolist(), k, p)
-        if result is not None:
-            return result
-    ek, exponent = ElementarySymmetric(k, p).extend(values)
-    return float(ek[-1]), int(exponent[-1])
-
-
-def _fast_symmetric_value(vals: list[float], k: int, s: float) -> float:
-    ek, exponent = _elementary_symmetric(np.sort(np.asarray(vals, dtype=np.float64)), k, s / k)
-    return _symmetric_mean(ek, exponent, len(vals), k, s)
-
-
-def cmn_mean_fast(params: MeanParams, values) -> CmnEvalReport:
-    """Evaluate M_{k,s,q} through the cheapest applicable route.
-
-    Dispatch order: (a) k >= n collapses to P_q; (b) a power mean P_p by
-    :func:`closed_form` (P_s when k = 1, P_q when s = q) is Degenerate;
-    (c) q == 0 with finite nonzero s uses the elementary-symmetric closed
-    form, any sign of s; (d) everything else enumerates, raising
-    :class:`CapacityError` past the budget, at which point the Monte Carlo
-    sampler is the intended fallback.
-    """
-    vals = check_positive_vector(values)
-    order, symmetric = (params.q, False) if params.k >= len(vals) else closed_form(params)
-    if order is not None:
-        return CmnEvalReport(power_mean(order, vals), EvalMethod.DEGENERATE)
-    if symmetric:
-        return CmnEvalReport(_fast_symmetric_value(vals, params.k, params.s), EvalMethod.FAST_SYMMETRIC)
-    return CmnEvalReport(cmn_mean_naive(params, vals), EvalMethod.EXACT)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ for the standard sequence families, exposes the sharp power-mean constant
 mean M_{2,1,0}, whose empirical constant approaches 4 from below.
 
 Prefix means are computed incrementally.  Which closed form applies is
-decided once, by :func:`~hardy_means.cmn_means.closed_form`, for this module
+decided once, by :func:`~hardy_means.routes.closed_form`, for this module
 and for ``cmn_mean_fast`` alike: a power mean (P_s at k = 1, P_q at s = q)
 keeps one running sum, and M_{k,s,0} keeps the elementary-symmetric levels
 e_1..e_k of b_i = a_i**(s/k) in the linear domain, each a compensated sum
@@ -52,22 +52,18 @@ import numpy as np
 
 from ._summation import KahanSum
 from .cmn_means import (
-    MAX_ENUMERATION_N,
     ElementarySymmetric,
     _ensure_enumerable,
     _libm,
-    _pow_or_inf,
     _pows,
-    _symmetric_mean,
     _symmetric_means,
     _valid_prefix,
-    closed_form,
-    cmn_mean_fast,
 )
 from .errors import DomainError
 from .extreal import ensure_exponent, format_exponent, parse_exponent
 from .params import MeanLike, MeanParams, format_mean, parse_mean, require_int
 from .power_means import check_positive_vector, is_zero_exponent
+from .routes import MAX_ENUMERATION_N, _pow_or_inf, _symmetric_mean, closed_form, cmn_mean_fast
 
 __all__ = [
     "Harmonic",
@@ -568,7 +564,7 @@ class BufferedPrefix:
 def make_prefix_evaluator(mean: MeanLike):
     """Build the cheapest incremental evaluator for the given mean.
 
-    The closed forms of :func:`~hardy_means.cmn_means.closed_form` come
+    The closed forms of :func:`~hardy_means.routes.closed_form` come
     first; the pair identity at (2, 1, 0) and the second-moment identity
     at s = 2q are the prefix route's own.
     """
@@ -673,10 +669,9 @@ def iter_hardy_checkpoints(
     if checkpoints is None:
         marks = default_checkpoints(n)
     else:
-        marks = sorted(set(checkpoints))
+        marks = sorted({require_int(m, "checkpoint") for m in checkpoints})
         if not marks or marks[0] < 1 or marks[-1] > n:
             raise DomainError(f"checkpoints must lie in 1..{n}")
-        marks = [require_int(m, "checkpoint", 1) for m in marks]
     evaluator = make_prefix_evaluator(mean)
     mean_sum = KahanSum()
     term_sum = KahanSum()
@@ -748,9 +743,10 @@ def sharpness_limit_experiment(n: int) -> float:
 
 def sharpness_limit_curve(checkpoints: Sequence[int]) -> list[tuple[int, float]]:
     """The limit experiment at several truncations in one forward pass."""
-    marks = [require_int(m, "checkpoint", 2) for m in sorted(set(checkpoints))]
+    marks = sorted({require_int(m, "checkpoint") for m in checkpoints})
     if not marks:
         raise DomainError("need at least one checkpoint")
+    require_int(marks[0], "checkpoint", 2)
     evaluator = PairGeometricMeanPrefix()
     out = []
     for done, block, inside in _checkpoint_blocks(Harmonic().blocks(marks[-1]), marks):
@@ -784,7 +780,8 @@ def sharpness_constant_sweep(
             n0_values.append(scale)
             scale *= 10
         n0_values.append(n)
-    families = [HarmonicTruncated(require_int(n0, "n0", 1)) for n0 in sorted(set(n0_values))]
+    crossovers = sorted({require_int(n0, "n0") for n0 in n0_values})
+    families = [HarmonicTruncated(require_int(n0, "n0", 1)) for n0 in crossovers]
     if not families:
         return []
     runs = [(family, make_prefix_evaluator(mean), KahanSum(), KahanSum()) for family in families]

@@ -18,8 +18,9 @@ from .extreal import ensure_exponent, format_exponent, parse_exponent
 __all__ = ["MeanParams", "MeanLike", "require_int", "parse_params", "parse_mean", "format_mean"]
 
 
-def require_int(value, name: str, minimum: int) -> int:
-    """``value`` as a Python int of at least ``minimum``.
+def require_int(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as a Python int of at least ``minimum`` (of any size when
+    ``minimum`` is None).
 
     Accepts what ``operator.index`` accepts (ints and numpy integers) except
     ``bool``; every count, size and seed the package takes goes through here.
@@ -30,7 +31,7 @@ def require_int(value, name: str, minimum: int) -> int:
         number = operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}")
-    if number < minimum:
+    if minimum is not None and number < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {number}")
     return number
 

@@ -1,0 +1,225 @@
+"""The one-shot evaluation of M_{k,s,q}: which route runs, and the routes
+that need no arrays.
+
+:func:`cmn_mean_fast` is the package's one dispatch.  Two of its routes
+are scalar code on ``math`` alone: a power mean (k >= n, k = 1 or s = q:
+Degenerate) and the q = 0 closed form
+
+    M_{k,s,0}(v) = ( e_k(b) / C(n,k) ) ** (1/s),   b_i = v_i ** (s/k),
+
+on short vectors whose powers stay well inside the double range
+(FastSymmetric).  This module imports no numpy, so a command that takes
+only those routes never loads it.  Longer or wider e_k inputs go to the
+vector engine (:class:`~hardy_means.cmn_means.ElementarySymmetric`) and
+every other mean to enumeration; both import
+:mod:`~hardy_means.cmn_means` when they run.  ``cmn_means`` re-exports
+every name defined here.
+"""
+
+from __future__ import annotations
+
+import enum
+import math
+from dataclasses import dataclass
+
+from ._summation import KahanSum
+from .errors import DomainError
+from .params import MeanParams
+from .power_means import check_positive_vector, is_zero_exponent, power_mean
+
+__all__ = [
+    "MAX_ENUMERATION_N",
+    "MAX_ENUMERATION_SUBSETS",
+    "EvalMethod",
+    "closed_form",
+    "CmnEvalReport",
+    "cmn_mean_fast",
+]
+
+# Enumeration refuses beyond this many subsets (2**22) or entries; the
+# worst admissible case stays comfortably interactive and anything larger
+# belongs to the closed-form or Monte Carlo paths.
+MAX_ENUMERATION_N = 30
+MAX_ENUMERATION_SUBSETS = 1 << 22
+
+# Smallest positive normal double.
+_MIN_NORMAL = 2.0**-1022
+# :func:`_elementary_symmetric` takes the scalar route while each level has
+# fewer terms than this (near the measured break-even with the vector
+# engine, for any k), and only within the range bound of
+# :func:`_unscaled_elementary_symmetric`.
+_UNSCALED_TERMS = 256
+_UNSCALED_RANGE = 900
+
+
+class EvalMethod(enum.Enum):
+    EXACT = "Exact"
+    FAST_SYMMETRIC = "FastSymmetric"
+    DEGENERATE = "Degenerate"
+    MONTE_CARLO = "MonteCarlo"
+
+
+def closed_form(params: MeanParams) -> tuple[float | None, bool]:
+    """The closed forms of M_{k,s,q} that hold for every n > k, as (p, symmetric).
+
+    p is the order with M_{k,s,q} = P_p (s when k = 1, q when s = q), or
+    None; symmetric says whether the e_k form applies (q = 0, s finite
+    and nonzero).
+    """
+    k, s, q = params.k, params.s, params.q
+    if k == 1:
+        return s, False
+    if s == q:
+        return q, False
+    return None, is_zero_exponent(q) and math.isfinite(s) and not is_zero_exponent(s)
+
+
+@dataclass(frozen=True)
+class CmnEvalReport:
+    """Evaluation result plus how it was obtained.
+
+    ``samples`` and ``stderr_estimate`` are present exactly when the value
+    came from the Monte Carlo estimator.
+    """
+
+    value: float
+    method: EvalMethod
+    samples: int | None = None
+    stderr_estimate: float | None = None
+    note: str | None = None
+
+    def __post_init__(self):
+        if not (self.value > 0.0):
+            raise DomainError(f"mean value must be positive, got {self.value!r}")
+        if self.value == math.inf:
+            raise DomainError("the computed mean left the double range")
+        is_mc = self.method is EvalMethod.MONTE_CARLO
+        if is_mc != (self.stderr_estimate is not None) or is_mc != (self.samples is not None):
+            raise DomainError("samples/stderr_estimate are reported iff method is MonteCarlo")
+        if self.stderr_estimate is not None and not self.stderr_estimate >= 0.0:
+            raise DomainError("stderr_estimate must be nonnegative")
+
+
+def _pow_or_inf(a: float, p: float) -> float:
+    """``math.pow``, with inf where the result leaves the double range
+    (``math.pow`` raises OverflowError there), so range checks see it."""
+    try:
+        return math.pow(a, p)
+    except OverflowError:
+        return math.inf
+
+
+def _ldexp_or_inf(x: float, e: int) -> float:
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
+
+
+def _binomial(n: int, k: int) -> tuple[float, int]:
+    """C(n, k) as (m, e): the float product of (n - t) / (t + 1), rescaled
+    by ``frexp`` after every factor."""
+    mantissa, exponent = 1.0, 0
+    for t in range(k):
+        mantissa, e = math.frexp(mantissa * (n - t) / (t + 1))
+        exponent += e
+    return mantissa, exponent
+
+
+def _scaled_root(x: float, e: int, s: float) -> float:
+    """(x * 2**e) ** (1/s) where x * 2**e lies outside the double range;
+    e/s is split exactly into whole and fractional parts."""
+    from fractions import Fraction  # only here: it adds to every start-up otherwise
+
+    power = Fraction(e) / Fraction(s)
+    whole = math.floor(power)
+    return _ldexp_or_inf(x ** (1.0 / s) * 2.0 ** float(power - whole), whole)
+
+
+def _symmetric_mean(ek: float, ek_exponent: int, n: int, k: int, s: float) -> float:
+    """(e_k / C(n, k)) ** (1/s) from e_k = ek * 2**ek_exponent.
+
+    The root is the C library's ``pow``, or for s = 2 the correctly
+    rounded ``sqrt``, which numpy and ``math`` share.
+    """
+    c, c_exponent = _binomial(n, k)
+    ratio, exponent = ek / c, ek_exponent - c_exponent
+    if -1021 <= math.frexp(ratio)[1] + exponent <= 1024:
+        x = math.ldexp(ratio, exponent)
+        return math.sqrt(x) if s == 2.0 else _pow_or_inf(x, 1.0 / s)
+    return _scaled_root(ratio, exponent, s)
+
+
+def _unscaled_elementary_symmetric(values: list[float], k: int, p: float) -> tuple[float, int] | None:
+    """e_k of values**p as (m, e) by the recurrence of
+    :class:`~hardy_means.cmn_means.ElementarySymmetric` without its
+    scales, or None where that could differ from the scaled result.
+
+    Scaling by a power of two commutes with every rounding while all
+    values stay normal.  With every b = a**p and 1/b below 2**L, the
+    level values, products and Kahan errors of both computations lie
+    within 2**(+-(2*k*L + n + 53)), a level's scale being the exponent of
+    one of its terms; so for 2*k*L + n <= ``_UNSCALED_RANGE`` the result
+    is bit-identical to ``extend``'s.
+    """
+    try:
+        b = [math.pow(a, p) for a in values]
+    except OverflowError:
+        return None
+    n = len(b)
+    lo, hi = min(b), max(b)
+    if lo < _MIN_NORMAL or 2 * k * max(math.frexp(hi)[1], 1 - math.frexp(lo)[1]) + n > _UNSCALED_RANGE:
+        return None
+    level = [1.0] * (n - k + 1)  # e_0 before each term that e_k depends on
+    for j in range(k):
+        acc = KahanSum()
+        sums = []
+        for b_i, before in zip(b[j : n - k + j + 1], level):
+            acc.add(b_i * before)
+            sums.append(acc.value)
+        level = sums
+    return math.frexp(level[-1])
+
+
+def _elementary_symmetric(values, k: int, p: float) -> tuple[float, int]:
+    """e_k of values**p as (m, e), meaning m * 2**e; needs at least k values.
+
+    Short inputs whose powers stay in range take the scalar recurrence,
+    where numpy's per-call cost would outweigh its vector work; only the
+    others load numpy.
+    """
+    if len(values) < k:
+        raise DomainError(f"e_{k} of {len(values)} terms is zero; need at least k terms")
+    if len(values) - k + 1 < _UNSCALED_TERMS:
+        result = _unscaled_elementary_symmetric([float(a) for a in values], k, p)
+        if result is not None:
+            return result
+    import numpy as np
+
+    from .cmn_means import ElementarySymmetric
+
+    ek, exponent = ElementarySymmetric(k, p).extend(np.asarray(values, dtype=np.float64))
+    return float(ek[-1]), int(exponent[-1])
+
+
+def cmn_mean_fast(params: MeanParams, values) -> CmnEvalReport:
+    """Evaluate M_{k,s,q} through the cheapest applicable route.
+
+    Dispatch order: (a) k >= n collapses to P_q; (b) a power mean P_p by
+    :func:`closed_form` (P_s when k = 1, P_q when s = q) is Degenerate;
+    (c) q == 0 with finite nonzero s uses the elementary-symmetric closed
+    form, any sign of s, on the entries in ascending order; (d) everything
+    else enumerates, raising :class:`CapacityError` past the budget, at
+    which point the Monte Carlo sampler is the intended fallback.
+    """
+    vals = check_positive_vector(values)
+    order, symmetric = (params.q, False) if params.k >= len(vals) else closed_form(params)
+    if order is not None:
+        return CmnEvalReport(power_mean(order, vals), EvalMethod.DEGENERATE)
+    if symmetric:
+        k, s = params.k, params.s
+        ek, exponent = _elementary_symmetric(sorted(vals), k, s / k)
+        return CmnEvalReport(_symmetric_mean(ek, exponent, len(vals), k, s), EvalMethod.FAST_SYMMETRIC)
+    from .cmn_means import cmn_mean_naive
+
+    return CmnEvalReport(cmn_mean_naive(params, vals), EvalMethod.EXACT)

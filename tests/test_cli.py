@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hardy_means import MeanParams, cmn_mean_naive, power_mean
-from hardy_means import cli, cmn_means
+from hardy_means import cli, cmn_means, routes
 from hardy_means._format import canonical_json
 from hardy_means.cli import main, run_bench
 from hardy_means.hardy import sharpness_limit_curve
@@ -341,13 +341,13 @@ class TestVerifyCommand:
         assert "all properties passed" in out
 
     def test_injected_fault_exit_1(self, capsys, monkeypatch):
-        genuine = cmn_means._elementary_symmetric
+        genuine = routes._elementary_symmetric
 
         def broken(values, k, p):
             ek, exponent = genuine(values, k, p)
             return ek * math.exp(0.05), exponent
 
-        monkeypatch.setattr(cmn_means, "_elementary_symmetric", broken)
+        monkeypatch.setattr(routes, "_elementary_symmetric", broken)
         code, out, _ = run_cli(
             capsys, "verify", "--quick", "--vectors", "25", "-N", "1000", "--seed", "3"
         )
@@ -477,21 +477,101 @@ def test_import_without_numpy(module):
     assert report == "numpy imported: False\n"
 
 
+# The power-mean routes (k >= n, s = q, k = 1) and the short e_k route, with
+# the bytes each format printed before these routes stopped loading numpy.
+_NUMPY_FREE_MEANS = {
+    ("-k", "5", "-s", "2", "-q", "0.5", "1,4,9"): (
+        "4.000000000000001 (Degenerate)\n",
+        "5,2,0.5,3,4.0000000000000009,Degenerate,,",
+        '{"meta":{"command":"mean","mean":"cmn:5,2,0.5","seed":0},"rows":[{"k":5,"method":"Degenerate",'
+        '"n":3,"q":0.5,"s":2,"samples":null,"stderr":null,"value":4.0000000000000009}]}\n',
+    ),
+    ("-k", "2", "-s", "1.5", "-q", "1.5", "1,4,9,16"): (
+        "8.549879733383484 (Degenerate)\n",
+        "2,1.5,1.5,4,8.5498797333834844,Degenerate,,",
+        '{"meta":{"command":"mean","mean":"cmn:2,1.5,1.5","seed":0},"rows":[{"k":2,"method":"Degenerate",'
+        '"n":4,"q":1.5,"s":1.5,"samples":null,"stderr":null,"value":8.5498797333834844}]}\n',
+    ),
+    ("-k", "1", "-s", "-1", "-q", "3", "1,4,9,16"): (
+        "2.8097560975609754 (Degenerate)\n",
+        "1,-1,3,4,2.8097560975609754,Degenerate,,",
+        '{"meta":{"command":"mean","mean":"cmn:1,-1,3","seed":0},"rows":[{"k":1,"method":"Degenerate",'
+        '"n":4,"q":3,"s":-1,"samples":null,"stderr":null,"value":2.8097560975609754}]}\n',
+    ),
+    # unsorted, as the e_k route sorts the entries
+    ("-k", "3", "-s", "-2", "-q", "0", "9,1,25,4,16"): (
+        "5.596930155677416 (FastSymmetric)\n",
+        "3,-2,0,5,5.5969301556774163,FastSymmetric,,",
+        '{"meta":{"command":"mean","mean":"cmn:3,-2,0","seed":0},"rows":[{"k":3,"method":"FastSymmetric",'
+        '"n":5,"q":0,"s":-2,"samples":null,"stderr":null,"value":5.5969301556774163}]}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("source", ["--data", "--file"])
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+@pytest.mark.parametrize("case", _NUMPY_FREE_MEANS, ids=lambda case: "k{}s{}q{}".format(*case[1:6:2]))
+def test_power_mean_and_short_e_k_routes_without_numpy(case, fmt, source, tmp_path):
+    *flags, entries = case
+    if source == "--file":
+        path = tmp_path / "v.txt"
+        path.write_text(entries.replace(",", "\n") + "\n", encoding="utf-8")
+        entries = str(path)
+    code, out, err, report, _ = run_fresh(_RUN_CLI, "mean", *flags, source, entries, "--format", fmt)
+    plain, row, json_line = _NUMPY_FREE_MEANS[case]
+    expected = {"plain": plain, "csv": f"k,s,q,n,value,method,samples,stderr\n{row}\n", "json": json_line}
+    assert (code, err, report) == (0, "", "numpy imported: False\n")
+    assert out == expected[fmt]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("-k", "2", "-s", "1", "-q", "0", "--data", "-1,2"), "error: entry 0 is not strictly positive: -1.0\n"),
+        (("-k", "0", "-s", "1", "-q", "0", "--data", "1,2"), "error: k must be >= 1, got 0\n"),
+    ],
+)
+def test_mean_domain_errors_without_numpy(argv, message):
+    assert run_fresh(_RUN_CLI, "mean", *argv)[:4] == (2, "", message, "numpy imported: False\n")
+
+
+def test_one_shot_exports_without_numpy():
+    code, out, err, report, _ = run_fresh(
+        "import hardy_means\n"
+        "report = hardy_means.cmn_mean_fast(hardy_means.MeanParams(2, 1.0, 0.0), [1, 4, 9])\n"
+        "assert isinstance(report, hardy_means.CmnEvalReport)\n"
+        "print(report.value, report.method is hardy_means.EvalMethod.FAST_SYMMETRIC)\n"
+    )
+    assert (code, out, err, report) == (0, "3.6666666666666665 True\n", "", "numpy imported: False\n")
+
+
+# The mean routes that need arrays, with the route each prints: enumeration,
+# a long e_k vector (n - k + 1 >= 256), a short one whose powers leave the
+# scalar route's range, and the Monte Carlo estimator.
+_NUMPY_MEANS = {
+    "mean": (("-k", "2", "-s", "2", "-q", "1", "--data", "1,4,9"), "Exact"),
+    "mean-long": (("-k", "2", "-s", "1", "-q", "0", "--data", ",".join(map(str, range(1, 258)))), "FastSymmetric"),
+    "mean-wide": (("-k", "2", "-s", "3", "-q", "0", "--data", "1e-300,1e300,2,5"), "FastSymmetric"),
+    "mean-sampled": (("-k", "2", "-s", "1", "-q", "1", "--data", "1,2,3,4,5", "--samples", "200"), "MonteCarlo"),
+}
+
+
 def test_numpy_commands_still_load_numpy():
-    code, out, _, report, _ = run_fresh(_RUN_CLI, "mean", "-k", "2", "-s", "1", "-q", "0", "--data", "1,4,9")
-    assert code == 0
-    assert "FastSymmetric" in out
-    assert report == "numpy imported: True\n"
+    for argv, method in _NUMPY_MEANS.values():
+        code, out, _, report, _ = run_fresh(_RUN_CLI, "mean", *argv, "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[1].split(",")[5] == method
+        assert report == "numpy imported: True\n"
 
 
-_NUMPY_COMMANDS = [
-    ("mean", "-k", "2", "-s", "1", "-q", "0", "--data", "1,4,9", "--format", "json"),
-    ("hardy-sum", "--mean", "cmn:2,1,0", "--family", "powertail:2", "-N", "1000", "--format", "csv"),
-    ("verify", "--quick"),
-]
+_NUMPY_COMMANDS = {
+    **{name: ("mean", *argv, "--format", "json") for name, (argv, _) in _NUMPY_MEANS.items()},
+    "hardy-sum": ("hardy-sum", "--mean", "cmn:2,1,0", "--family", "powertail:2", "-N", "1000", "--format", "csv"),
+    "verify": ("verify", "--quick"),
+}
 
 
-@pytest.mark.parametrize("argv", _NUMPY_COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", _NUMPY_COMMANDS.values(), ids=_NUMPY_COMMANDS)
 def test_numpy_commands_run_on_one_thread(argv):
     code, out, err, report, threads = run_fresh(_RUN_CLI, *argv)
     if threads is None:

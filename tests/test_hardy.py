@@ -568,6 +568,32 @@ class TestSharpnessExperiments:
 # sequence, so no Hardy constant exists there.
 
 
+# Each ladder the library sorts, with the name its integer check uses and
+# the range error it keeps for a ladder of integers.
+_LADDERS = {
+    "iter_hardy_checkpoints": (
+        lambda ladder: list(iter_hardy_checkpoints(0.5, PowerTail(2.0), 10, ladder)),
+        "checkpoint", [0, 10], "checkpoints must lie in 1..10",
+    ),
+    "sharpness_limit_curve": (sharpness_limit_curve, "checkpoint", [5, 1], "checkpoint must be >= 2, got 1"),
+    "sharpness_constant_sweep": (
+        lambda ladder: sharpness_constant_sweep(0.5, 100, ladder), "n0", [10, 0], "n0 must be >= 1, got 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("ladder", _LADDERS)
+def test_ladder_entries_are_integers_before_they_are_sorted(ladder):
+    call, name, out_of_range, message = _LADDERS[ladder]
+    with pytest.raises(DomainError, match=f"^{name} must be an integer, got '3'$"):
+        call(["3", 10])
+    # the integer error wins over the range error
+    with pytest.raises(DomainError, match=f"^{name} must be an integer, got 2.5$"):
+        call([2.5, 0])
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call(out_of_range)
+
+
 @pytest.mark.parametrize("k, s, q", [(2, 2.0, 0.0), (2, 2.0, -1.0), (3, 3.0, -1.0), (2, 3.0, 1.0)])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_divergence_witness_for_s_at_least_k(k, s, q, seed):

@@ -86,9 +86,8 @@ ENTRY_POINTS = {
     "CustomTerms.terms": ("count", 3, lambda v: list(CustomTerms((1.0, 0.5, 0.25)).terms(v)), ALL),
     "default_checkpoints": ("N", 50, default_checkpoints, ALL),
     "iter_hardy_checkpoints": ("N", 20, lambda v: list(iter_hardy_checkpoints(0.5, PowerTail(2.0), v)), ALL),
-    # a str among int checkpoints fails the ladder's sort first
     "iter_hardy_checkpoints.checkpoints": (
-        "checkpoint", 3, lambda v: list(iter_hardy_checkpoints(0.5, PowerTail(2.0), 10, [v, 10])), (2.5, True),
+        "checkpoint", 3, lambda v: list(iter_hardy_checkpoints(0.5, PowerTail(2.0), 10, [v, 10])), ALL,
     ),
     "hardy_partial_sum": ("N", 20, lambda v: hardy_partial_sum(0.5, PowerTail(2.0), v).ratio, ALL),
     "sharpness_sequence.n0": ("n0", 3, lambda v: sharpness_sequence(v, 10), ALL),

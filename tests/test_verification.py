@@ -1,7 +1,7 @@
 import math
 
 from hardy_means import run_verification
-from hardy_means import cmn_means
+from hardy_means import routes
 
 
 def test_suite_passes_at_small_sizes():
@@ -29,13 +29,13 @@ def test_quick_tier_defaults():
 def test_injected_fault_is_named(monkeypatch):
     # negative control: corrupt the symmetric-function recurrence and the
     # oracle-equivalence property must fail by name
-    genuine = cmn_means._elementary_symmetric
+    genuine = routes._elementary_symmetric
 
     def broken(values, k, p):
         ek, exponent = genuine(values, k, p)
         return ek * math.exp(0.05), exponent
 
-    monkeypatch.setattr(cmn_means, "_elementary_symmetric", broken)
+    monkeypatch.setattr(routes, "_elementary_symmetric", broken)
     results = run_verification(vectors=25, n_limit=10**3, seed=3)
     by_name = {r.name: r for r in results}
     assert not by_name["oracle-equivalence"].passed

@@ -41,8 +41,9 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
     s = +-inf, over several sample blocks and at the sampler's edge shapes,
     enumeration, ``hardy-sum`` over every prefix evaluator and past the
     double range, every ``pow`` call site at extreme exponents, negative
-    seeds, the e_k root of entries at the largest double, parse-error paths
-    and every integer range error the command line can reach."""
+    seeds, the e_k root of entries at the largest double, each side of the
+    routes of ``mean`` that need no numpy, parse-error paths and every
+    integer range error the command line can reach."""
     sixty = _data(1.0 + (i * 7919 % 97) / 10 for i in range(60))
     # no ties among subset means, so the sampled extremum depends on the draws
     spread = _data(math.exp(math.sin(3.7 * i)) for i in range(60))
@@ -61,6 +62,18 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
     largest = repr(sys.float_info.max)
     top = workdir / "top.txt"
     top.write_text(f"{largest}\n" * 5, encoding="utf-8")
+    # the e_k route's scalar recurrence takes n - k + 1 = 255 terms per level
+    # and the vector engine 256
+    esp = []
+    for n in (257, 258):
+        path = workdir / f"esp-{n}.txt"
+        path.write_text("".join(f"{math.exp(math.sin(0.7 * i))!r}\n" for i in range(n)), encoding="utf-8")
+        esp.append(str(path))
+    # at k = 4, s = 4 the powers are normal doubles, yet 2*k*L + n = 8*133 + 5
+    # passes the scalar route's range bound; at s = -2 (8*67 + 5) it does not
+    wide_powers = "1e-40,1e40,3,7,11"
+    five = workdir / "five.txt"
+    five.write_text("3.5\n0.25\n12\n7\n1e-3\n", encoding="utf-8")
     # 20000 draws: three sample blocks (8192, 8192, 3616)
     sampled = ("--data", sixty, "--samples", "20000", "--seed", "2026")
     extremum = ("--data", spread, "--samples", "20000", "--seed", "2026")
@@ -101,6 +114,14 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
          "--samples", "1000", "--seed", "-1"),
         ("bench", "--seed", "-1"),
         ("mean", "-k", "2", "-s", "-1", "-q", "0", "--data", ",".join([largest] * 3)),
+        # each side of the numpy-free routes of mean
+        ("mean", "-k", "3", "-s", "1.5", "-q", "0", "--file", esp[0]),
+        ("mean", "-k", "3", "-s", "1.5", "-q", "0", "--file", esp[1], "--format", "json"),
+        ("mean", "-k", "4", "-s", "4", "-q", "0", "--data", wide_powers, "--format", "csv"),
+        ("mean", "-k", "4", "-s", "-2", "-q", "0", "--data", wide_powers),
+        ("mean", "-k", "5", "-s", "2", "-q", "-1", "--file", str(five)),
+        ("mean", "-k", "9", "-s", "inf", "-q", "0.5", "--file", str(five), "--format", "json"),
+        ("mean", "-k", "2", "-s", "1", "-q", "0", "--file", str(workdir / "missing.txt")),
     ]
     for k, path, samples in shapes:
         for seed in ("0", "2147483647"):
