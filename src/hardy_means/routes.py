@@ -38,7 +38,10 @@ __all__ = [
 
 # Enumeration refuses beyond this many subsets (2**22) or entries; the
 # worst admissible case stays comfortably interactive and anything larger
-# belongs to the closed-form or Monte Carlo paths.
+# belongs to the closed-form or Monte Carlo paths.  The Exact route holds
+# 16 bytes per subset at its peak (the subset log-means and the outer
+# mean's one work array): the largest admissible count, C(25,15) =
+# 3268760, peaks at 50 MiB traced, and `mean` then at 79 MB resident.
 MAX_ENUMERATION_N = 30
 MAX_ENUMERATION_SUBSETS = 1 << 22
 

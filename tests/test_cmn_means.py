@@ -25,11 +25,15 @@ from hardy_means import (
     theorem1_identity_check,
 )
 from hardy_means import cmn_means
+from hardy_means.power_means import is_zero_exponent
 from hardy_means.cmn_means import (
     ElementarySymmetric,
     _elementary_symmetric,
     _floyd_rows,
     _iter_subset_index_chunks,
+    _jackknife_aggregate,
+    _log_means,
+    _log_power_mean_rows,
     _pow_or_inf,
     _pows,
     _unscaled_elementary_symmetric,
@@ -60,6 +64,45 @@ def _floyd_sample(rng, n, k):
         t = rng.randrange(j + 1)
         chosen.add(j if t in chosen else t)
     return sorted(chosen)
+
+
+def reference_log_power_mean_rows(q, log_rows):
+    """The row kernel as it was before it worked in place: a new array for
+    the shifted values and another for their exponentials."""
+    k = log_rows.shape[1]
+    if q == math.inf:
+        return log_rows.max(axis=1)
+    if q == -math.inf:
+        return log_rows.min(axis=1)
+    if is_zero_exponent(q):
+        return log_rows.mean(axis=1)
+    z = q * log_rows
+    zmax = z.max(axis=1)
+    total = np.exp(z - zmax[:, None]).sum(axis=1)
+    return (zmax + np.log(total) - math.log(k)) / q
+
+
+def reference_jackknife_aggregate(s, log_means):
+    """The jackknife as it was before it worked in place: a new array for
+    each step."""
+    m = log_means.size
+    if np.all(log_means == log_means[0]):
+        return math.exp(float(log_means[0])), 0.0
+    if is_zero_exponent(s):
+        total = float(log_means.sum())
+        value = math.exp(total / m)
+        estimates = np.exp((total - log_means) / (m - 1))
+    else:
+        u = s * log_means
+        umax = float(u.max())
+        w = np.exp(u - umax)
+        total = float(w.sum())
+        value = math.exp((umax + math.log(total / m)) / s)
+        with np.errstate(divide="ignore"):
+            estimates = np.exp((umax + np.log((total - w) / (m - 1))) / s)
+    centered = estimates - estimates.mean()
+    se = math.sqrt((m - 1) / m * float((centered * centered).sum()))
+    return value, se
 
 
 def cmn_bruteforce(params, v):
@@ -613,12 +656,128 @@ def test_naive_does_not_depend_on_chunk_size(rng, monkeypatch):
     assert len(values) == 1
 
 
-def test_enumeration_memory(rng):
-    v = log_uniform_vector(rng, 22)
+def traced_peak(fn):
+    """(fn(), the peak of memory traced while it ran)."""
     tracemalloc.start()
     try:
-        subset_log_means(v, 11, 1.0)  # C(22,11) = 705432 subsets
-        peak = tracemalloc.get_traced_memory()[1]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2**20
+
+
+def test_enumeration_memory(rng):
+    # The result, 5.4 MiB, plus one chunk's temporaries and the tail table:
+    # about 8.2 MiB.  Concatenating a list of blocks read 10.8 MiB.
+    v = log_uniform_vector(rng, 22)
+    logs, peak = traced_peak(lambda: subset_log_means(v, 11, 1.0))  # C(22,11) = 705432 subsets
+    assert logs.size == 705432
+    assert peak < logs.nbytes + 4 * 2**20
+
+
+def test_naive_memory(rng):
+    # The subset log-means and the outer mean's one work array, each 5.4
+    # MiB: about 10.8 MiB.  Four copies at once read 21.5 MiB.
+    v = log_uniform_vector(rng, 22)
+    value, peak = traced_peak(lambda: cmn_mean_naive(MeanParams(11, 2.0, 1.0), v))
+    assert math.isfinite(value)
+    assert peak < 2 * 705432 * 8 + 2 * 2**20
+
+
+@pytest.mark.parametrize("s", [2.0, 0.0, -1.0])
+def test_jackknife_memory(s):
+    # One work array the size of the input: about 7.6 MiB over 10**6
+    # log-means.  A new array per step read 38.1 MiB (s = 2) and 22.9 MiB
+    # (s = 0).
+    log_means = np.random.default_rng(3).uniform(-3.0, 3.0, 10**6)
+    _, peak = traced_peak(lambda: _jackknife_aggregate(s, log_means))
+    assert peak < log_means.nbytes + 2**20
+
+
+# --- the in-place kernels against the allocating ones, bit for bit ----------------
+
+
+def as_bytes(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+EXPONENTS = (*GRID, 1e-13, -1e-13, 3.7, -0.3)
+
+
+@pytest.mark.parametrize("k", range(1, 30))
+def test_row_kernel_matches_reference_bytes(k):
+    # tobytes also tells -0.0 from 0.0: rows of ones have log-means of +-0
+    rng = np.random.default_rng(k)
+    rows = rng.uniform(-5.0, 5.0, (257, k))
+    rows[::5] = 0.0  # entries 1
+    rows[1::7, : (k + 1) // 2] = 0.0
+    rows[2::11] *= 100.0
+    before = rows.tobytes()
+    for q in EXPONENTS:
+        assert as_bytes(_log_power_mean_rows(q, rows)) == as_bytes(reference_log_power_mean_rows(q, rows))
+    assert rows.tobytes() == before
+
+
+@pytest.mark.parametrize("s", EXPONENTS)
+def test_power_mean_of_logs_matches_reference_bytes(s):
+    rng = np.random.default_rng(5)
+    for logs in (rng.uniform(-3.0, 3.0, 10**5), np.zeros(40), rng.uniform(-700.0, 700.0, 1000)):
+        before = logs.tobytes()
+        want = float(np.exp(reference_log_power_mean_rows(s, logs.reshape(1, -1))[0]))
+        assert as_bytes(power_mean_of_logs(s, logs)) == as_bytes(want)
+        assert logs.tobytes() == before  # callers reuse one array for several s
+
+
+@pytest.mark.parametrize("s", [s for s in EXPONENTS if math.isfinite(s)])
+def test_jackknife_matches_reference_bytes(s):
+    rng = np.random.default_rng(7)
+    cases = [
+        rng.uniform(-3.0, 3.0, 100),
+        rng.uniform(-3.0, 3.0, 8193),
+        rng.uniform(-30.0, 30.0, 10**5),
+        rng.choice([0.0, -0.0, 1.0], 1000),  # log-means of +-0 and 1
+        np.full(300, 0.25),  # identical samples
+    ]
+    if not is_zero_exponent(s):
+        cases.append(dominant_log_means(s))
+    for log_means in cases:
+        before = log_means.tobytes()
+        # at negative s the dominant case's leave-one-out estimate is inf,
+        # so both standard errors are the same nan
+        with np.errstate(invalid="ignore"):
+            got, want = _jackknife_aggregate(s, log_means), reference_jackknife_aggregate(s, log_means)
+        assert as_bytes(got) == as_bytes(want)
+        assert log_means.tobytes() == before
+
+
+def dominant_log_means(s):
+    """Log-means where one weight exp(s * x - max) holds the whole rounded
+    total, so that the jackknife takes log(total - w) = log(0)."""
+    log_means = np.zeros(500)
+    log_means[17] = 60.0 / s  # s * x = 60; every other weight is exp(-60)
+    return log_means
+
+
+@pytest.mark.parametrize("s", [s for s in EXPONENTS if math.isfinite(s) and not is_zero_exponent(s)])
+def test_dominant_weight_takes_the_log_of_zero(s):
+    u = s * dominant_log_means(s)
+    w = np.exp(u - u.max())
+    assert (float(w.sum()) - w == 0.0).sum() == 1
+
+
+@pytest.mark.parametrize("rows", [9, 11])
+def test_log_means_refuses_a_stream_of_the_wrong_length(rows):
+    # C(5,2) = 10 rows are expected; a stream one short would leave an
+    # unwritten entry in the result, one long would overrun it
+    logs = np.log(np.arange(1.0, 6.0))
+    index_rows = np.array(list(itertools.combinations(range(5), 2)) + [(0, 4)])[:rows]
+    blocks = iter([index_rows[:4], index_rows[4:]])
+    with pytest.raises(RuntimeError, match="rows"):
+        _log_means(logs, 1.0, blocks, 10)
+
+
+def test_log_means_fills_every_row_of_a_stream_of_the_right_length():
+    logs = np.log(np.arange(1.0, 6.0))
+    index_rows = np.array(list(itertools.combinations(range(5), 2)))
+    got = _log_means(logs, 1.0, iter([index_rows[:4], index_rows[4:]]), 10)
+    assert as_bytes(got) == as_bytes(reference_log_power_mean_rows(1.0, logs[index_rows]))

@@ -42,8 +42,9 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
     enumeration, ``hardy-sum`` over every prefix evaluator and past the
     double range, every ``pow`` call site at extreme exponents, negative
     seeds, the e_k root of entries at the largest double, each side of the
-    routes of ``mean`` that need no numpy, parse-error paths and every
-    integer range error the command line can reach."""
+    routes of ``mean`` that need no numpy, the subset engine at size,
+    parse-error paths and every integer range error the command line can
+    reach."""
     sixty = _data(1.0 + (i * 7919 % 97) / 10 for i in range(60))
     # no ties among subset means, so the sampled extremum depends on the draws
     spread = _data(math.exp(math.sin(3.7 * i)) for i in range(60))
@@ -72,6 +73,7 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
     # at k = 4, s = 4 the powers are normal doubles, yet 2*k*L + n = 8*133 + 5
     # passes the scalar route's range bound; at s = -2 (8*67 + 5) it does not
     wide_powers = "1e-40,1e40,3,7,11"
+    wide26 = _data(math.exp(4.0 * math.sin(1.9 * i)) for i in range(26))
     five = workdir / "five.txt"
     five.write_text("3.5\n0.25\n12\n7\n1e-3\n", encoding="utf-8")
     # 20000 draws: three sample blocks (8192, 8192, 3616)
@@ -122,6 +124,16 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
         ("mean", "-k", "5", "-s", "2", "-q", "-1", "--file", str(five)),
         ("mean", "-k", "9", "-s", "inf", "-q", "0.5", "--file", str(five), "--format", "json"),
         ("mean", "-k", "2", "-s", "1", "-q", "0", "--file", str(workdir / "missing.txt")),
+        # the in-place subset engine at size: C(26,9) = 3124550 subsets,
+        # C(26,7) = 657800 in 81 chunks at each infinite exponent, and 10**6
+        # draws through each branch of the jackknife
+        ("mean", "-k", "9", "-s", "2", "-q", "1", "--data", wide26),
+        ("mean", "-k", "7", "-s", "-2", "-q", "inf", "--data", wide26),
+        ("mean", "-k", "7", "-s", "inf", "-q", "0", "--data", wide26, "--format", "json"),
+        *(
+            ("mean", "-k", "4", "-s", s, "-q", "1", "--data", sixty, "--samples", "1000000", "--seed", "7")
+            for s in ("2", "0", "-1")
+        ),
     ]
     for k, path, samples in shapes:
         for seed in ("0", "2147483647"):
