@@ -577,7 +577,9 @@ def _jackknife_aggregate(s: float, log_means: np.ndarray) -> tuple[float, float]
     aggregate and reported on the value scale.
 
     ``log_means`` is never written: every step runs in place on one work
-    array of its size.
+    array of its size.  Where one draw alone makes the rounded s-th-power
+    total, its leave-one-out estimate is the power mean of the others,
+    which costs two more arrays of that size.
     """
     m = log_means.size
     if np.all(log_means == log_means[0]):
@@ -585,6 +587,7 @@ def _jackknife_aggregate(s: float, log_means: np.ndarray) -> tuple[float, float]
         # not manufacture a phantom standard error
         return math.exp(float(log_means[0])), 0.0
     estimates = np.empty_like(log_means)
+    top = None
     if is_zero_exponent(s):
         total = float(log_means.sum())
         value = math.exp(total / m)
@@ -597,17 +600,30 @@ def _jackknife_aggregate(s: float, log_means: np.ndarray) -> tuple[float, float]
         np.exp(w, out=w)
         total = float(w.sum())
         value = math.exp((umax + math.log(total / m)) / s)
-        np.subtract(total, w, out=estimates)  # total - w is 0 where w alone makes the total
+        if total == 1.0:
+            # the largest weight, 1.0, alone makes the rounded total, so
+            # total - w leaves nothing of the others where that draw is left
+            # out: its estimate is taken from the others below
+            top = int(w.argmax())
+        np.subtract(total, w, out=estimates)
         estimates /= m - 1
         with np.errstate(divide="ignore"):
             np.log(estimates, out=estimates)
         estimates += umax
         estimates /= s
     np.exp(estimates, out=estimates)
+    if top is not None:
+        estimates[top] = power_mean_of_logs(s, np.delete(log_means, top))
     estimates -= estimates.mean()
+    # squares of deviations this far from 1 overflow or underflow: square
+    # them divided by the largest
+    scale = max(float(estimates.max()), -float(estimates.min()))
+    scaled = 0.0 < scale < 2.0**-450 or scale > 2.0**450
+    if scaled:
+        estimates /= scale
     estimates *= estimates
     se = math.sqrt((m - 1) / m * float(estimates.sum()))
-    return value, se
+    return value, se * scale if scaled else se
 
 
 def cmn_mean_sampled(params: MeanParams, values, samples: int, seed: int) -> CmnEvalReport:

@@ -16,14 +16,14 @@ and for ``cmn_mean_fast`` alike: a power mean (P_s at k = 1, P_q at s = q)
 keeps one running sum, and M_{k,s,0} keeps the elementary-symmetric levels
 e_1..e_k of b_i = a_i**(s/k) in the linear domain, each a compensated sum
 of positive terms under its own power-of-two scale, at O(k) per step.  Two
-identities are this module's own.  M_{2,1,0} uses the O(1)-per-step
-identity
+forms are this module's own.  M_{2,1,0} uses the O(1)-per-step recurrence
 
-    M_{2,1,0}(a_1..a_n) = (S_n**2 - T_n) / (n * (n - 1)),
-    S_n = sum sqrt(a_i),  T_n = sum a_i,
+    M_{2,1,0}(a_1..a_n) = 2 E_n / (n * (n - 1)),
+    E_n = sum_{i<=n} r_i * S_{i-1},  S_i = r_1 + .. + r_i,  r_i = sqrt(a_i),
 
-so truncations up to 10^7 stay cheap, and M_{k,2q,q} keeps the two running
-sums of the second-moment identity.
+whose terms are all positive, so nothing cancels however wide the range
+of the prefix, and truncations up to 10^7 stay cheap; M_{k,2q,q} keeps the
+two running sums of the second-moment identity.
 
 The experiments run block at a time: families produce their terms as
 arrays of a fixed number of elements, and each evaluator's ``extend`` turns
@@ -39,6 +39,12 @@ numpy's vectorised versions differ from it by an ulp on a share of inputs.
 Memory stays at a few blocks whatever N is.
 The crossover sweep walks the indices once for all its crossovers, so each
 term 1/i or i**-2 is computed once.
+
+``extend`` returns the running means of the leading run of terms it
+takes and the error ``push`` would raise on the next term, or None.
+:func:`_advance` alone picks the earliest failure of a block (a
+non-positive term, a term the evaluator refuses or sums that leave the
+double range), so the experiments report every row before it.
 """
 
 from __future__ import annotations
@@ -288,11 +294,13 @@ def parse_family(text: str) -> SequenceFamily:
 # ---------------------------------------------------------------------------
 # Incremental prefix evaluators
 #
-# ``push(a)`` takes one term and returns the mean of the prefix so far;
-# ``extend(block)`` does the same for every element of a float array and
-# returns the array of running means, bit-identical to pushing the
-# elements one by one.  When push would refuse an element, extend takes
-# the elements before it and then raises push's error.
+# ``push(a)`` takes one term and returns the mean of the prefix so far, or
+# raises a DomainError for a term it refuses.  ``extend(block)`` takes the
+# elements of a float array up to the first one push would refuse and
+# returns (values, error): the running means after each element taken,
+# bit-identical to pushing them one by one, and the DomainError push would
+# raise on the next element, or None when it took the whole block.  An
+# evaluator that returned an error takes no further terms.
 
 
 def _counts(done: int, size: int) -> np.ndarray:
@@ -335,7 +343,7 @@ class PowerMeanPrefix:
         self._acc.add(term)
         return a if n == 1 else _pow_or_inf(self._acc.value / n, 1.0 / p)
 
-    def extend(self, block: np.ndarray) -> np.ndarray:
+    def extend(self, block: np.ndarray) -> tuple[np.ndarray, DomainError | None]:
         p = self.p
         if math.isinf(p):
             pick = np.maximum if p > 0 else np.minimum
@@ -345,7 +353,7 @@ class PowerMeanPrefix:
             if values.size:
                 self._extreme = float(values[-1])
             self._count += block.size
-            return values
+            return values, None
         if is_zero_exponent(p):
             logs = _libm(math.log, block)
             means = self._acc.extend(logs) / _counts(self._count, block.size)
@@ -359,54 +367,44 @@ class PowerMeanPrefix:
         if self._count == 0 and size:
             values[0] = block[0]
         self._count += size
-        if size < block.size:
-            raise _power_range_error(float(block[size]), p)
-        return values
-
-
-_PAIR_LOST = (
-    "pairwise identity lost all significance (input dynamic range too extreme "
-    "for the running-sum form)"
-)
+        return values, _power_range_error(float(block[size]), p) if size < block.size else None
 
 
 class PairGeometricMeanPrefix:
     """Running M_{2,1,0}: the average of sqrt(a_i a_j) over index pairs.
 
-    Uses the identity (S**2 - T) / (n (n-1)) with S = sum sqrt(a_i) and
-    T = sum a_i, both compensated, so each step costs O(1).
+    With r_i = sqrt(a_i) and S_i = r_1 + .. + r_i, the sum over pairs is
+    E_n = sum_{i<=n} r_i * S_{i-1}, and the mean is 2 E_n / (n (n-1)).
+    S and E are compensated sums of positive terms, so nothing cancels and
+    each step costs O(1).
     """
 
     def __init__(self):
         self._count = 0
-        self._sqrt_sum = KahanSum()
-        self._sum = KahanSum()
+        self._roots = KahanSum()
+        self._pairs = KahanSum()
 
     def push(self, a: float) -> float:
+        r = math.sqrt(a)
+        self._pairs.add(r * self._roots.value)
+        self._roots.add(r)
         self._count += 1
-        self._sqrt_sum.add(math.sqrt(a))
-        self._sum.add(a)
         n = self._count
-        if n == 1:
-            return a
-        s = self._sqrt_sum.value
-        value = (s * s - self._sum.value) / (n * (n - 1))
-        if not value > 0.0:
-            raise DomainError(_PAIR_LOST)
-        return value
+        return a if n == 1 else 2.0 * self._pairs.value / (n * (n - 1))
 
-    def extend(self, block: np.ndarray) -> np.ndarray:
+    def extend(self, block: np.ndarray) -> tuple[np.ndarray, None]:
         # sqrt is correctly rounded in numpy and in the C library alike.
-        s = self._sqrt_sum.extend(np.sqrt(block))
+        r = np.sqrt(block)
+        before = np.empty(block.size)  # S_{i-1}: the carried sum, then the sum after each root
+        before[:1] = self._roots.value
+        before[1:] = self._roots.extend(r)[:-1]
         n = _counts(self._count, block.size)
         # n = 1 divides by 1 instead of 0; its value is replaced by a below.
-        values = (s * s - self._sum.extend(block)) / np.maximum(n * (n - 1.0), 1.0)
+        values = 2.0 * self._pairs.extend(r * before) / np.maximum(n * (n - 1.0), 1.0)
         if self._count == 0 and block.size:
             values[0] = block[0]
         self._count += block.size
-        if not (values > 0.0).all():
-            raise DomainError(_PAIR_LOST)
-        return values
+        return values, None
 
 
 _MOMENT_LOST = "second-moment identity lost all significance or overflowed"
@@ -463,7 +461,7 @@ class SecondMomentPrefix:
             raise DomainError(_MOMENT_LOST)
         return _pow_or_inf(moment, 1.0 / self.s)
 
-    def extend(self, block: np.ndarray) -> np.ndarray:
+    def extend(self, block: np.ndarray) -> tuple[np.ndarray, DomainError | None]:
         b = _pows(block, self.q)
         with np.errstate(over="ignore"):  # an inf square fails the range check below
             squares = b * b
@@ -474,16 +472,15 @@ class SecondMomentPrefix:
         k = self.k
         head = min(max(k - self._count, 0), size)  # elements with n <= k
         values = np.empty(size)
-        values[:head] = self._head.extend(block[:head])
+        values[:head], _ = self._head.extend(block[:head])  # every a**q here is in range
         m, p1, p2 = n[head:], p1[head:], p2[head:]
         moment = ((k / m) * p2 + (k * (k - 1)) / (m * (m - 1.0)) * (p1 * p1 - p2)) / (k * k)
-        if not ((moment > 0.0) & np.isfinite(moment)).all():
-            raise DomainError(_MOMENT_LOST)
         values[head:] = _pows(moment, 1.0 / self.s)
         self._count += size
-        if size < block.size:
-            raise self._range_error(float(block[size]))
-        return values
+        kept = head + _valid_prefix((moment > 0.0) & np.isfinite(moment))
+        if kept < size:
+            return values[:kept], DomainError(_MOMENT_LOST)
+        return values, self._range_error(float(block[size])) if size < block.size else None
 
 
 class SymmetricFunctionPrefix:
@@ -513,15 +510,15 @@ class SymmetricFunctionPrefix:
             return _symmetric_mean(ek, exponent, n, self.k, self.s)
         return self._head.push(a)
 
-    def extend(self, block: np.ndarray) -> np.ndarray:
+    def extend(self, block: np.ndarray) -> tuple[np.ndarray, None]:
         done = self._esp.count
         ek, exponent = self._esp.extend(block)
         n = _counts(done, block.size)
         head = min(max(self.k - done, 0), block.size)  # elements with n <= k
         values = np.empty(block.size)
-        values[:head] = self._head.extend(block[:head])
+        values[:head], _ = self._head.extend(block[:head])
         values[head:] = _symmetric_means(ek[head:], exponent[head:], n[head:], self.k, self.s)
-        return values
+        return values, None
 
 
 class BufferedPrefix:
@@ -531,7 +528,7 @@ class BufferedPrefix:
     longest vector enumeration accepts (``MAX_ENUMERATION_N``).
     ``extend`` first looks for the error a term of the block would hit,
     the cap or the enumeration budget of C(n,k) subsets, and raises it
-    before enumerating anything.
+    before enumerating anything: these depend on the prefix length alone.
     """
 
     def __init__(self, params: MeanParams):
@@ -551,21 +548,21 @@ class BufferedPrefix:
         self._buffer.append(a)
         return cmn_mean_fast(self.params, self._buffer).value
 
-    def extend(self, block: np.ndarray) -> np.ndarray:
+    def extend(self, block: np.ndarray) -> tuple[np.ndarray, None]:
         k = self.params.k
         for n in range(len(self._buffer) + 1, len(self._buffer) + block.size + 1):
             if n > MAX_ENUMERATION_N:
                 raise self._cap_error()
             if n > k:  # k < n enumerates
                 _ensure_enumerable(n, k)
-        return np.array([self.push(a) for a in block.tolist()], dtype=np.float64)
+        return np.array([self.push(a) for a in block.tolist()], dtype=np.float64), None
 
 
 def make_prefix_evaluator(mean: MeanLike):
     """Build the cheapest incremental evaluator for the given mean.
 
     The closed forms of :func:`~hardy_means.routes.closed_form` come
-    first; the pair identity at (2, 1, 0) and the second-moment identity
+    first; the pair recurrence at (2, 1, 0) and the second-moment identity
     at s = 2q are the prefix route's own.
     """
     if not isinstance(mean, MeanParams):
@@ -637,12 +634,26 @@ def _checkpoint_blocks(blocks: Iterator[np.ndarray], marks: list[int]):
         done = end
 
 
-def _advance(evaluator, mean_sum: KahanSum, term_sum: KahanSum, block: np.ndarray):
-    """Feed the leading run of positive finite terms of ``block`` to the
-    evaluator; return the running sums of the means and of the terms
-    after each term taken."""
+def _advance(evaluator, mean_sum: KahanSum, term_sum: KahanSum, block: np.ndarray, done: int, family):
+    """Feed ``block``, the terms done+1.. of ``family``, to the evaluator
+    and to the sums, up to the earliest failure.
+
+    Returns the running sums of the means and of the terms after each term
+    taken, and the DomainError of the earliest failure or None.  A failure
+    is a non-positive term, a term the evaluator refuses, or a mean or term
+    that takes a sum out of the double range.
+    """
     size = _valid_prefix((block > 0.0) & np.isfinite(block))
-    return mean_sum.extend(evaluator.extend(block[:size])), term_sum.extend(block[:size])
+    # an overflow is reported at its first index, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, error = evaluator.extend(block[:size])
+        sums, norms = mean_sum.extend(values), term_sum.extend(block[: values.size])
+    if error is None and size < block.size:
+        error = DomainError(f"family {family.label()} produced a non-positive term at index {done + size + 1}")
+    finite = _valid_prefix(np.isfinite(sums) & np.isfinite(norms))
+    if finite < sums.size:
+        error = DomainError(f"the partial sum or norm left the double range at n={done + finite + 1}")
+    return sums[:finite], norms[:finite], error
 
 
 def iter_hardy_checkpoints(
@@ -656,9 +667,11 @@ def iter_hardy_checkpoints(
     """Yield (i, mean_sum, term_sum, ratio) at each checkpoint up to n.
 
     Terms are consumed in forward order with compensated running sums, a
-    block at a time; the rows of a block are yielded once it is done.
-    Non-summable families are rejected unless explicitly allowed, since a
-    ratio against a divergent norm estimates nothing.
+    block at a time; the rows of a block are yielded once it is done.  At
+    the earliest failure (see :func:`_advance`) every row before it is
+    yielded and then its DomainError raised.  Non-summable families are
+    rejected unless explicitly allowed, since a ratio against a divergent
+    norm estimates nothing.
     """
     n = require_int(n, "N", 1)
     if not family.summable and not allow_nonsummable:
@@ -676,23 +689,14 @@ def iter_hardy_checkpoints(
     mean_sum = KahanSum()
     term_sum = KahanSum()
     for done, block, inside in _checkpoint_blocks(family.blocks(n), marks):
-        # an overflow is reported below, at its first index, not as warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            sums, norms = _advance(evaluator, mean_sum, term_sum, block)
-        size = _valid_prefix(np.isfinite(sums) & np.isfinite(norms))
+        sums, norms, error = _advance(evaluator, mean_sum, term_sum, block, done, family)
         for i in inside:
-            if i > done + size:
+            if i > done + sums.size:
                 break
             j = i - done - 1
             yield i, float(sums[j]), float(norms[j]), float(sums[j] / norms[j])
-        if size < sums.size:
-            raise DomainError(
-                f"the partial sum or norm left the double range at n={done + size + 1}"
-            )
-        if sums.size < block.size:
-            raise DomainError(
-                f"family {family.label()} produced a non-positive term at index {done + sums.size + 1}"
-            )
+        if error is not None:
+            raise error
 
 
 def hardy_partial_sum(
@@ -750,7 +754,9 @@ def sharpness_limit_curve(checkpoints: Sequence[int]) -> list[tuple[int, float]]
     evaluator = PairGeometricMeanPrefix()
     out = []
     for done, block, inside in _checkpoint_blocks(Harmonic().blocks(marks[-1]), marks):
-        values = evaluator.extend(block)
+        values, error = evaluator.extend(block)
+        if error is not None:
+            raise error
         out.extend((i, i * float(values[i - done - 1])) for i in inside)
     return out
 
@@ -793,7 +799,10 @@ def sharpness_constant_sweep(
         square[first:] = _pows(i[first:], -2.0)
         for family, evaluator, mean_sum, term_sum in runs:
             cut = min(max(family.crossover - lo + 1, 0), i.size)
-            _advance(evaluator, mean_sum, term_sum, np.concatenate((inverse[:cut], square[cut:])))
+            block = np.concatenate((inverse[:cut], square[cut:]))
+            error = _advance(evaluator, mean_sum, term_sum, block, lo - 1, family)[2]
+            if error is not None:
+                raise error
     return [
         HardyEstimate(
             ratio=mean_sum.value / term_sum.value, n=n, family=family, mean=mean,

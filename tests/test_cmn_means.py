@@ -84,7 +84,8 @@ def reference_log_power_mean_rows(q, log_rows):
 
 def reference_jackknife_aggregate(s, log_means):
     """The jackknife as it was before it worked in place: a new array for
-    each step."""
+    each step.  Where the largest weight alone makes the rounded total, its
+    leave-one-out estimate is the power mean of the others."""
     m = log_means.size
     if np.all(log_means == log_means[0]):
         return math.exp(float(log_means[0])), 0.0
@@ -100,6 +101,10 @@ def reference_jackknife_aggregate(s, log_means):
         value = math.exp((umax + math.log(total / m)) / s)
         with np.errstate(divide="ignore"):
             estimates = np.exp((umax + np.log((total - w) / (m - 1))) / s)
+        if total == 1.0:
+            top = int(w.argmax())
+            others = np.delete(log_means, top).reshape(1, -1)
+            estimates[top] = np.exp(reference_log_power_mean_rows(s, others)[0])
     centered = estimates - estimates.mean()
     se = math.sqrt((m - 1) / m * float((centered * centered).sum()))
     return value, se
@@ -742,10 +747,7 @@ def test_jackknife_matches_reference_bytes(s):
         cases.append(dominant_log_means(s))
     for log_means in cases:
         before = log_means.tobytes()
-        # at negative s the dominant case's leave-one-out estimate is inf,
-        # so both standard errors are the same nan
-        with np.errstate(invalid="ignore"):
-            got, want = _jackknife_aggregate(s, log_means), reference_jackknife_aggregate(s, log_means)
+        got, want = _jackknife_aggregate(s, log_means), reference_jackknife_aggregate(s, log_means)
         assert as_bytes(got) == as_bytes(want)
         assert log_means.tobytes() == before
 
@@ -756,6 +758,62 @@ def dominant_log_means(s):
     log_means = np.zeros(500)
     log_means[17] = 60.0 / s  # s * x = 60; every other weight is exp(-60)
     return log_means
+
+
+def jackknife_oracle(s, log_means):
+    """Value and jackknife standard error by their definitions, on the
+    value scale, in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        x = [mpmath.exp(mpmath.mpf(v)) for v in log_means.tolist()]
+        m = len(x)
+        if is_zero_exponent(s):
+            total = mpmath.fsum(mpmath.log(v) for v in x)
+            value = mpmath.exp(total / m)
+            estimates = [mpmath.exp((total - mpmath.log(v)) / (m - 1)) for v in x]
+        else:
+            powers = [v**s for v in x]
+            total = mpmath.fsum(powers)
+            value = (total / m) ** (1 / mpmath.mpf(s))
+            # each leave-one-out sum on its own: total - p cancels under a dominant p
+            estimates = [
+                (mpmath.fsum(powers[:i] + powers[i + 1 :]) / (m - 1)) ** (1 / mpmath.mpf(s)) for i in range(m)
+            ]
+        centre = mpmath.fsum(estimates) / m
+        se = mpmath.sqrt(mpmath.mpf(m - 1) / m * mpmath.fsum((e - centre) ** 2 for e in estimates))
+        return float(value), float(se)
+
+
+@pytest.mark.parametrize("s", [2.0, 1.0, 0.0, -1.0, -2.0])
+@pytest.mark.parametrize("c", [1.0, 1e200, 1e-200, 1e300, 1e-300])
+def test_jackknife_standard_error_scales_with_the_data(s, c):
+    # deviations of about c / 40: their squares left the double range at
+    # c = 1e+-200, and the standard error read inf or 0.0
+    log_means = np.log([(1.0 + i / 100) * c for i in range(200)])
+    value, se = _jackknife_aggregate(s, log_means)
+    want_value, want_se = jackknife_oracle(s, log_means)
+    assert value == pytest.approx(want_value, rel=1e-12, abs=0.0)
+    assert se == pytest.approx(want_se, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("s", [-1.0, -2.0, 1.0])
+def test_jackknife_dominant_draw_leaves_the_other_weights(s):
+    # at s < 0 the smallest subset mean holds the whole rounded total, and
+    # leaving it out took log(total - w) = log(0): an inf estimate and a nan
+    # standard error
+    log_means = np.log([1.0 + i / 1000 for i in range(199)] + [1e-300 if s < 0 else 1e300])
+    value, se = _jackknife_aggregate(s, log_means)
+    want_value, want_se = jackknife_oracle(s, log_means)
+    assert value == pytest.approx(want_value, rel=1e-12, abs=0.0)
+    assert se == pytest.approx(want_se, rel=1e-10, abs=0.0)
+
+
+def test_sampled_mean_with_a_dominant_draw():
+    # the 1e-300 entry is drawn once in 100 at seed 0; the 40-digit
+    # jackknife of the drawn means reads 1.0848059674429924
+    values = [1.0 + i / 1000 for i in range(199)] + [1e-300]
+    report = cmn_mean_sampled(MeanParams(1, -1.0, 1.0), values, 100, 0)
+    assert report.value == 1.0000000000000046e-298
+    assert report.stderr_estimate == pytest.approx(1.0848059674429924, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("s", [s for s in EXPONENTS if math.isfinite(s) and not is_zero_exponent(s)])

@@ -2,7 +2,9 @@ import math
 import re
 import sys
 import tracemalloc
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -171,7 +173,9 @@ def test_one_shot_and_prefix_routes_agree(k, s, q):
     report = cmn_mean_fast(params, v)
     evaluator = make_prefix_evaluator(params)
     assert isinstance(evaluator, _PREFIX_CLASSES[report.method]), (report.method, type(evaluator))
-    assert evaluator.extend(np.array(v))[-1] == pytest.approx(report.value, rel=1e-12)
+    values, error = evaluator.extend(np.array(v))
+    assert error is None
+    assert values[-1] == pytest.approx(report.value, rel=1e-12)
 
 
 class TestPrefixEvaluators:
@@ -250,7 +254,9 @@ class TestPrefixEvaluators:
         blocked = make_prefix_evaluator(mean)
         got = []
         for lo, hi in ((0, 1), (1, 1), (1, 8), (8, 250), (250, 399)):
-            got.extend(blocked.extend(np.array(v[lo:hi])).tolist())
+            values, error = blocked.extend(np.array(v[lo:hi]))
+            assert error is None
+            got.extend(values.tolist())
         got.append(blocked.push(v[399]))  # the state carried by extend serves push too
         assert [x.hex() for x in got] == [x.hex() for x in want]
 
@@ -267,25 +273,38 @@ class TestPrefixEvaluators:
         # the running mean of entries at the largest double rounds past it:
         # inf from push, as from extend, rather than OverflowError
         v = [sys.float_info.max] * size
-        want = evaluator(*args).extend(np.array(v)).tolist()
+        values, error = evaluator(*args).extend(np.array(v))
+        assert error is None
+        want = values.tolist()
         reference = evaluator(*args)
         assert [reference.push(a).hex() for a in v] == [x.hex() for x in want]
         assert math.inf in want
 
     def test_extend_keeps_the_per_term_checks(self):
+        # extend takes the terms before the refused one and returns the
+        # error push raises on it, message and all
         for a in (1e-200, 1e200):
             message = re.escape(f"a**p left the double range for a={a!r}")
-            with pytest.raises(DomainError, match=message):
-                PowerMeanPrefix(2.0).extend(np.array([1.0, 2.0, a, 3.0]))
-            with pytest.raises(DomainError, match=message):
+            values, error = PowerMeanPrefix(2.0).extend(np.array([1.0, 2.0, a, 3.0]))
+            assert values.tolist() == [1.0, math.sqrt(2.5)]
+            with pytest.raises(DomainError, match=message) as pushed:
                 PowerMeanPrefix(2.0).push(a)
+            assert isinstance(error, DomainError) and str(error) == str(pushed.value)
         for a in (1e-200, 1e200):
-            with pytest.raises(DomainError, match=re.escape(f"(a**q)**2 left the double range for a={a!r}")):
-                SecondMomentPrefix(2, 1.0).extend(np.array([1.0, 2.0, a, 3.0]))
+            message = re.escape(f"(a**q)**2 left the double range for a={a!r}")
+            values, error = SecondMomentPrefix(2, 1.0).extend(np.array([1.0, 2.0, a, 3.0]))
+            assert values.tolist() == [1.0, 1.5]
+            with pytest.raises(DomainError, match=message) as pushed:
+                SecondMomentPrefix(2, 1.0).push(a)
+            assert isinstance(error, DomainError) and str(error) == str(pushed.value)
         with pytest.raises(DomainError, match=re.escape("(a**q)**2 left the double range for a=1e-300")):
             SecondMomentPrefix(2, -3.0).push(1e-300)  # a**q overflows
-        with pytest.raises(DomainError, match="pairwise identity lost all significance"):
-            PairGeometricMeanPrefix().extend(np.array([1e300, 1e-300, 1e-300]))
+        # the pair recurrence adds positive terms only, so a dominant head
+        # loses nothing: the value is the one-shot route's
+        v = [1e300, 1e-300, 1e-300]
+        values, error = PairGeometricMeanPrefix().extend(np.array(v))
+        assert error is None
+        assert values[-1] == pytest.approx(cmn_mean_fast(MeanParams(2, 1.0, 0.0), v).value, rel=1e-15)
 
     def test_nonpositive_term_ends_the_stream_after_earlier_rows(self):
         class Stub:
@@ -312,6 +331,24 @@ class TestPrefixEvaluators:
         with pytest.raises(DomainError, match=r"left the double range at n=4$"):
             next(rows)
 
+    @pytest.mark.parametrize(
+        "mean, terms, message",
+        [
+            ("power:2", (1.0, 2.0, 1e200, 3.0), "a**p left the double range for a=1e+200"),
+            ("cmn:2,2,1", (1.0, 2.0, 1e200, 3.0), "(a**q)**2 left the double range for a=1e+200"),
+            # every square is finite, but their sum passes the largest double at n = 2
+            ("cmn:2,2,1", (1e154,) * 4, "second-moment identity lost all significance or overflowed"),
+        ],
+    )
+    def test_refused_term_ends_the_stream_after_earlier_rows(self, mean, terms, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow is an error, not a warning
+            rows = iter_hardy_checkpoints(parse_mean(mean), CustomTerms(terms), 4, [1, 2, 3, 4])
+            got = [next(rows), next(rows)]
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+                next(rows)
+        assert got == list(iter_hardy_checkpoints(parse_mean(mean), CustomTerms(terms[:2]), 2, [1, 2]))
+
     def test_buffered_extend_fails_before_enumerating(self, monkeypatch):
         enumerated = []
         monkeypatch.setattr(hardy, "cmn_mean_fast", lambda *args: enumerated.append(args))
@@ -325,6 +362,43 @@ class TestPrefixEvaluators:
         for k, q in ((1, 1.0), (2, 0.0), (2, INF)):
             with pytest.raises(DomainError):
                 SecondMomentPrefix(k, q)
+
+
+def pair_oracle(v):
+    """Running M_{2,1,0} of ``v`` by its definition, the mean of sqrt(a_i a_j)
+    over the pairs of each prefix, in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        out, pairs = [], mpmath.mpf(0)
+        for j, a in enumerate(v):
+            pairs += mpmath.fsum(mpmath.sqrt(mpmath.mpf(b) * a) for b in v[:j])
+            out.append(mpmath.mpf(a) if j == 0 else pairs / (j * (j + 1) // 2))
+        return out
+
+
+def _wide_prefix(decades, order):
+    v = log_uniform_vector(np.random.default_rng(decades), 80, decades=decades)
+    return {"drawn": v, "falling": sorted(v, reverse=True), "rising": sorted(v)}[order]
+
+
+# prefixes spanning 10 to 600 decades, in three orders, and prefixes led by
+# one dominant term: the identity (S**2 - T) / (n (n-1)) cancelled wherever
+# one term dominated S
+_PAIR_PREFIXES = {
+    **{f"{order}-{2 * d}-decades": _wide_prefix(d, order) for d in (5, 50, 150, 300)
+       for order in ("drawn", "falling", "rising")},
+    "one-then-1e-20": [1.0, 1e-20, 1e-20, 1e-20],
+    "1e300-first": [1e300, 1e-300, 1e-300],
+    "1e300-second": [1e-300, 1e300, 1e-300],
+}
+
+
+@pytest.mark.parametrize("prefix", _PAIR_PREFIXES)
+def test_pair_recurrence_matches_the_definition(prefix):
+    v = _PAIR_PREFIXES[prefix]
+    values, error = PairGeometricMeanPrefix().extend(np.array(v))
+    assert error is None
+    for got, want in zip(values.tolist(), pair_oracle(v)):
+        assert got == pytest.approx(float(want), rel=1e-14, abs=0.0)
 
 
 finite_magnitudes = st.one_of(
@@ -603,7 +677,8 @@ def test_divergence_witness_for_s_at_least_k(k, s, q, seed):
     n = MAX_ENUMERATION_N if isinstance(evaluator, BufferedPrefix) else 2000
     rng = np.random.default_rng(seed)
     terms = np.array(log_uniform_vector(rng, n)) / np.arange(1, n + 1) ** 2
-    values = evaluator.extend(terms)
+    values, error = evaluator.extend(terms)
+    assert error is None
     head = power_mean(q, terms[:k].tolist())
     for m in range(k, n + 1):
         bound = head * math.comb(m, k) ** (-1.0 / s)

@@ -66,6 +66,12 @@ def _esp(order):
     return ek.tolist(), exponent.tolist()
 
 
+def _prefix_values(evaluator):
+    values, error = evaluator.extend(BLOCK)
+    assert error is None
+    return values.tolist()
+
+
 def _sweep(**kwargs):
     return [(e.family, e.mean_sum, e.term_sum) for e in sharpness_constant_sweep(0.5, **kwargs)]
 
@@ -76,8 +82,8 @@ ALL = (2.5, True, "3")
 ENTRY_POINTS = {
     "MeanParams": ("k", 3, lambda v: MeanParams(v, 1.0, 0.0), ALL),
     "ElementarySymmetric": ("order", 2, _esp, ALL),
-    "SecondMomentPrefix": ("k", 2, lambda v: SecondMomentPrefix(v, 1.0).extend(BLOCK).tolist(), ALL),
-    "SymmetricFunctionPrefix": ("k", 3, lambda v: SymmetricFunctionPrefix(v, 1.0).extend(BLOCK).tolist(), ALL),
+    "SecondMomentPrefix": ("k", 2, lambda v: _prefix_values(SecondMomentPrefix(v, 1.0)), ALL),
+    "SymmetricFunctionPrefix": ("k", 3, lambda v: _prefix_values(SymmetricFunctionPrefix(v, 1.0)), ALL),
     "Harmonic.terms": ("count", 5, lambda v: list(Harmonic().terms(v)), ALL),
     "HarmonicTruncated.terms": ("count", 5, lambda v: list(HarmonicTruncated(2).terms(v)), ALL),
     "HarmonicTruncated": ("crossover", 2, lambda v: list(HarmonicTruncated(v).terms(5)), ALL),

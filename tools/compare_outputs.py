@@ -39,12 +39,12 @@ def _data(values) -> str:
 def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
     """Invocations the workloads leave out: ``verify``, Monte Carlo at
     s = +-inf, over several sample blocks and at the sampler's edge shapes,
-    enumeration, ``hardy-sum`` over every prefix evaluator and past the
-    double range, every ``pow`` call site at extreme exponents, negative
-    seeds, the e_k root of entries at the largest double, each side of the
-    routes of ``mean`` that need no numpy, the subset engine at size,
-    parse-error paths and every integer range error the command line can
-    reach."""
+    enumeration, ``hardy-sum`` over every prefix evaluator, past the
+    double range and at each way a prefix experiment fails, every ``pow``
+    call site at extreme exponents, negative seeds, the e_k root of entries
+    at the largest double, each side of the routes of ``mean`` that need no
+    numpy, the subset engine at size, parse-error paths and every integer
+    range error the command line can reach."""
     sixty = _data(1.0 + (i * 7919 % 97) / 10 for i in range(60))
     # no ties among subset means, so the sampled extremum depends on the draws
     spread = _data(math.exp(math.sin(3.7 * i)) for i in range(60))
@@ -53,6 +53,15 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
     huge = workdir / "huge.txt"
     huge.write_text("1.0\n2.0\n1e200\n", encoding="utf-8")
     custom, overflow = f"custom:{terms}", f"custom:{huge}"
+    # a refused term between accepted ones
+    refused = workdir / "refused.txt"
+    refused.write_text("1.0\n2.0\n1e200\n3.0\n", encoding="utf-8")
+    # every square is finite, but their sum passes the largest double at n = 2
+    moment = workdir / "moment.txt"
+    moment.write_text("1e154\n" * 4, encoding="utf-8")
+    # one term dominates the pair mean's prefix
+    dominant = workdir / "dominant.txt"
+    dominant.write_text("1e300\n1e-300\n1e-300\n", encoding="utf-8")
     # 400 entries from 1e-300 to 1e300: the e_k route's powers leave the double range
     wide = workdir / "wide.txt"
     wide.write_text("".join(f"{10.0 ** (-300 + 1.5 * i)!r}\n" for i in range(400)), encoding="utf-8")
@@ -165,6 +174,14 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
         ("cmn:3,-2,0", "geometric:0.75", "2000"),
         ("cmn:3,-2,-1", "powertail:1.7", "100000"),
         ("power:-3", "harmonic-truncated:50", "20000"),
+        # each way a prefix experiment fails: a term the evaluator refuses,
+        # a moment that overflows, a non-positive term, the enumeration
+        # budget; and a pair-mean prefix led by one dominant term
+        ("power:2", f"custom:{refused}", "4"),
+        ("cmn:2,2,1", f"custom:{moment}", "4"),
+        ("power:0.5", "powertail:400", "10"),
+        ("cmn:12,2,-1", "powertail:2", "100"),
+        ("cmn:2,1,0", f"custom:{dominant}", "3"),
     ]
     for mean, family, n in prefix:
         invocations.append(("hardy-sum", "--mean", mean, "--family", family, "-N", n, "--format", "json"))
@@ -174,6 +191,7 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
         ("estimate-constant", "--mean", "cmn:3,2,0", "-N", "1"),
         ("estimate-constant", "--mean", "cmn:3,2,0", "-N", "10"),
         ("estimate-constant", "--mean", "cmn:3,2,0", "-N", "11"),
+        ("estimate-constant", "--mean", "power:200", "-N", "100"),
         # parse-error paths, and tokens that must parse
         (),
         ("--help",),
