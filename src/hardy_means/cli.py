@@ -28,7 +28,7 @@ from ._format import canonical_json, rows_to_csv
 from .classify import classification_table, classify
 from .errors import CapacityError, DomainError
 from .extreal import format_exponent, parse_exponent
-from .params import MeanParams, format_mean, parse_mean, parse_params, require_int
+from .params import MeanParams, format_mean, parse_mean, parse_params, read_vector_file, require_int
 
 __all__ = ["main", "run_bench"]
 
@@ -38,7 +38,7 @@ __all__ = ["main", "run_bench"]
 _KERNELS = {
     "routes": ("EvalMethod", "cmn_mean_fast"),
     "cmn_means": ("cmn_mean_naive", "cmn_mean_sampled"),
-    "hardy": ("CustomTerms", "iter_hardy_checkpoints", "parse_family", "sharpness_constant_sweep"),
+    "hardy": ("iter_hardy_checkpoints", "parse_family", "sharpness_constant_sweep"),
     "verification": ("run_verification",),
 }
 # The kernel modules each command runs.  ``routes`` imports no numpy: a
@@ -81,24 +81,6 @@ def __getattr__(name):
 # Input parsing helpers
 
 
-def _read_vector_file(path: str) -> list[float]:
-    """One strictly positive decimal per line; '#' starts a comment."""
-    values = []
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                text = raw.split("#", 1)[0].strip()
-                if not text:
-                    continue
-                try:
-                    values.append(float(text))
-                except ValueError:
-                    raise DomainError(f"{path}:{lineno}: not a decimal number: {text!r}")
-    except OSError as exc:
-        raise DomainError(f"cannot read {path}: {exc}")
-    return values
-
-
 def _vector_from_args(args) -> list[float]:
     if (args.data is None) == (args.file is None):
         raise DomainError("provide the vector with exactly one of --data or --file")
@@ -107,13 +89,7 @@ def _vector_from_args(args) -> list[float]:
             return [float(part) for part in args.data.split(",") if part.strip()]
         except ValueError:
             raise DomainError(f"--data must be comma-separated decimals, got {args.data!r}")
-    return _read_vector_file(args.file)
-
-
-def _parse_family_arg(text: str):
-    if text.strip().lower().startswith("custom:"):
-        return CustomTerms(tuple(_read_vector_file(text.partition(":")[2])))
-    return parse_family(text)
+    return read_vector_file(args.file)
 
 
 def _parse_int_grid(text: str, name: str) -> list[int]:
@@ -199,7 +175,7 @@ def _cmd_mean(args) -> int:
 
 def _cmd_hardy_sum(args) -> int:
     mean = parse_mean(args.mean)
-    family = _parse_family_arg(args.family)
+    family = parse_family(args.family)
     if not (family.summable or args.allow_nonsummable):
         raise DomainError(
             f"family {family.label()} is not summable (hint: --allow-nonsummable runs it anyway, "
@@ -309,68 +285,39 @@ def _time_call(fn, repetitions: int) -> tuple[float, object]:
 
 def run_bench(samples: int = 10**4, seed: int = 0) -> tuple[list[tuple], float]:
     """Timing rows (method, n, k, time, value, rel_error_vs_best, status)
-    over the size ladder, plus the fast-vs-naive speedup at n=20, k=5."""
+    over the size ladder, plus the fast-vs-naive speedup at n=20, k=5.
+
+    Each cell times naive, fast and Monte Carlo in turn; a method over the
+    enumeration budget gives a ``refused`` row.  The errors are relative to
+    naive's value where naive ran, and to fast's elsewhere."""
     seed = require_int(seed, "seed", 0)
     _load_kernels()
     import numpy as np
 
     rows: list[tuple] = []
-    speedup = math.nan
+    times: dict[tuple, float] = {}
     rng = np.random.default_rng(seed)
     for n in _BENCH_SIZES:
         vector = list(np.exp(rng.uniform(-1.0, 1.0, n)))
         for k in _BENCH_SUBSETS:
             params = MeanParams(k, 1.0, 0.0)
             repetitions = 5 if n <= 20 else 1
-            timings: dict[str, float] = {}
-
-            try:
-                naive_time, naive_value = _time_call(
-                    lambda: cmn_mean_naive(params, vector), repetitions
-                )
-                timings["naive"] = naive_time
-            except CapacityError:
-                naive_value = None
-                rows.append(("naive", n, k, None, None, None, "refused"))
-
-            fast_time, fast_report = _time_call(
-                lambda: cmn_mean_fast(params, vector), repetitions
-            )
-            timings["fast"] = fast_time
-            best_value = naive_value if naive_value is not None else fast_report.value
-
-            if naive_value is not None:
-                rows.append(("naive", n, k, naive_time, naive_value, 0.0, "ok"))
-            rows.append(
-                (
-                    "fast",
-                    n,
-                    k,
-                    fast_time,
-                    fast_report.value,
-                    abs(fast_report.value - best_value) / best_value,
-                    "ok",
-                )
-            )
-
-            mc_time, mc_report = _time_call(
-                lambda: cmn_mean_sampled(params, vector, samples, seed), 1
-            )
-            rows.append(
-                (
-                    "monte-carlo",
-                    n,
-                    k,
-                    mc_time,
-                    mc_report.value,
-                    abs(mc_report.value - best_value) / best_value,
-                    "ok",
-                )
-            )
-
-            if n == 20 and k == 5:
-                speedup = timings["naive"] / timings["fast"]
-    return rows, speedup
+            best = None
+            for method, call, count in (
+                ("naive", lambda: cmn_mean_naive(params, vector), repetitions),
+                ("fast", lambda: cmn_mean_fast(params, vector).value, repetitions),
+                ("monte-carlo", lambda: cmn_mean_sampled(params, vector, samples, seed).value, 1),
+            ):
+                try:
+                    elapsed, value = _time_call(call, count)
+                except CapacityError:
+                    rows.append((method, n, k, None, None, None, "refused"))
+                    continue
+                if best is None:
+                    best = value
+                times[method, n, k] = elapsed
+                rows.append((method, n, k, elapsed, value, abs(value - best) / best, "ok"))
+    return rows, times.get(("naive", 20, 5), math.nan) / times.get(("fast", 20, 5), math.nan)
 
 
 def _cmd_bench(args) -> int:

@@ -23,7 +23,8 @@ budget.
 The dispatch of ``cmn_mean_fast`` and its scalar routes (the power means
 and the e_k recurrence on short vectors) live in the numpy-free
 :mod:`~hardy_means.routes`, which calls back into this module only for
-enumeration and the vector e_k engine; this module re-exports them.
+enumeration and the vector e_k engine.  This module imports from it only
+the names it uses itself.
 
 The comparison helpers at the bottom turn the family's monotonicity
 inequalities (in the inner/outer exponents and in the subset size k) and
@@ -49,22 +50,15 @@ from .errors import CapacityError, DomainError
 from .extreal import ensure_exponent
 from .params import MeanParams, require_int
 from .power_means import check_positive_vector, is_zero_exponent, power_mean
-from .routes import (  # noqa: F401  (re-exported: the one-shot dispatch and its scalar routes)
+from .routes import (
     _MIN_NORMAL,
-    _UNSCALED_RANGE,
-    _UNSCALED_TERMS,
     MAX_ENUMERATION_N,
     MAX_ENUMERATION_SUBSETS,
     CmnEvalReport,
     EvalMethod,
-    _binomial,
-    _elementary_symmetric,
     _ldexp_or_inf,
     _pow_or_inf,
     _scaled_root,
-    _symmetric_mean,
-    _unscaled_elementary_symmetric,
-    closed_form,
     cmn_mean_fast,
 )
 
@@ -74,7 +68,6 @@ __all__ = [
     "MIN_SAMPLES",
     "MeanParams",
     "EvalMethod",
-    "closed_form",
     "CmnEvalReport",
     "subset_log_means",
     "power_mean_of_logs",
@@ -577,9 +570,9 @@ def _jackknife_aggregate(s: float, log_means: np.ndarray) -> tuple[float, float]
     aggregate and reported on the value scale.
 
     ``log_means`` is never written: every step runs in place on one work
-    array of its size.  Where one draw alone makes the rounded s-th-power
-    total, its leave-one-out estimate is the power mean of the others,
-    which costs two more arrays of that size.
+    array of its size.  Where one draw holds more than half the rounded
+    s-th-power total, its leave-one-out estimate is the power mean of the
+    others, which costs two more arrays of that size.
     """
     m = log_means.size
     if np.all(log_means == log_means[0]):
@@ -600,10 +593,11 @@ def _jackknife_aggregate(s: float, log_means: np.ndarray) -> tuple[float, float]
         np.exp(w, out=w)
         total = float(w.sum())
         value = math.exp((umax + math.log(total / m)) / s)
-        if total == 1.0:
-            # the largest weight, 1.0, alone makes the rounded total, so
-            # total - w leaves nothing of the others where that draw is left
-            # out: its estimate is taken from the others below
+        if total < 2.0:
+            # the largest weight, 1.0, holds more than half the rounded
+            # total, so total - w keeps few or none of the others' bits
+            # where that draw is left out: its estimate is taken from the
+            # others below
             top = int(w.argmax())
         np.subtract(total, w, out=estimates)
         estimates /= m - 1

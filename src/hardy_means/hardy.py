@@ -67,7 +67,7 @@ from .cmn_means import (
 )
 from .errors import DomainError
 from .extreal import ensure_exponent, format_exponent, parse_exponent
-from .params import MeanLike, MeanParams, format_mean, parse_mean, require_int
+from .params import MeanLike, MeanParams, format_mean, parse_mean, read_vector_file, require_int
 from .power_means import check_positive_vector, is_zero_exponent
 from .routes import MAX_ENUMERATION_N, _pow_or_inf, _symmetric_mean, closed_form, cmn_mean_fast
 
@@ -271,23 +271,29 @@ SequenceFamily = Union[Harmonic, HarmonicTruncated, PowerTail, Geometric, Custom
 
 def parse_family(text: str) -> SequenceFamily:
     """Parse a family spec: ``harmonic``, ``harmonic-truncated:<N0>``,
-    ``powertail:<alpha>`` or ``geometric:<r>``."""
+    ``powertail:<alpha>``, ``geometric:<r>`` or ``custom:<file>`` (the terms
+    in the file, one decimal per line, read by
+    :func:`~hardy_means.params.read_vector_file`).  The kind is
+    case-insensitive."""
     kind, _, arg = text.strip().partition(":")
     kind = kind.lower()
     if kind == "harmonic" and not arg:
         return Harmonic()
     if kind == "harmonic-truncated":
         try:
-            return HarmonicTruncated(int(arg))
+            crossover = int(arg)
         except ValueError:
             raise DomainError(f"harmonic-truncated needs an integer crossover, got {arg!r}")
+        return HarmonicTruncated(crossover)
     if kind == "powertail":
         return PowerTail(parse_exponent(arg, "powertail exponent"))
     if kind == "geometric":
         return Geometric(parse_exponent(arg, "geometric ratio"))
+    if kind == "custom":
+        return CustomTerms(tuple(read_vector_file(arg)))
     raise DomainError(
         f"unknown family {text!r}; expected harmonic, harmonic-truncated:<N0>, "
-        "powertail:<alpha> or geometric:<r>"
+        "powertail:<alpha>, geometric:<r> or custom:<file>"
     )
 
 
@@ -612,6 +618,15 @@ def default_checkpoints(n: int) -> list[int]:
     return sorted(points)
 
 
+def _decades(first: int, n: int) -> list[int]:
+    """first, 10 * first, ... below n, then n."""
+    marks = []
+    while first < n:
+        marks.append(first)
+        first *= 10
+    return marks + [n]
+
+
 def _checkpoint_blocks(blocks: Iterator[np.ndarray], marks: list[int]):
     """Walk ``blocks`` up to the last of the sorted ``marks``.
 
@@ -780,12 +795,7 @@ def sharpness_constant_sweep(
     """
     n = require_int(n, "N", 1)
     if n0_values is None:
-        n0_values = []
-        scale = 10
-        while scale < n:
-            n0_values.append(scale)
-            scale *= 10
-        n0_values.append(n)
+        n0_values = _decades(10, n)
     crossovers = sorted({require_int(n0, "n0") for n0 in n0_values})
     families = [HarmonicTruncated(require_int(n0, "n0", 1)) for n0 in crossovers]
     if not families:

@@ -2,8 +2,10 @@
 
 A mean spec is either a plain float, the order p of the power mean P_p,
 or a :class:`MeanParams` triple (k, s, q) naming the subset-composed mean
-M_{k,s,q}.  This module needs no numpy, so the classifier and the command
-line can parse and print specs without loading the numerical kernels.
+M_{k,s,q}.  This module also reads vector files, one decimal per line,
+for the ``mean --file`` and ``custom:<file>`` inputs.  It needs no numpy,
+so the classifier and the command line can parse and print specs and read
+vectors without loading the numerical kernels.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from typing import Union
 from .errors import DomainError
 from .extreal import ensure_exponent, format_exponent, parse_exponent
 
-__all__ = ["MeanParams", "MeanLike", "require_int", "parse_params", "parse_mean", "format_mean"]
+__all__ = [
+    "MeanParams", "MeanLike", "require_int", "read_vector_file", "parse_params", "parse_mean", "format_mean",
+]
 
 
 def require_int(value, name: str, minimum: int | None = None) -> int:
@@ -34,6 +38,25 @@ def require_int(value, name: str, minimum: int | None = None) -> int:
     if minimum is not None and number < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {number}")
     return number
+
+
+def read_vector_file(path: str) -> list[float]:
+    """The decimals in ``path``, one per line; '#' starts a comment.  A line
+    that is not a decimal raises a DomainError naming ``<path>:<line>``."""
+    values = []
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for lineno, raw in enumerate(handle, start=1):
+                text = raw.split("#", 1)[0].strip()
+                if not text:
+                    continue
+                try:
+                    values.append(float(text))
+                except ValueError:
+                    raise DomainError(f"{path}:{lineno}: not a decimal number: {text!r}")
+    except OSError as exc:
+        raise DomainError(f"cannot read {path}: {exc}")
+    return values
 
 
 @dataclass(frozen=True)

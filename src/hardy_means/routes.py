@@ -12,8 +12,7 @@ on short vectors whose powers stay well inside the double range
 only those routes never loads it.  Longer or wider e_k inputs go to the
 vector engine (:class:`~hardy_means.cmn_means.ElementarySymmetric`) and
 every other mean to enumeration; both import
-:mod:`~hardy_means.cmn_means` when they run.  ``cmn_means`` re-exports
-every name defined here.
+:mod:`~hardy_means.cmn_means` when they run.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from .cmn_means import (
     compare_qs_monotonicity,
     compare_theorem1_identity,
 )
-from .hardy import sharpness_limit_curve
+from .hardy import _decades, sharpness_limit_curve
 from .params import require_int
 from .power_means import power_mean
 
@@ -132,11 +132,7 @@ def _run_property(name: str, draw, rng, count: int, bound: float, detail: str, w
 
 
 def _check_limit_experiment(n_limit: int) -> PropertyResult:
-    marks = [100]  # the powers of ten below N, then N
-    while marks[-1] < n_limit:
-        marks.append(marks[-1] * 10)
-    marks[-1] = n_limit
-    curve = sharpness_limit_curve(marks)
+    curve = sharpness_limit_curve(_decades(100, n_limit))
     values = [v for _, v in curve]
     monotone = all(a < b for a, b in zip(values, values[1:]))
     below = all(v < 4.0 for v in values)

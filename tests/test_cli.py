@@ -388,6 +388,59 @@ class TestBenchCommand:
             assert methods[("fast", n, k)][5] <= 1e-10
         assert speedup >= 10.0
 
+    def test_rows_in_order_without_their_times(self):
+        # (method, n, k, value, rel_error_vs_best, status): naive, fast and
+        # Monte Carlo in turn per cell, errors against naive where it ran
+        rows, _ = run_bench(samples=200, seed=0)
+        assert [(*row[:3], *row[4:]) for row in rows] == [
+            ("naive", 10, 2, 1.2050449671363994, 0.0, "ok"),
+            ("fast", 10, 2, 1.2050449671363996, 1.8426250553345368e-16, "ok"),
+            ("monte-carlo", 10, 2, 1.170457392273346, 0.028702310541361173, "ok"),
+            ("naive", 10, 3, 1.1646085919817801, 0.0, "ok"),
+            ("fast", 10, 3, 1.16460859198178, 1.9066028402485383e-16, "ok"),
+            ("monte-carlo", 10, 3, 1.1299936388926912, 0.029722391992820233, "ok"),
+            ("naive", 10, 5, 1.1314827808406909, 0.0, "ok"),
+            ("fast", 10, 5, 1.1314827808406902, 5.887264269988775e-16, "ok"),
+            ("monte-carlo", 10, 5, 1.140091029701145, 0.007607936246328265, "ok"),
+            ("naive", 15, 2, 0.9964090255685534, 0.0, "ok"),
+            ("fast", 15, 2, 0.9964090255685528, 5.571120875745082e-16, "ok"),
+            ("monte-carlo", 15, 2, 1.0184190144983285, 0.02208931108107554, "ok"),
+            ("naive", 15, 3, 0.9646777563755374, 0.0, "ok"),
+            ("fast", 15, 3, 0.964677756375538, 5.754372469395677e-16, "ok"),
+            ("monte-carlo", 15, 3, 0.9491007117997383, 0.01614740722780298, "ok"),
+            ("naive", 15, 5, 0.9393587629176231, 0.0, "ok"),
+            ("fast", 15, 5, 0.9393587629176223, 8.273262015715737e-16, "ok"),
+            ("monte-carlo", 15, 5, 0.9339358881809114, 0.005772953796554103, "ok"),
+            ("naive", 20, 2, 1.2110477660425805, 0.0, "ok"),
+            ("fast", 20, 2, 1.2110477660425802, 1.8334917180898727e-16, "ok"),
+            ("monte-carlo", 20, 2, 1.2062239962619992, 0.003983137507733692, "ok"),
+            ("naive", 20, 3, 1.1857757398782767, 0.0, "ok"),
+            ("fast", 20, 3, 1.185775739878277, 1.8725682897495004e-16, "ok"),
+            ("monte-carlo", 20, 3, 1.148597698292588, 0.03135334982439853, "ok"),
+            ("naive", 20, 5, 1.166148337354109, 0.0, "ok"),
+            ("fast", 20, 5, 1.16614833735411, 7.616341688702538e-16, "ok"),
+            ("monte-carlo", 20, 5, 1.1495087173636676, 0.014268870826669767, "ok"),
+            ("naive", 1000, 2, None, None, "refused"),
+            ("fast", 1000, 2, 1.109485958289262, 0.0, "ok"),
+            ("monte-carlo", 1000, 2, 1.1342745083981844, 0.022342373892811043, "ok"),
+            ("naive", 1000, 3, None, None, "refused"),
+            ("fast", 1000, 3, 1.0806281021011852, 0.0, "ok"),
+            ("monte-carlo", 1000, 3, 1.077152303086038, 0.0032164618043792237, "ok"),
+            ("naive", 1000, 5, None, None, "refused"),
+            ("fast", 1000, 5, 1.057779691038796, 0.0, "ok"),
+            ("monte-carlo", 1000, 5, 1.0686935169323797, 0.010317673884309252, "ok"),
+            ("naive", 100000, 2, None, None, "refused"),
+            ("fast", 100000, 2, 1.0847586952534332, 0.0, "ok"),
+            ("monte-carlo", 100000, 2, 1.0843148120554158, 0.00040919994461409106, "ok"),
+            ("naive", 100000, 3, None, None, "refused"),
+            ("fast", 100000, 3, 1.055584358395473, 0.0, "ok"),
+            ("monte-carlo", 100000, 3, 1.0478714759430585, 0.007306741892365931, "ok"),
+            ("naive", 100000, 5, None, None, "refused"),
+            ("fast", 100000, 5, 1.0325795876155608, 0.0, "ok"),
+            ("monte-carlo", 100000, 5, 1.012452248536931, 0.01949228836210875, "ok"),
+        ]
+        assert all((row[3] is None) == (row[6] == "refused") for row in rows)
+
     def test_negative_seed_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "bench", "--seed", "-1")
         assert (code, out, err) == (2, "", "error: seed must be >= 0, got -1\n")

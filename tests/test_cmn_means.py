@@ -24,11 +24,10 @@ from hardy_means import (
     power_mean,
     theorem1_identity_check,
 )
-from hardy_means import cmn_means
+from hardy_means import cmn_means, routes
 from hardy_means.power_means import is_zero_exponent
 from hardy_means.cmn_means import (
     ElementarySymmetric,
-    _elementary_symmetric,
     _floyd_rows,
     _iter_subset_index_chunks,
     _jackknife_aggregate,
@@ -36,13 +35,13 @@ from hardy_means.cmn_means import (
     _log_power_mean_rows,
     _pow_or_inf,
     _pows,
-    _unscaled_elementary_symmetric,
     compare_k_monotonicity,
     compare_qs_monotonicity,
     compare_theorem1_identity,
     power_mean_of_logs,
     subset_log_means,
 )
+from hardy_means.routes import _elementary_symmetric, _unscaled_elementary_symmetric
 
 INF = math.inf
 GRID = (-INF, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, INF)
@@ -84,8 +83,8 @@ def reference_log_power_mean_rows(q, log_rows):
 
 def reference_jackknife_aggregate(s, log_means):
     """The jackknife as it was before it worked in place: a new array for
-    each step.  Where the largest weight alone makes the rounded total, its
-    leave-one-out estimate is the power mean of the others."""
+    each step.  Where the largest weight holds more than half the rounded
+    total, its leave-one-out estimate is the power mean of the others."""
     m = log_means.size
     if np.all(log_means == log_means[0]):
         return math.exp(float(log_means[0])), 0.0
@@ -101,7 +100,7 @@ def reference_jackknife_aggregate(s, log_means):
         value = math.exp((umax + math.log(total / m)) / s)
         with np.errstate(divide="ignore"):
             estimates = np.exp((umax + np.log((total - w) / (m - 1))) / s)
-        if total == 1.0:
+        if total < 2.0:
             top = int(w.argmax())
             others = np.delete(log_means, top).reshape(1, -1)
             estimates[top] = np.exp(reference_log_power_mean_rows(s, others)[0])
@@ -179,7 +178,7 @@ class TestElementarySymmetric:
             assert _unscaled_elementary_symmetric([math.ldexp(0.75, e)] * 24, 20, 1.0) is None
         # entries at both ends of the widest range the bound admits
         for n, k in [(30, 2), (30, 5), (60, 12), (500, 2)]:
-            top = (cmn_means._UNSCALED_RANGE - n) // (2 * k) - 1
+            top = (routes._UNSCALED_RANGE - n) // (2 * k) - 1
             exponents = rng.choice([-top, top - 1, 0], n)
             v = [math.ldexp(float(m), int(e)) for m, e in zip(rng.uniform(0.5, 1.0, n), exponents)]
             got = _unscaled_elementary_symmetric(v, k, 1.0)
@@ -814,6 +813,20 @@ def test_sampled_mean_with_a_dominant_draw():
     report = cmn_mean_sampled(MeanParams(1, -1.0, 1.0), values, 100, 0)
     assert report.value == 1.0000000000000046e-298
     assert report.stderr_estimate == pytest.approx(1.0848059674429924, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("x", [5e-18, 1e-17, 1e-16, 1e-15])
+def test_sampled_mean_with_a_near_dominant_draw(x):
+    # the x entry, drawn once in 100 at seed 0, holds more than half the
+    # rounded total of the weights but not all of it: total - w kept a bit
+    # or two of the others, and the standard error read 2.207 at x = 5e-18
+    values = [1.0 + i / 1000 for i in range(199)] + [x]
+    report = cmn_mean_sampled(MeanParams(1, -1.0, 1.0), values, 100, 0)
+    logs = np.log(np.sort(values))
+    log_means = _log_means(logs, 1.0, cmn_means._sample_index_blocks(200, 1, 100, 0), 100)
+    want_value, want_se = jackknife_oracle(-1.0, log_means)
+    assert report.value == pytest.approx(want_value, rel=1e-12, abs=0.0)
+    assert report.stderr_estimate == pytest.approx(want_se, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("s", [s for s in EXPONENTS if math.isfinite(s) and not is_zero_exponent(s)])

@@ -131,6 +131,33 @@ class TestFamilies:
         for family in (PowerTail(1.5), Geometric(0.9), HarmonicTruncated(10), Harmonic()):
             assert parse_family(family.label()) == family
 
+    def test_unknown_family_names_every_kind(self):
+        with pytest.raises(DomainError, match=r"geometric:<r> or custom:<file>$"):
+            parse_family("foo")
+
+    def test_parse_custom_family_reads_the_file(self, tmp_path):
+        path = tmp_path / "terms.txt"
+        path.write_text("1.0\n# a comment\n0.5  # trailing\n\n0.25\n", encoding="utf-8")
+        assert parse_family(f"custom:{path}") == CustomTerms((1.0, 0.5, 0.25))
+        assert parse_family(f"CUSTOM:{path}") == CustomTerms((1.0, 0.5, 0.25))
+
+    def test_parse_custom_family_names_the_bad_line(self, tmp_path):
+        # the same message mean --file gives
+        path = tmp_path / "terms.txt"
+        path.write_text("1.0\n0.5\nabc\n", encoding="utf-8")
+        with pytest.raises(DomainError, match=re.escape(f"{path}:3: not a decimal number: 'abc'")):
+            parse_family(f"custom:{path}")
+        with pytest.raises(DomainError, match="cannot read"):
+            parse_family(f"custom:{tmp_path / 'missing.txt'}")
+
+    @pytest.mark.parametrize("crossover", ["0", "-3"])
+    def test_crossover_out_of_range_is_a_range_error(self, crossover):
+        # an integer below 1 is a range error, not a parse error
+        with pytest.raises(DomainError, match=f"^crossover must be >= 1, got {crossover}$"):
+            parse_family(f"harmonic-truncated:{crossover}")
+        with pytest.raises(DomainError, match="needs an integer crossover"):
+            parse_family("harmonic-truncated:1.5")
+
 
 class TestMeanGrammar:
     def test_parse_power(self):

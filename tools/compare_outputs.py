@@ -43,8 +43,9 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
     double range and at each way a prefix experiment fails, every ``pow``
     call site at extreme exponents, negative seeds, the e_k root of entries
     at the largest double, each side of the routes of ``mean`` that need no
-    numpy, the subset engine at size, parse-error paths and every integer
-    range error the command line can reach."""
+    numpy, the subset engine at size, the jackknife with a near-dominant
+    draw, parse-error and file-error paths and every integer range error
+    the command line can reach."""
     sixty = _data(1.0 + (i * 7919 % 97) / 10 for i in range(60))
     # no ties among subset means, so the sampled extremum depends on the draws
     spread = _data(math.exp(math.sin(3.7 * i)) for i in range(60))
@@ -85,6 +86,17 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
     wide26 = _data(math.exp(4.0 * math.sin(1.9 * i)) for i in range(26))
     five = workdir / "five.txt"
     five.write_text("3.5\n0.25\n12\n7\n1e-3\n", encoding="utf-8")
+    # a line that is not a decimal, and a file that is not there
+    malformed = workdir / "malformed.txt"
+    malformed.write_text("1.0\n0.5\nabc\n", encoding="utf-8")
+    missing = workdir / "missing.txt"
+    # one entry x, drawn once in 100 at seed 0, holds more than half the
+    # jackknife's rounded total of weights at s = -1, but not all of it
+    near_dominant = [
+        ("mean", "-k", "1", "-s", "-1", "-q", "1", "--data", _data([*(1.0 + i / 1000 for i in range(199)), x]),
+         "--samples", "100", "--seed", "0")
+        for x in (5e-18, 1e-16)
+    ]
     # 20000 draws: three sample blocks (8192, 8192, 3616)
     sampled = ("--data", sixty, "--samples", "20000", "--seed", "2026")
     extremum = ("--data", spread, "--samples", "20000", "--seed", "2026")
@@ -132,7 +144,9 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
         ("mean", "-k", "4", "-s", "-2", "-q", "0", "--data", wide_powers),
         ("mean", "-k", "5", "-s", "2", "-q", "-1", "--file", str(five)),
         ("mean", "-k", "9", "-s", "inf", "-q", "0.5", "--file", str(five), "--format", "json"),
-        ("mean", "-k", "2", "-s", "1", "-q", "0", "--file", str(workdir / "missing.txt")),
+        ("mean", "-k", "2", "-s", "1", "-q", "0", "--file", str(missing)),
+        ("mean", "-k", "2", "-s", "1", "-q", "0", "--file", str(malformed)),
+        *near_dominant,
         # the in-place subset engine at size: C(26,9) = 3124550 subsets,
         # C(26,7) = 657800 in 81 chunks at each infinite exponent, and 10**6
         # draws through each branch of the jackknife
@@ -208,6 +222,10 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
         ("hardy-sum", "--mean", "power:nan", "--family", "powertail:2", "-N", "10"),
         ("hardy-sum", "--mean", "power:abc", "--family", "powertail:2", "-N", "10"),
         ("hardy-sum", "--mean", "cmn:2,INF,-inf", "--family", "powertail:2", "-N", "10"),
+        ("hardy-sum", "--mean", "power:0.5", "--family", "foo", "-N", "10"),
+        ("hardy-sum", "--mean", "power:0.5", "--family", f"CUSTOM:{terms}", "-N", "10"),
+        ("hardy-sum", "--mean", "power:0.5", "--family", f"custom:{missing}", "-N", "10"),
+        ("hardy-sum", "--mean", "power:0.5", "--family", f"custom:{malformed}", "-N", "10"),
         ("mean", "-k", "2", "-s", "nan", "-q", "0", "--data", "1,2,3"),
         ("mean", "-k", "2", "-s", "+inf", "-q", "1e400", "--data", "1,2,3"),
         ("mean", "-k", "2", "-s", "1", "-q", "0", "--data", "-1,2"),
