@@ -18,7 +18,6 @@ times and is exempt.
 from __future__ import annotations
 
 import argparse
-import importlib
 import math
 import os
 import sys
@@ -32,30 +31,13 @@ from .params import MeanParams, format_mean, parse_mean, parse_params, read_vect
 
 __all__ = ["main", "run_bench"]
 
-# Names this module takes from the kernel modules.  They are bound on first
-# use (:func:`_load_kernels`), so ``classify`` and ``--help`` never import
-# numpy, and each command loads only the modules it runs.
-_KERNELS = {
-    "routes": ("EvalMethod", "cmn_mean_fast"),
-    "cmn_means": ("cmn_mean_naive", "cmn_mean_sampled"),
-    "hardy": ("iter_hardy_checkpoints", "parse_family", "sharpness_constant_sweep"),
-    "verification": ("run_verification",),
-}
-# The kernel modules each command runs.  ``routes`` imports no numpy: a
-# mean whose route needs arrays imports ``cmn_means`` when it runs.
-_COMMAND_KERNELS = {
-    "mean": ("routes",),
-    "hardy-sum": ("hardy",),
-    "estimate-constant": ("hardy",),
-    "verify": ("verification",),
-    "bench": tuple(_KERNELS),
-}
 
-
-def _load_kernels(*modules: str) -> None:
-    """Import the named kernel modules (all of them when none is named) and
-    bind their names here.  A name that is already bound (say, a wrapper
-    set with ``setattr``) is kept."""
+def _load_kernels(*names: str) -> None:
+    """Bind the named exports of the package here, each imported from its
+    module by the package's lazy-export table.  A name that is already
+    bound (say, a wrapper set with ``setattr``) is kept.  Each command
+    names the kernels it calls, so ``classify`` and ``--help`` never import
+    numpy, and each command loads only the modules it runs."""
     # The package calls no BLAS routine, but OpenBLAS starts a worker pool
     # when numpy loads, and on a 2-CPU machine its worker burnt up to 0.15 s
     # of CPU per command (hardy-sum over 1000 terms: 0.34 s of CPU pooled,
@@ -63,16 +45,15 @@ def _load_kernels(*modules: str) -> None:
     # so it is set before any kernel module can import numpy, and a value
     # the caller set is kept.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    namespace = globals()
-    for module in modules or _KERNELS:
-        source = importlib.import_module(f".{module}", __package__)
-        for name in _KERNELS[module]:
-            namespace.setdefault(name, getattr(source, name))
+    package, namespace = sys.modules[__package__], globals()
+    for name in names:
+        namespace.setdefault(name, getattr(package, name))
 
 
 def __getattr__(name):
-    if any(name in names for names in _KERNELS.values()):
-        _load_kernels()
+    # Only the package's exports: its submodules and dunder probes are not kernels.
+    if name in sys.modules[__package__].__all__:
+        _load_kernels(name)
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
@@ -129,8 +110,11 @@ def _emit(args, *, meta: dict, header: list[str], rows: list[tuple], plain: list
         payload = {"meta": meta, "rows": [dict(zip(header, row)) for row in rows]}
         text = canonical_json(payload) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write {args.output}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -140,9 +124,11 @@ def _emit(args, *, meta: dict, header: list[str], rows: list[tuple], plain: list
 
 
 def _cmd_mean(args) -> int:
+    _load_kernels("EvalMethod", "cmn_mean_fast")
     params = MeanParams(args.k, parse_exponent(args.s, "s"), parse_exponent(args.q, "q"))
     vector = _vector_from_args(args)
     if args.samples is not None:
+        _load_kernels("cmn_mean_sampled")
         report = cmn_mean_sampled(params, vector, args.samples, args.seed)
     else:
         report = cmn_mean_fast(params, vector)
@@ -174,6 +160,7 @@ def _cmd_mean(args) -> int:
 
 
 def _cmd_hardy_sum(args) -> int:
+    _load_kernels("iter_hardy_checkpoints", "parse_family")
     mean = parse_mean(args.mean)
     family = parse_family(args.family)
     if not (family.summable or args.allow_nonsummable):
@@ -202,6 +189,7 @@ def _cmd_hardy_sum(args) -> int:
 
 
 def _cmd_estimate_constant(args) -> int:
+    _load_kernels("sharpness_constant_sweep")
     mean = parse_mean(args.mean)
     estimates = sharpness_constant_sweep(mean, args.N)
     best = max(estimates, key=lambda est: est.ratio)
@@ -253,6 +241,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _load_kernels("run_verification")
     results = run_verification(
         quick=args.quick, n_limit=args.N, vectors=args.vectors, seed=args.seed
     )
@@ -291,7 +280,7 @@ def run_bench(samples: int = 10**4, seed: int = 0) -> tuple[list[tuple], float]:
     enumeration budget gives a ``refused`` row.  The errors are relative to
     naive's value where naive ran, and to fast's elsewhere."""
     seed = require_int(seed, "seed", 0)
-    _load_kernels()
+    _load_kernels("cmn_mean_naive", "cmn_mean_fast", "cmn_mean_sampled")
     import numpy as np
 
     rows: list[tuple] = []
@@ -464,11 +453,6 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _build_parser().parse_args(_preprocess_argv(list(argv)))
-    if args.command != "classify":
-        modules = _COMMAND_KERNELS[args.command]
-        if args.command == "mean" and args.samples is not None:
-            modules += ("cmn_means",)
-        _load_kernels(*modules)
     try:
         return args.func(args)
     except DomainError as exc:

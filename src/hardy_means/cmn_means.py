@@ -21,7 +21,7 @@ estimator over uniform random k-subsets for inputs beyond the enumeration
 budget.
 
 The dispatch of ``cmn_mean_fast`` and its scalar routes (the power means
-and the e_k recurrence on short vectors) live in the numpy-free
+and the e_k recurrence within its range bound) live in the numpy-free
 :mod:`~hardy_means.routes`, which calls back into this module only for
 enumeration and the vector e_k engine.  This module imports from it only
 the names it uses itself.
@@ -63,16 +63,10 @@ from .routes import (
 )
 
 __all__ = [
-    "MAX_ENUMERATION_N",
-    "MAX_ENUMERATION_SUBSETS",
     "MIN_SAMPLES",
-    "MeanParams",
-    "EvalMethod",
-    "CmnEvalReport",
     "subset_log_means",
     "power_mean_of_logs",
     "cmn_mean_naive",
-    "cmn_mean_fast",
     "cmn_mean_sampled",
     "check_qs_monotonicity",
     "check_k_monotonicity",

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -67,7 +67,7 @@ from .cmn_means import (
 )
 from .errors import DomainError
 from .extreal import ensure_exponent, format_exponent, parse_exponent
-from .params import MeanLike, MeanParams, format_mean, parse_mean, read_vector_file, require_int
+from .params import MeanLike, MeanParams, format_mean, read_vector_file, require_int
 from .power_means import check_positive_vector, is_zero_exponent
 from .routes import MAX_ENUMERATION_N, _pow_or_inf, _symmetric_mean, closed_form, cmn_mean_fast
 
@@ -79,9 +79,6 @@ __all__ = [
     "CustomTerms",
     "SequenceFamily",
     "parse_family",
-    "MeanLike",
-    "parse_mean",
-    "format_mean",
     "make_prefix_evaluator",
     "HardyEstimate",
     "hardy_partial_sum",
@@ -133,8 +130,10 @@ class Harmonic(_BlockTerms):
     """a_n = 1/n.  Not summable; quarantined behind an explicit opt-in.
 
     Ratio experiments against a divergent ||a||_1 are meaningless, so
-    :func:`hardy_partial_sum` rejects this family unless the caller sets
-    ``allow_nonsummable`` (the limit experiment does so internally).
+    :func:`iter_hardy_checkpoints` (and :func:`hardy_partial_sum` through
+    it) rejects this family unless the caller sets ``allow_nonsummable``.
+    The limit experiment (:func:`sharpness_limit_curve`) needs no ratio
+    and reads the terms from :meth:`blocks` itself.
     """
 
     summable = False
@@ -247,6 +246,7 @@ class CustomTerms(_BlockTerms):
     so any request for more terms than given is a positivity violation."""
 
     values: tuple
+    source: str | None = field(default=None, compare=False)  # the file parse_family read
     summable = True
 
     def __post_init__(self):
@@ -263,7 +263,7 @@ class CustomTerms(_BlockTerms):
         return (values[lo - 1 : hi - 1] for lo, hi in _block_ranges(count))
 
     def label(self) -> str:
-        return f"custom:{len(self.values)}"
+        return f"custom:{len(self.values) if self.source is None else self.source}"
 
 
 SequenceFamily = Union[Harmonic, HarmonicTruncated, PowerTail, Geometric, CustomTerms]
@@ -290,7 +290,7 @@ def parse_family(text: str) -> SequenceFamily:
     if kind == "geometric":
         return Geometric(parse_exponent(arg, "geometric ratio"))
     if kind == "custom":
-        return CustomTerms(tuple(read_vector_file(arg)))
+        return CustomTerms(tuple(read_vector_file(arg)), source=arg)
     raise DomainError(
         f"unknown family {text!r}; expected harmonic, harmonic-truncated:<N0>, "
         "powertail:<alpha>, geometric:<r> or custom:<file>"

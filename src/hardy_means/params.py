@@ -54,7 +54,7 @@ def read_vector_file(path: str) -> list[float]:
                     values.append(float(text))
                 except ValueError:
                     raise DomainError(f"{path}:{lineno}: not a decimal number: {text!r}")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {path}: {exc}")
     return values
 

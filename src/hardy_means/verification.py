@@ -15,16 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cmn_means import (
-    MeanParams,
-    cmn_mean_fast,
     cmn_mean_naive,
     compare_k_monotonicity,
     compare_qs_monotonicity,
     compare_theorem1_identity,
 )
 from .hardy import _decades, sharpness_limit_curve
-from .params import require_int
+from .params import MeanParams, require_int
 from .power_means import power_mean
+from .routes import cmn_mean_fast
 
 __all__ = ["PropertyResult", "run_verification", "EXPONENT_GRID"]
 

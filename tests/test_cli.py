@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -185,6 +186,13 @@ class TestHardySumCommand:
             "hardy-sum", "--mean", "power:0.5", "--family", f"custom:{path}", "-N", "5",
         )
         assert code == 2  # positivity violation past the listed terms
+        # the family is named by its file
+        code, out, _ = run_cli(
+            capsys,
+            "hardy-sum", "--mean", "power:0.5", "--family", f"custom:{path}", "-N", "4", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["meta"]["family"] == f"custom:{path}"
 
     def test_overflowing_power_is_a_domain_error(self, tmp_path):
         path = tmp_path / "terms.txt"
@@ -329,6 +337,16 @@ class TestDeterminism:
         code, _, _ = run_cli(capsys, *args, "--output", str(target))
         assert code == 0
         assert target.read_text(encoding="utf-8") == stdout_text
+
+    @pytest.mark.parametrize(
+        "argv", [("verify", "--quick"), ("hardy-sum", "--mean", "power:0.5", "--family", "powertail:2", "-N", "10")]
+    )
+    def test_unwritable_output_is_a_domain_error(self, capsys, tmp_path, argv):
+        # exit 2 and one error line, not a traceback with verify's exit 1
+        target = tmp_path / "missing" / "x"
+        code, out, err = run_cli(capsys, *argv, "--output", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
 
 
 class TestVerifyCommand:
@@ -530,8 +548,9 @@ def test_import_without_numpy(module):
     assert report == "numpy imported: False\n"
 
 
-# The power-mean routes (k >= n, s = q, k = 1) and the short e_k route, with
-# the bytes each format printed before these routes stopped loading numpy.
+# The power-mean routes (k >= n, s = q, k = 1) and the e_k route within the
+# scalar recurrence's range bound, with the bytes each format printed
+# before these routes stopped loading numpy.
 _NUMPY_FREE_MEANS = {
     ("-k", "5", "-s", "2", "-q", "0.5", "1,4,9"): (
         "4.000000000000001 (Degenerate)\n",
@@ -557,6 +576,13 @@ _NUMPY_FREE_MEANS = {
         "3,-2,0,5,5.5969301556774163,FastSymmetric,,",
         '{"meta":{"command":"mean","mean":"cmn:3,-2,0","seed":0},"rows":[{"k":3,"method":"FastSymmetric",'
         '"n":5,"q":0,"s":-2,"samples":null,"stderr":null,"value":5.5969301556774163}]}\n',
+    ),
+    # n - k + 1 = 256 terms per level, which took the vector engine
+    ("-k", "2", "-s", "1", "-q", "0", ",".join(map(str, range(1, 258)))): (
+        "114.81755390192758 (FastSymmetric)\n",
+        "2,1,0,257,114.81755390192758,FastSymmetric,,",
+        '{"meta":{"command":"mean","mean":"cmn:2,1,0","seed":0},"rows":[{"k":2,"method":"FastSymmetric",'
+        '"n":257,"q":0,"s":1,"samples":null,"stderr":null,"value":114.81755390192758}]}\n',
     ),
 }
 
@@ -588,6 +614,16 @@ def test_mean_domain_errors_without_numpy(argv, message):
     assert run_fresh(_RUN_CLI, "mean", *argv)[:4] == (2, "", message, "numpy imported: False\n")
 
 
+def test_vector_file_that_is_not_utf8_is_a_domain_error(tmp_path, capsys):
+    path = tmp_path / "v.txt"
+    path.write_bytes(b"\xff\xfe1\x00\n")
+    message = f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    argv = ("mean", "-k", "1", "-s", "1", "-q", "1", "--file", str(path))
+    assert run_fresh(_RUN_CLI, *argv)[:4] == (2, "", message, "numpy imported: False\n")
+    argv = ("hardy-sum", "--mean", "power:0.5", "--family", f"custom:{path}", "-N", "1")
+    assert run_cli(capsys, *argv) == (2, "", message)
+
+
 def test_one_shot_exports_without_numpy():
     code, out, err, report, _ = run_fresh(
         "import hardy_means\n"
@@ -599,11 +635,11 @@ def test_one_shot_exports_without_numpy():
 
 
 # The mean routes that need arrays, with the route each prints: enumeration,
-# a long e_k vector (n - k + 1 >= 256), a short one whose powers leave the
-# scalar route's range, and the Monte Carlo estimator.
+# an e_k vector longer than the scalar route's range bound (900), a short
+# one whose powers leave that range, and the Monte Carlo estimator.
 _NUMPY_MEANS = {
     "mean": (("-k", "2", "-s", "2", "-q", "1", "--data", "1,4,9"), "Exact"),
-    "mean-long": (("-k", "2", "-s", "1", "-q", "0", "--data", ",".join(map(str, range(1, 258)))), "FastSymmetric"),
+    "mean-long": (("-k", "2", "-s", "1", "-q", "0", "--data", ",".join(map(str, range(1, 902)))), "FastSymmetric"),
     "mean-wide": (("-k", "2", "-s", "3", "-q", "0", "--data", "1e-300,1e300,2,5"), "FastSymmetric"),
     "mean-sampled": (("-k", "2", "-s", "1", "-q", "1", "--data", "1,2,3,4,5", "--samples", "200"), "MonteCarlo"),
 }
@@ -635,6 +671,46 @@ def test_numpy_commands_run_on_one_thread(argv):
     assert run_fresh(_RUN_CLI, *argv, blas_threads="2")[:3] == (code, out, err)
 
 
+# Prepended to _RUN_CLI: at exit, just before the numpy report, one line of
+# stderr names the package modules the command loaded beyond the ones
+# ``import hardy_means.cli`` loads.
+_REPORT_KERNELS = (
+    "import hardy_means.cli\n"
+    "startup = set(sys.modules)\n"
+    "atexit.register(lambda: sys.stderr.write(' '.join(sorted(\n"
+    "    name.partition('.')[2] for name in set(sys.modules) - startup if name.startswith('hardy_means.')\n"
+    ")) + '\\n'))\n"
+)
+_SCALAR_KERNELS = "_summation power_means routes"
+_SUBSET_KERNELS = "_parallel _summation cmn_means power_means routes"
+_PREFIX_KERNELS = "_parallel _summation cmn_means hardy power_means routes"
+# Each command with the modules it loads and whether it imports numpy.
+_KERNEL_MODULES = {
+    "help": (("--help",), "", False),
+    "classify": (("classify", "--point", "2,1,0"), "", False),
+    "mean-degenerate": (("mean", "-k", "2", "-s", "1", "-q", "1", "--data", "1,4,9,16"), _SCALAR_KERNELS, False),
+    "mean-e_k": (("mean", "-k", "2", "-s", "1", "-q", "0", "--data", ",".join(map(str, range(1, 601)))),
+                 _SCALAR_KERNELS, False),
+    "mean-exact": (("mean", *_NUMPY_MEANS["mean"][0]), _SUBSET_KERNELS, True),
+    "mean-e_k-past-the-bound": (("mean", *_NUMPY_MEANS["mean-long"][0]), _SUBSET_KERNELS, True),
+    "mean-sampled": (("mean", *_NUMPY_MEANS["mean-sampled"][0]), _SUBSET_KERNELS, True),
+    "hardy-sum": (("hardy-sum", "--mean", "power:0.5", "--family", "powertail:2", "-N", "10"), _PREFIX_KERNELS, True),
+    "estimate-constant": (("estimate-constant", "--mean", "power:0.5", "-N", "10"), _PREFIX_KERNELS, True),
+    "verify": (("verify", "--quick"), f"{_PREFIX_KERNELS} verification", True),
+    "bench": (("bench", "--samples", "200"), _SUBSET_KERNELS, True),
+}
+
+
+@pytest.mark.parametrize("argv, modules, numpy", _KERNEL_MODULES.values(), ids=_KERNEL_MODULES)
+def test_each_command_loads_only_the_kernels_it_calls(argv, modules, numpy):
+    code, out, err, report, _ = run_fresh(_REPORT_KERNELS + _RUN_CLI, *argv)
+    # bench exits 1 when a loaded machine misses its speedup gate
+    assert code == 0 or (argv[0], code) == ("bench", 1)
+    assert out
+    assert err.splitlines()[-1] == modules
+    assert report == f"numpy imported: {numpy}\n"
+
+
 def test_only_the_cli_pins_blas_threads():
     show = "import os\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
     library = "import hardy_means.cmn_means, hardy_means.hardy, hardy_means.verification\n"
@@ -656,7 +732,32 @@ def test_every_export_is_its_defining_object():
         defining = importlib.import_module(value.__module__)
         assert getattr(defining, name) is value, name
     assert hardy_means.MeanParams is cmn_means.MeanParams
-    assert hardy_means.parse_mean is importlib.import_module("hardy_means.hardy").parse_mean
+    assert not hasattr(importlib.import_module("hardy_means.hardy"), "parse_mean")
+
+
+def test_each_name_has_one_home():
+    # a module's __all__ names only what it defines, so no two list a name
+    homes = {}
+    for info in pkgutil.iter_modules(importlib.import_module("hardy_means").__path__):
+        if info.name != "__main__":
+            for name in getattr(importlib.import_module(f"hardy_means.{info.name}"), "__all__", ()):
+                homes.setdefault(name, []).append(info.name)
+    assert {name: modules for name, modules in homes.items() if len(modules) > 1} == {}
+
+
+# Module attributes the benchmark's traced run reads and patches, besides
+# the cli names below.
+_PATCHED_NAMES = {
+    "cmn_means": ("cmn_mean_fast", "power_mean", "map_ordered", "subset_log_means", "power_mean_of_logs"),
+    "verification": ("cmn_mean_fast", "power_mean", "sharpness_limit_curve"),
+    "hardy": ("cmn_mean_fast", "KahanSum", "iter_hardy_checkpoints", "make_prefix_evaluator"),
+}
+
+
+def test_patched_module_names_stay_bound():
+    for module, names in _PATCHED_NAMES.items():
+        for name in names:
+            assert callable(getattr(importlib.import_module(f"hardy_means.{module}"), name)), (module, name)
 
 
 def test_classify_export_is_the_function_in_a_fresh_interpreter():
@@ -682,6 +783,21 @@ def test_package_dir_and_unknown_attribute():
         hardy_means.no_such_export
     with pytest.raises(AttributeError):
         cli.no_such_kernel
+
+
+def test_cli_answers_only_package_exports():
+    # neither a dunder probe nor a submodule's name reaches a kernel
+    code, out, err, report, _ = run_fresh(
+        "import hardy_means.cli as cli\n"
+        "startup = set(sys.modules)\n"
+        "for name in ('__path__', '__wrapped__', 'no_such_kernel'):\n"
+        "    assert not hasattr(cli, name), name\n"
+        "assert set(sys.modules) == startup\n"
+        "import hardy_means.routes\n"
+        "assert not hasattr(cli, 'routes')\n"
+        "assert cli.cmn_mean_fast is hardy_means.routes.cmn_mean_fast\n"
+    )
+    assert (code, out, err, report) == (0, "", "", "numpy imported: False\n")
 
 
 # The cli names the benchmark's traced run reads and patches.

@@ -176,6 +176,13 @@ class TestElementarySymmetric:
         # unscaled (0 and nan without the bound)
         for e in (-900, 900):
             assert _unscaled_elementary_symmetric([math.ldexp(0.75, e)] * 24, 20, 1.0) is None
+        # the corners of the bound, 2*k*L + n = 900 at L = 1
+        for n, k in [(600, 150), (880, 10)]:
+            v = list(rng.uniform(0.5, 1.0, n))
+            got = _unscaled_elementary_symmetric(v, k, 1.0)
+            ek, exponent = ElementarySymmetric(k, 1.0).extend(np.asarray(v))
+            mantissa, shift = math.frexp(float(ek[-1]))
+            assert got == (mantissa, shift + int(exponent[-1]))
         # entries at both ends of the widest range the bound admits
         for n, k in [(30, 2), (30, 5), (60, 12), (500, 2)]:
             top = (routes._UNSCALED_RANGE - n) // (2 * k) - 1
@@ -185,6 +192,23 @@ class TestElementarySymmetric:
             ek, exponent = ElementarySymmetric(k, 1.0).extend(np.asarray(v))
             mantissa, shift = math.frexp(float(ek[-1]))
             assert got == (mantissa, shift + int(exponent[-1]))
+
+    def test_the_bound_alone_picks_the_scalar_route(self, monkeypatch, rng):
+        v = sorted(rng.uniform(0.5, 1.0, 901))
+        genuine, tried = routes._unscaled_elementary_symmetric, []
+
+        def recorded(values, k, p):
+            result = genuine(values, k, p)
+            tried.append((len(values), result is not None))
+            return result
+
+        monkeypatch.setattr(routes, "_unscaled_elementary_symmetric", recorded)
+        for n in (896, 897, 901):
+            ek, exponent = ElementarySymmetric(2, 1.0).extend(np.asarray(v[:n]))
+            assert math.ldexp(*_elementary_symmetric(v[:n], 2, 1.0)) == math.ldexp(float(ek[-1]), int(exponent[-1]))
+        # at k = 2 and L = 1, 896 entries meet 2*k*L + n <= 900 and 897 do
+        # not; past 900 entries the scalar route takes no power at all
+        assert tried == [(896, True), (897, False)]
 
 
 # --- naive evaluator ----------------------------------------------------------

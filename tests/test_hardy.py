@@ -127,9 +127,15 @@ class TestFamilies:
             with pytest.raises(DomainError):
                 parse_family(bad)
 
-    def test_labels_round_trip(self):
-        for family in (PowerTail(1.5), Geometric(0.9), HarmonicTruncated(10), Harmonic()):
+    def test_labels_round_trip(self, tmp_path):
+        path = tmp_path / "terms.txt"
+        path.write_text("1.0\n0.5\n", encoding="utf-8")
+        read = parse_family(f"CUSTOM:{path}")
+        for family in (PowerTail(1.5), Geometric(0.9), HarmonicTruncated(10), Harmonic(), read):
             assert parse_family(family.label()) == family
+        # a family read from a file is named by it, one built from values by its length
+        assert read.label() == f"custom:{path}"
+        assert read == CustomTerms((1.0, 0.5)) and CustomTerms((1.0, 0.5)).label() == "custom:2"
 
     def test_unknown_family_names_every_kind(self):
         with pytest.raises(DomainError, match=r"geometric:<r> or custom:<file>$"):

@@ -44,8 +44,8 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
     call site at extreme exponents, negative seeds, the e_k root of entries
     at the largest double, each side of the routes of ``mean`` that need no
     numpy, the subset engine at size, the jackknife with a near-dominant
-    draw, parse-error and file-error paths and every integer range error
-    the command line can reach."""
+    draw, parse-error, file-error and output-error paths and every integer
+    range error the command line can reach."""
     sixty = _data(1.0 + (i * 7919 % 97) / 10 for i in range(60))
     # no ties among subset means, so the sampled extremum depends on the draws
     spread = _data(math.exp(math.sin(3.7 * i)) for i in range(60))
@@ -73,13 +73,25 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
     largest = repr(sys.float_info.max)
     top = workdir / "top.txt"
     top.write_text(f"{largest}\n" * 5, encoding="utf-8")
-    # the e_k route's scalar recurrence takes n - k + 1 = 255 terms per level
-    # and the vector engine 256
+    # 257 and 258 entries at k = 3 (n - k + 1 = 255 and 256 terms per
+    # level), 300 at k = 2 and 600 at k = 150: all inside the range bound of
+    # the e_k route's scalar recurrence
     esp = []
-    for n in (257, 258):
+    for n in (257, 258, 300, 600):
         path = workdir / f"esp-{n}.txt"
         path.write_text("".join(f"{math.exp(math.sin(0.7 * i))!r}\n" for i in range(n)), encoding="utf-8")
         esp.append(str(path))
+    # powers in [0.5, 1) at k = 2, s = 2: 2*k*L + n = 4 + 896 meets the range
+    # bound, 4 + 897 passes it
+    bound = []
+    for n in (896, 897):
+        path = workdir / f"bound-{n}.txt"
+        path.write_text("".join(f"{0.75 + 0.25 * math.sin(0.7 * i)!r}\n" for i in range(n)), encoding="utf-8")
+        bound.append(str(path))
+    # a file that is not UTF-8, and an output path in a directory that is not there
+    utf16 = workdir / "utf16.txt"
+    utf16.write_bytes(b"\xff\xfe1\x00\n\x00")
+    unwritable = str(workdir / "missing-dir" / "out.txt")
     # at k = 4, s = 4 the powers are normal doubles, yet 2*k*L + n = 8*133 + 5
     # passes the scalar route's range bound; at s = -2 (8*67 + 5) it does not
     wide_powers = "1e-40,1e40,3,7,11"
@@ -140,12 +152,19 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
         # each side of the numpy-free routes of mean
         ("mean", "-k", "3", "-s", "1.5", "-q", "0", "--file", esp[0]),
         ("mean", "-k", "3", "-s", "1.5", "-q", "0", "--file", esp[1], "--format", "json"),
+        ("mean", "-k", "2", "-s", "1.5", "-q", "0", "--file", esp[2]),
+        ("mean", "-k", "150", "-s", "1.5", "-q", "0", "--file", esp[3], "--format", "json"),
+        ("mean", "-k", "2", "-s", "2", "-q", "0", "--file", bound[0]),
+        ("mean", "-k", "2", "-s", "2", "-q", "0", "--file", bound[1], "--format", "csv"),
         ("mean", "-k", "4", "-s", "4", "-q", "0", "--data", wide_powers, "--format", "csv"),
         ("mean", "-k", "4", "-s", "-2", "-q", "0", "--data", wide_powers),
         ("mean", "-k", "5", "-s", "2", "-q", "-1", "--file", str(five)),
         ("mean", "-k", "9", "-s", "inf", "-q", "0.5", "--file", str(five), "--format", "json"),
         ("mean", "-k", "2", "-s", "1", "-q", "0", "--file", str(missing)),
         ("mean", "-k", "2", "-s", "1", "-q", "0", "--file", str(malformed)),
+        ("mean", "-k", "1", "-s", "1", "-q", "1", "--file", str(utf16)),
+        ("mean", "-k", "2", "-s", "1", "-q", "0", "--data", "1,4,9", "--output", unwritable),
+        ("verify", "--quick", "--output", unwritable),
         *near_dominant,
         # the in-place subset engine at size: C(26,9) = 3124550 subsets,
         # C(26,7) = 657800 in 81 chunks at each infinite exponent, and 10**6
@@ -226,6 +245,7 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
         ("hardy-sum", "--mean", "power:0.5", "--family", f"CUSTOM:{terms}", "-N", "10"),
         ("hardy-sum", "--mean", "power:0.5", "--family", f"custom:{missing}", "-N", "10"),
         ("hardy-sum", "--mean", "power:0.5", "--family", f"custom:{malformed}", "-N", "10"),
+        ("hardy-sum", "--mean", "power:0.5", "--family", f"custom:{utf16}", "-N", "1"),
         ("mean", "-k", "2", "-s", "nan", "-q", "0", "--data", "1,2,3"),
         ("mean", "-k", "2", "-s", "+inf", "-q", "1e400", "--data", "1,2,3"),
         ("mean", "-k", "2", "-s", "1", "-q", "0", "--data", "-1,2"),
