@@ -5,14 +5,12 @@ enough to round-trip a double exactly, and the JSON encoder writes keys in
 sorted order with fixed separators.  Parsing emitted JSON and re-encoding
 it therefore reproduces the original bytes.  Infinities become the strings
 "inf"/"-inf" (JSON has no literal for them; the CLI exponent grammar reads
-the same tokens back).
+the same tokens back).  ``json`` and ``csv`` are imported by the encoder
+that needs them, so plain output loads neither.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 
 __all__ = ["machine_repr", "canonical_json", "rows_to_csv"]
@@ -29,7 +27,7 @@ def machine_repr(value):
     return value
 
 
-def _encode(obj, out: list) -> None:
+def _encode(obj, out: list, quote) -> None:
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -37,7 +35,7 @@ def _encode(obj, out: list) -> None:
     elif obj is False:
         out.append("false")
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
+        out.append(quote(obj))
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
@@ -55,9 +53,9 @@ def _encode(obj, out: list) -> None:
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             if not first:
                 out.append(",")
-            out.append(json.dumps(key, ensure_ascii=True))
+            out.append(quote(key))
             out.append(":")
-            _encode(obj[key], out)
+            _encode(obj[key], out, quote)
             first = False
         out.append("}")
     elif isinstance(obj, (list, tuple)):
@@ -65,19 +63,25 @@ def _encode(obj, out: list) -> None:
         for i, item in enumerate(obj):
             if i:
                 out.append(",")
-            _encode(item, out)
+            _encode(item, out, quote)
         out.append("]")
     else:
         raise TypeError(f"cannot serialise {type(obj).__name__} canonically")
 
 
 def canonical_json(obj) -> str:
+    # what json.dumps(text, ensure_ascii=True) returns for a string
+    from json.encoder import encode_basestring_ascii
+
     out: list = []
-    _encode(obj, out)
+    _encode(obj, out, encode_basestring_ascii)
     return "".join(out)
 
 
 def rows_to_csv(header: list[str], rows: list[tuple]) -> str:
+    import csv
+    import io
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)

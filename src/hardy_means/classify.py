@@ -19,12 +19,11 @@ is Hardy exactly when s < 1.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import DomainError
 from .extreal import ensure_exponent
-from .params import MeanParams, require_int
+from .params import MeanParams, Record, require_int
 
 __all__ = ["Verdict", "Reason", "Classification", "classify", "classification_table"]
 
@@ -83,11 +82,11 @@ _CITATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class Classification:
-    verdict: Verdict
-    reason: Reason
-    citation: str
+class Classification(Record):
+    __slots__ = ("verdict", "reason", "citation")
+
+    def __init__(self, verdict: Verdict, reason: Reason, citation: str):
+        super().__init__(verdict, reason, citation)
 
 
 def _result(verdict: Verdict, reason: Reason) -> Classification:

@@ -18,8 +18,10 @@ times and is exempt.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
+import stat
 import sys
 import time
 
@@ -116,7 +118,27 @@ def _emit(args, *, meta: dict, header: list[str], rows: list[tuple], plain: list
         except OSError as exc:
             raise DomainError(f"cannot write {args.output}: {exc}")
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write stdout: {exc}")
+
+
+def _check_output(path: str) -> None:
+    """Raise, before the command's work, the DomainError that opening
+    ``path`` for writing at its end would raise when the path cannot name
+    a file: its directory is missing (ENOENT) or not a directory (ENOTDIR),
+    or the path is a directory or ends in a separator (EISDIR).  Creates
+    nothing; permission and read-only failures are left to that open."""
+    named = path.rstrip(os.sep) or path  # open("x/", "w") fails with EISDIR once "x"'s directory resolves
+    try:
+        code = 0 if stat.S_ISDIR(os.stat(os.path.dirname(named) or ".").st_mode) else errno.ENOTDIR
+    except OSError as exc:
+        code = exc.errno
+    if not code and (named != path or os.path.isdir(path)):
+        code = errno.EISDIR
+    if code in (errno.ENOENT, errno.ENOTDIR, errno.EISDIR):
+        raise DomainError(f"cannot write {path}: {OSError(code, os.strerror(code), path)}")
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +476,8 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = _build_parser().parse_args(_preprocess_argv(list(argv)))
     try:
+        if args.output:
+            _check_output(args.output)
         return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -468,7 +492,3 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

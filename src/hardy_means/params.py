@@ -5,20 +5,21 @@ or a :class:`MeanParams` triple (k, s, q) naming the subset-composed mean
 M_{k,s,q}.  This module also reads vector files, one decimal per line,
 for the ``mean --file`` and ``custom:<file>`` inputs.  It needs no numpy,
 so the classifier and the command line can parse and print specs and read
-vectors without loading the numerical kernels.
+vectors without loading the numerical kernels.  It also holds
+:class:`Record`, the base of the package's small immutable records, which
+spares those commands the import of ``dataclasses`` and, through it, of
+``inspect`` and ``ast``.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Union
 
 from .errors import DomainError
 from .extreal import ensure_exponent, format_exponent, parse_exponent
 
 __all__ = [
-    "MeanParams", "MeanLike", "require_int", "read_vector_file", "parse_params", "parse_mean", "format_mean",
+    "Record", "MeanParams", "MeanLike", "require_int", "read_vector_file", "parse_params", "parse_mean", "format_mean",
 ]
 
 
@@ -59,23 +60,60 @@ def read_vector_file(path: str) -> list[float]:
     return values
 
 
-@dataclass(frozen=True)
-class MeanParams:
+class Record:
+    """An immutable record: what ``@dataclass(frozen=True)`` gives the
+    package's records, field by field from ``__slots__``.
+
+    A subclass names its fields in ``__slots__`` and passes their values,
+    normalised, to ``Record.__init__`` in that order.  Records have the
+    dataclass ``repr``, compare equal to records of the same class with
+    equal fields, hash as the tuple of their fields, refuse assignment and
+    deletion, and copy and pickle by calling the class again.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class MeanParams(Record):
     """Parameter triple (k, s, q) of a subset-composed mean."""
 
-    k: int
-    s: float
-    q: float
+    __slots__ = ("k", "s", "q")
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", require_int(self.k, "k", 1))
-        object.__setattr__(self, "s", ensure_exponent(self.s, "s"))
-        object.__setattr__(self, "q", ensure_exponent(self.q, "q"))
+    def __init__(self, k: int, s: float, q: float):
+        super().__init__(require_int(k, "k", 1), ensure_exponent(s, "s"), ensure_exponent(q, "q"))
 
 
 # A plain float means the power mean of that order, a MeanParams triple
 # means the subset-composed mean.
-MeanLike = Union[float, int, MeanParams]
+MeanLike = float | int | MeanParams
 
 
 def parse_params(text: str, needs: str) -> MeanParams:

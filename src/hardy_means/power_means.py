@@ -20,7 +20,7 @@ bit-for-bit independent of the order of the input entries.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import DomainError
 from .extreal import ensure_exponent

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from ._summation import KahanSum
 from .errors import DomainError
-from .params import MeanParams
+from .params import MeanParams, Record
 from .power_means import check_positive_vector, is_zero_exponent, power_mean
 
 __all__ = [
@@ -76,30 +75,33 @@ def closed_form(params: MeanParams) -> tuple[float | None, bool]:
     return None, is_zero_exponent(q) and math.isfinite(s) and not is_zero_exponent(s)
 
 
-@dataclass(frozen=True)
-class CmnEvalReport:
+class CmnEvalReport(Record):
     """Evaluation result plus how it was obtained.
 
     ``samples`` and ``stderr_estimate`` are present exactly when the value
     came from the Monte Carlo estimator.
     """
 
-    value: float
-    method: EvalMethod
-    samples: int | None = None
-    stderr_estimate: float | None = None
-    note: str | None = None
+    __slots__ = ("value", "method", "samples", "stderr_estimate", "note")
 
-    def __post_init__(self):
-        if not (self.value > 0.0):
-            raise DomainError(f"mean value must be positive, got {self.value!r}")
-        if self.value == math.inf:
+    def __init__(
+        self,
+        value: float,
+        method: EvalMethod,
+        samples: int | None = None,
+        stderr_estimate: float | None = None,
+        note: str | None = None,
+    ):
+        if not (value > 0.0):
+            raise DomainError(f"mean value must be positive, got {value!r}")
+        if value == math.inf:
             raise DomainError("the computed mean left the double range")
-        is_mc = self.method is EvalMethod.MONTE_CARLO
-        if is_mc != (self.stderr_estimate is not None) or is_mc != (self.samples is not None):
+        is_mc = method is EvalMethod.MONTE_CARLO
+        if is_mc != (stderr_estimate is not None) or is_mc != (samples is not None):
             raise DomainError("samples/stderr_estimate are reported iff method is MonteCarlo")
-        if self.stderr_estimate is not None and not self.stderr_estimate >= 0.0:
+        if stderr_estimate is not None and not stderr_estimate >= 0.0:
             raise DomainError("stderr_estimate must be nonnegative")
+        super().__init__(value, method, samples, stderr_estimate, note)
 
 
 def _pow_or_inf(a: float, p: float) -> float:

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import importlib
 import io
 import json
@@ -348,6 +349,36 @@ class TestDeterminism:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, kernel",
+        [
+            (("estimate-constant", "--mean", "cmn:2,1,0", "-N", "1000000"), "sharpness_constant_sweep"),
+            (("verify", "--quick"), "run_verification"),
+            (("hardy-sum", "--mean", "power:0.5", "--family", "powertail:2", "-N", "10"), "iter_hardy_checkpoints"),
+            (("mean", "-k", "2", "-s", "1", "-q", "0", "--data", "1,4,9"), "cmn_mean_fast"),
+        ],
+    )
+    @pytest.mark.parametrize("where", ["missing", "file", "directory", "new/", "file/"])
+    def test_unwritable_output_is_refused_before_the_work(self, capsys, monkeypatch, tmp_path, argv, kernel, where):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{kernel} ran with an unwritable --output")
+
+        monkeypatch.setattr(cli, kernel, refuse)
+        (tmp_path / "file").write_text("")
+        named = {"missing": tmp_path / "missing" / "x", "file": tmp_path / "file" / "x", "directory": tmp_path}
+        target = named.get(where) or f"{tmp_path}/{where}"  # a trailing separator names a directory
+        # the line the write at the command's end would have printed
+        with pytest.raises(OSError) as opened:
+            open(target, "w")
+        code, out, err = run_cli(capsys, *argv, "--output", str(target))
+        assert (code, out, err) == (2, "", f"error: cannot write {target}: {opened.value}\n")
+
+    def test_output_check_creates_nothing(self, capsys, tmp_path):
+        target = tmp_path / "rows.txt"
+        code, out, err = run_cli(capsys, "classify", "--point", "2,1", "--output", str(target))
+        assert (code, out, err) == (2, "", "error: --point needs k,s,q, got '2,1'\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestVerifyCommand:
     def test_quick_passes(self, capsys):
@@ -480,6 +511,89 @@ def test_module_entry_point():
 
 
 # ---------------------------------------------------------------------------
+# The exit path: ``python -m hardy_means`` ends without interpreter teardown
+
+
+def run_module(*argv):
+    """Exit status, stdout and stderr of ``python -m hardy_means <argv>``, as
+    bytes; help text is wrapped at 80 columns."""
+    environ = dict(os.environ, COLUMNS="80")
+    result = subprocess.run([sys.executable, "-m", "hardy_means", *argv], capture_output=True, env=environ)
+    return result.returncode, result.stdout, result.stderr
+
+
+def run_in_process(capsys, monkeypatch, *argv):
+    """What :func:`run_module` should see, from ``main`` in this process;
+    argparse's exits give their status."""
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out.encode(), captured.err.encode()
+
+
+# Each way the command line ends, with its status.
+_EXITS = {
+    "success": (("mean", "-k", "2", "-s", "1", "-q", "0", "--data", "1,4,9", "--format", "json"), 0),
+    "domain-error": (("mean", "-k", "2", "-s", "1", "-q", "0", "--data", "1,-2"), 2),
+    "capacity-error": (("mean", "-k", "2", "-s", "2", "-q", "1", "--data", ",".join(map(str, range(1, 32)))), 3),
+    "usage-error": (("mean", "-k", "2"), 2),
+    "unknown-command": (("bogus",), 2),
+    "help": (("--help",), 0),
+    "command-help": (("classify", "--help"), 0),
+}
+
+
+@pytest.mark.parametrize("argv, status", _EXITS.values(), ids=_EXITS)
+def test_module_exit_status_and_bytes(capsys, monkeypatch, argv, status):
+    code, out, err = run_module(*argv)
+    assert code == status
+    assert (out != b"") == (status == 0) and (err != b"") == (status != 0)
+    assert (code, out, err) == run_in_process(capsys, monkeypatch, *argv)
+
+
+def test_output_past_a_megabyte_arrives_whole(capsys, monkeypatch):
+    argv = ("classify", "--grid-k", "1..400", "--grid-s", "-inf,-1,0,0.25,0.5,1,2,3,10,inf", "--grid-q", "-1,0,1")
+    code, out, err = run_module(*argv)
+    assert len(out) > 2**20
+    assert (code, out, err) == run_in_process(capsys, monkeypatch, *argv)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--point", "2,1,0"),
+        ("mean", "-k", "2", "-s", "1", "-q", "0", "--data", "1,4,9", "--format", "json"),
+        # past the stdout buffer: the write itself fails
+        ("classify", "--grid-k", "1..100", "--grid-s", "0,0.5,1,2", "--grid-q", "-1,0,1"),
+    ],
+)
+def test_unwritable_stdout_is_one_error_line(argv, unbuffered):
+    with open("/dev/full", "wb") as full:
+        environ = dict(os.environ)
+        environ.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            environ["PYTHONUNBUFFERED"] = unbuffered
+        result = subprocess.run(
+            [sys.executable, "-m", "hardy_means", *argv], stdout=full, stderr=subprocess.PIPE, env=environ
+        )
+    message = f"error: cannot write stdout: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n"
+    assert (result.returncode, result.stderr.decode()) == (2, message)
+
+
+def test_console_script_is_the_module_exit_path():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(pyproject, "rb") as handle:
+        scripts = tomllib.load(handle)["project"]["scripts"]
+    assert scripts == {"hardy-means": "hardy_means.__main__:run"}
+
+
+# ---------------------------------------------------------------------------
 # Start-up: the commands that need no arrays never import numpy, and the
 # ones that do run on one thread
 
@@ -531,6 +645,36 @@ def test_startup_without_numpy(argv):
     assert code == 0
     assert out and err == ""
     assert report == "numpy imported: False\n"
+
+
+# Standard modules the numpy-free path does without: ``dataclasses`` brings
+# ``inspect`` and ``ast``, and ``json`` and ``csv`` serve only their formats.
+_HEAVY_MODULES = ("dataclasses", "inspect", "typing", "json", "csv")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--help",),
+        ("classify", "--point", "2,1,0"),
+        _CLASSIFY_GRID,
+        ("mean", "-k", "2", "-s", "1", "-q", "0", "--data", "1,4,9"),
+        ("mean", "-k", "2", "-s", "1.5", "-q", "1.5", "--data", "1,4,9,16"),
+    ],
+)
+def test_numpy_free_path_loads_no_heavy_stdlib_module(argv):
+    # -S: a site hook may import typing in every interpreter
+    src = os.path.dirname(os.path.dirname(importlib.import_module("hardy_means").__file__))
+    report = (
+        "import atexit, sys\n"
+        f"atexit.register(lambda: sys.stderr.write(repr([m for m in {_HEAVY_MODULES!r} if m in sys.modules])))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", report + _RUN_CLI, *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (result.returncode, result.stderr) == (0, "[]")
+    assert result.stdout
 
 
 def test_classify_domain_error_without_numpy():

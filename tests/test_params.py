@@ -138,3 +138,77 @@ def test_numpy_integers_are_stored_as_ints():
     assert type(MeanParams(np.int64(3), 1.0, 0.0).k) is int
     assert type(HarmonicTruncated(np.int64(3)).crossover) is int
     assert type(cmn_mean_sampled(MeanParams(2, 1.0, 1.0), range(1, 30), np.int64(200), 7).samples) is int
+
+
+# ---------------------------------------------------------------------------
+# The records keep what their frozen dataclasses gave: the values pinned
+# here are the ones the dataclass versions printed.
+
+from hardy_means import CmnEvalReport, EvalMethod, Reason, Verdict, classify  # noqa: E402
+from hardy_means.classify import Classification  # noqa: E402
+
+_THEOREM1 = "the pairwise mean M(2,1,0) satisfies sum M(a_1..a_n) < 4 ||a||_1, and 4 is sharp"
+_RECORDS = {
+    "MeanParams": (MeanParams(2, 1, 0), "MeanParams(k=2, s=1.0, q=0.0)", (2, 1.0, 0.0)),
+    "MeanParams-inf": (MeanParams(3, float("inf"), -0.5), "MeanParams(k=3, s=inf, q=-0.5)", (3, float("inf"), -0.5)),
+    "Classification": (
+        classify(MeanParams(2, 1, 0)),
+        "Classification(verdict=<Verdict.HARDY: 'Hardy'>, reason=<Reason.THEOREM1: 'Theorem1'>, "
+        f"citation='{_THEOREM1}')",
+        (Verdict.HARDY, Reason.THEOREM1, _THEOREM1),
+    ),
+    "CmnEvalReport": (
+        CmnEvalReport(1.5, EvalMethod.EXACT),
+        "CmnEvalReport(value=1.5, method=<EvalMethod.EXACT: 'Exact'>, samples=None, stderr_estimate=None, "
+        "note=None)",
+        (1.5, EvalMethod.EXACT, None, None, None),
+    ),
+    "CmnEvalReport-MonteCarlo": (
+        CmnEvalReport(2.0, EvalMethod.MONTE_CARLO, 100, 0.25, note="x"),
+        "CmnEvalReport(value=2.0, method=<EvalMethod.MONTE_CARLO: 'MonteCarlo'>, samples=100, "
+        "stderr_estimate=0.25, note='x')",
+        (2.0, EvalMethod.MONTE_CARLO, 100, 0.25, "x"),
+    ),
+}
+
+
+@pytest.mark.parametrize("record, text, fields", _RECORDS.values(), ids=_RECORDS)
+def test_records_behave_as_frozen_dataclasses(record, text, fields):
+    import copy
+    import pickle
+
+    cls = type(record)
+    assert repr(record) == text
+    assert record == cls(*fields) and hash(record) == hash(cls(*fields)) == hash(fields)
+    assert record != fields and record.__eq__(fields) is NotImplemented
+    assert {record, cls(*fields)} == {record}
+    name = text.partition("(")[2].partition("=")[0]  # the first field
+    with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+        setattr(record, name, fields[0])
+    with pytest.raises(AttributeError, match="^cannot assign to field 'extra'$"):
+        record.extra = 1
+    with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+        delattr(record, name)
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is cls and twin == record and repr(twin) == text
+
+
+def test_record_constructors_keep_their_signatures():
+    assert MeanParams(k=2, s=1, q=0) == MeanParams(2, 1.0, 0.0)
+    assert Classification(verdict=Verdict.OPEN, reason=Reason.OPEN_PROBLEM, citation="c").citation == "c"
+    report = CmnEvalReport(value=1.5, method=EvalMethod.DEGENERATE)
+    assert (report.samples, report.stderr_estimate, report.note) == (None, None, None)
+    with pytest.raises(TypeError):
+        MeanParams(2, 1.0)
+    with pytest.raises(TypeError):
+        MeanParams(2, 1.0, 0.0, x=1)
+    # the normalisation and the checks run on every construction
+    params = MeanParams(np.int64(3), np.float64(2.5), 1)
+    assert (type(params.k), type(params.s), type(params.q)) == (int, float, float)
+    assert repr(params) == "MeanParams(k=3, s=2.5, q=1.0)"
+    with pytest.raises(DomainError, match="k must be >= 1"):
+        MeanParams(0, 1.0, 0.0)
+    with pytest.raises(DomainError, match="reported iff method is MonteCarlo"):
+        CmnEvalReport(1.0, EvalMethod.MONTE_CARLO)
+    with pytest.raises(DomainError, match="must be positive"):
+        CmnEvalReport(0.0, EvalMethod.EXACT)

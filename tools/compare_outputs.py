@@ -44,8 +44,8 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
     call site at extreme exponents, negative seeds, the e_k root of entries
     at the largest double, each side of the routes of ``mean`` that need no
     numpy, the subset engine at size, the jackknife with a near-dominant
-    draw, parse-error, file-error and output-error paths and every integer
-    range error the command line can reach."""
+    draw, usage-error, parse-error, file-error and output-error paths and
+    every integer range error the command line can reach."""
     sixty = _data(1.0 + (i * 7919 % 97) / 10 for i in range(60))
     # no ties among subset means, so the sampled extremum depends on the draws
     spread = _data(math.exp(math.sin(3.7 * i)) for i in range(60))
@@ -165,6 +165,8 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
         ("mean", "-k", "1", "-s", "1", "-q", "1", "--file", str(utf16)),
         ("mean", "-k", "2", "-s", "1", "-q", "0", "--data", "1,4,9", "--output", unwritable),
         ("verify", "--quick", "--output", unwritable),
+        ("hardy-sum", "--mean", "cmn:2,1,0", "--family", "powertail:2", "-N", "1000", "--output", unwritable),
+        ("estimate-constant", "--mean", "cmn:2,1,0", "-N", "1000", "--output", unwritable),
         *near_dominant,
         # the in-place subset engine at size: C(26,9) = 3124550 subsets,
         # C(26,7) = 657800 in 81 chunks at each infinite exponent, and 10**6
@@ -225,9 +227,12 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
         ("estimate-constant", "--mean", "cmn:3,2,0", "-N", "10"),
         ("estimate-constant", "--mean", "cmn:3,2,0", "-N", "11"),
         ("estimate-constant", "--mean", "power:200", "-N", "100"),
-        # parse-error paths, and tokens that must parse
+        # usage errors and help (argparse's exits), parse-error paths, and
+        # tokens that must parse
         (),
         ("--help",),
+        ("mean", "-k", "2"),
+        ("bogus",),
         ("classify", "--point", "2,1"),
         ("classify", "--point", "x,1,0"),
         ("classify", "--point", "2,nan,0"),
