@@ -366,8 +366,23 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", metavar="PATH", help="write to a file instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, save that ``--help`` reports a failed write to
+    stdout as the commands do, with one error line and exit 2; argparse
+    ignores the error, so an unbuffered stdout lost the text and exited 0."""
+
+    def print_help(self, file=None):
+        if file is not None:
+            return super().print_help(file)
+        try:
+            sys.stdout.write(self.format_help())
+        except OSError as exc:
+            print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+            sys.exit(2)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hardy-means",
         description="Subset-composed power means and empirical Hardy-constant experiments.",
     )

@@ -58,7 +58,7 @@ from .routes import (
     EvalMethod,
     _ldexp_or_inf,
     _pow_or_inf,
-    _scaled_root,
+    _root,
     cmn_mean_fast,
 )
 
@@ -346,7 +346,8 @@ class ElementarySymmetric:
     the terms so far as (value, exponent), meaning value * 2**exponent,
     and (0.0, 0) while there are fewer than ``order`` terms.
     ``extend(block)`` returns the same pair as two arrays, one element per
-    term, bit-identical to pushing the terms one by one.
+    term, bit-identical to pushing the terms one by one.  ``push_scaled``
+    and ``extend_scaled`` take b_i itself as a mantissa and an exponent.
     """
 
     def __init__(self, order: int, power: float):
@@ -357,7 +358,9 @@ class ElementarySymmetric:
         self._scales = [0] * order
 
     def push(self, a: float) -> tuple[float, int]:
-        mantissa, exponent = _scaled_pow(a, self.power)
+        return self.push_scaled(*_scaled_pow(a, self.power))
+
+    def push_scaled(self, mantissa: float, exponent: int) -> tuple[float, int]:
         self.count += 1
         # High levels first: level j takes b_i times level j-1 before b_i.
         for j in range(min(self.count, self.order), 0, -1):
@@ -381,9 +384,11 @@ class ElementarySymmetric:
         return self._levels[-1].value, self._scales[-1]
 
     def extend(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        size = block.size
+        return self.extend_scaled(*_scaled_pows(block, self.power))
+
+    def extend_scaled(self, mantissa: np.ndarray, exponent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        size = mantissa.size
         done = self.count
-        mantissa, exponent = _scaled_pows(block, self.power)
         for j in range(1, min(done + size, self.order) + 1):
             if j == 1:
                 u, shift = mantissa, exponent
@@ -428,18 +433,22 @@ def _binomials(n: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return mantissa, exponent
 
 
+def _roots(x: np.ndarray, e: np.ndarray, s: float) -> np.ndarray:
+    """:func:`~hardy_means.routes._root` of every element."""
+    top = np.frexp(x)[1] + e
+    normal = (top >= -1021) & (top <= 1024)
+    out = np.empty(x.size)
+    y = np.ldexp(x[normal], e[normal])
+    out[normal] = np.sqrt(y) if s == 2.0 else _pows(y, 1.0 / s)
+    for i in np.flatnonzero(~normal).tolist():
+        out[i] = _root(float(x[i]), int(e[i]), s)
+    return out
+
+
 def _symmetric_means(ek: np.ndarray, ek_exponent: np.ndarray, n: np.ndarray, k: int, s: float) -> np.ndarray:
     """:func:`_symmetric_mean` of every element; ``n`` is a float array."""
     c, c_exponent = _binomials(n, k)
-    ratio, exponent = ek / c, ek_exponent - c_exponent
-    top = np.frexp(ratio)[1] + exponent
-    normal = (top >= -1021) & (top <= 1024)
-    out = np.empty(ratio.size)
-    x = np.ldexp(ratio[normal], exponent[normal])
-    out[normal] = np.sqrt(x) if s == 2.0 else _pows(x, 1.0 / s)
-    for i in np.flatnonzero(~normal).tolist():
-        out[i] = _scaled_root(float(ratio[i]), int(exponent[i]), s)
-    return out
+    return _roots(ek / c, ek_exponent - c_exponent, s)
 
 
 # ---------------------------------------------------------------------------

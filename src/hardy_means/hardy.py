@@ -22,8 +22,15 @@ forms are this module's own.  M_{2,1,0} uses the O(1)-per-step recurrence
     E_n = sum_{i<=n} r_i * S_{i-1},  S_i = r_1 + .. + r_i,  r_i = sqrt(a_i),
 
 whose terms are all positive, so nothing cancels however wide the range
-of the prefix, and truncations up to 10^7 stay cheap; M_{k,2q,q} keeps the
-two running sums of the second-moment identity.
+of the prefix, and truncations up to 10^7 stay cheap; M_{k,2q,q} keeps
+two levels of the same engine, p2 = e_1(b**2) and e2 = e_2(b) of
+b_i = a_i**q, for the second-moment identity
+
+    M_{k,2q,q}(a_1..a_n)**(2q) = p2 / (k n) + 2 (k - 1) e2 / (k n (n - 1)),
+
+which cancels nothing and keeps every square under a power-of-two scale,
+so it refuses no entry once n > k.  Both e_k forms read P_r of the
+prefix while n <= k, and share that step.
 
 The experiments run block at a time: families produce their terms as
 arrays of a fixed number of elements, and each evaluator's ``extend`` turns
@@ -62,6 +69,9 @@ from .cmn_means import (
     _ensure_enumerable,
     _libm,
     _pows,
+    _roots,
+    _scaled_pow,
+    _scaled_pows,
     _symmetric_means,
     _valid_prefix,
 )
@@ -69,7 +79,7 @@ from .errors import DomainError
 from .extreal import ensure_exponent, format_exponent, parse_exponent
 from .params import MeanLike, MeanParams, format_mean, read_vector_file, require_int
 from .power_means import check_positive_vector, is_zero_exponent
-from .routes import MAX_ENUMERATION_N, _pow_or_inf, _symmetric_mean, closed_form, cmn_mean_fast
+from .routes import MAX_ENUMERATION_N, _pow_or_inf, _root, _symmetric_mean, closed_form, cmn_mean_fast
 
 __all__ = [
     "Harmonic",
@@ -345,6 +355,7 @@ class PowerMeanPrefix:
             return a if n == 1 else math.exp(self._acc.value / n)
         term = _pow_or_inf(a, p)
         if not math.isfinite(term) or term <= 0.0:
+            self._count -= 1  # a refused term leaves the evaluator as it was
             raise _power_range_error(a, p)
         self._acc.add(term)
         return a if n == 1 else _pow_or_inf(self._acc.value / n, 1.0 / p)
@@ -413,22 +424,62 @@ class PairGeometricMeanPrefix:
         return values, None
 
 
-_MOMENT_LOST = "second-moment identity lost all significance or overflowed"
+class _ClosedFormPrefix:
+    """The step the closed-form prefixes share.
+
+    While n <= k the mean is P_r of the prefix (the k >= n branch of the
+    definition), read from a :class:`PowerMeanPrefix`; its refusals are
+    the only ones, and a refused ``push`` changes nothing.  Afterwards it
+    is the closed form of running levels of b = a**power.  ``_levels(m, e,
+    step)`` feeds b, as a mantissa and an exponent, to the subclass's
+    engines through ``step`` (``ElementarySymmetric.push_scaled`` or
+    ``extend_scaled``) and returns one (value, exponent) pair per level;
+    ``_mean`` takes them as scalars from ``push``, ``_means`` as arrays
+    from ``extend``.
+    """
+
+    def __init__(self, k: int, r: float, power: float):
+        self.k = k
+        self._power = power
+        self._head = PowerMeanPrefix(r)
+        self._count = 0
+
+    def push(self, a: float) -> float:
+        head = self._head.push(a) if self._count < self.k else None
+        levels = self._levels(*_scaled_pow(a, self._power), ElementarySymmetric.push_scaled)
+        self._count += 1
+        return self._mean(self._count, *levels) if head is None else head
+
+    def extend(self, block: np.ndarray) -> tuple[np.ndarray, DomainError | None]:
+        done = self._count
+        head = min(max(self.k - done, 0), block.size)  # elements with n <= k
+        first, error = self._head.extend(block[:head])
+        if error is not None:
+            return first, error
+        levels = self._levels(*_scaled_pows(block, self._power), ElementarySymmetric.extend_scaled)
+        self._count += block.size
+        values = np.empty(block.size)
+        values[:head] = first
+        values[head:] = self._means(_counts(done, block.size)[head:], *[(v[head:], e[head:]) for v, e in levels])
+        return values, None
 
 
-class SecondMomentPrefix:
+class SecondMomentPrefix(_ClosedFormPrefix):
     """Running M_{k,2q,q} through the second-moment identity.
 
     With b_i = a_i**q the inner mean of a k-subset S is (sum_S b / k)**(1/q),
     so its s-th power (s = 2q) is (sum_S b)**2 / k**2.  Averaged over the
     C(n,k) subsets,
 
-        k**2 * M**s = (k/n) p2 + k(k-1)/(n(n-1)) (p1**2 - p2),
-        p1 = sum b_i,  p2 = sum b_i**2,
+        M**s = p2 / (k n) + 2 (k-1) e2 / (k n (n-1)),
+        p2 = e_1(b**2),  e2 = e_2(b),
 
-    with both sums compensated, so each step costs O(1).  While n <= k the
-    mean is P_q of the prefix (the k >= n branch of the definition), read
-    from a :class:`PowerMeanPrefix`.
+    both levels of an :class:`~hardy_means.cmn_means.ElementarySymmetric`
+    engine, each a compensated sum of positive terms under its own
+    power-of-two scale; b**2 is taken from the mantissa and exponent of
+    b, so it needs no second power.  Nothing cancels and no square leaves
+    the double range, so no entry is refused past the P_q head; each step
+    costs O(1).
     """
 
     def __init__(self, k: int, q: float):
@@ -436,60 +487,31 @@ class SecondMomentPrefix:
         q = ensure_exponent(q, "q")
         if not math.isfinite(q) or is_zero_exponent(q):
             raise DomainError(f"the second-moment form needs finite nonzero q, got {q!r}")
-        self.k = k
+        super().__init__(k, q, q)
         self.q = q
         self.s = 2.0 * q
-        self._count = 0
-        self._p1 = KahanSum()
-        self._p2 = KahanSum()
-        self._head = PowerMeanPrefix(q)
+        self._p2 = ElementarySymmetric(1, self.s)
+        self._e2 = ElementarySymmetric(2, q)
 
-    def _range_error(self, a: float) -> DomainError:
-        return DomainError(
-            f"(a**q)**2 left the double range for a={a!r}, q={self.q!r}; "
-            "the second-moment evaluator needs representable squares"
-        )
+    def _levels(self, m, e, step):
+        return step(self._p2, m * m, 2 * e), step(self._e2, m, e)
 
-    def push(self, a: float) -> float:
-        b = _pow_or_inf(a, self.q)
-        square = b * b
-        if not (math.isfinite(square) and square > 0.0):
-            raise self._range_error(a)
-        self._p1.add(b)
-        self._p2.add(square)
-        self._count += 1
-        n, k = self._count, self.k
-        if n <= k:
-            return self._head.push(a)
-        p1, p2 = self._p1.value, self._p2.value
-        moment = ((k / n) * p2 + (k * (k - 1)) / (n * (n - 1)) * (p1 * p1 - p2)) / (k * k)
-        if not (moment > 0.0 and math.isfinite(moment)):
-            raise DomainError(_MOMENT_LOST)
-        return _pow_or_inf(moment, 1.0 / self.s)
+    def _mean(self, n: int, p2: tuple[float, int], e2: tuple[float, int]) -> float:
+        (p, p_exponent), (e, e_exponent) = p2, e2
+        top = max(p_exponent, e_exponent)  # both sums on the larger scale
+        weight = 2.0 * (self.k - 1) / (n - 1.0)
+        x = (math.ldexp(p, p_exponent - top) + weight * math.ldexp(e, e_exponent - top)) / (self.k * n)
+        return _root(x, top, self.s)
 
-    def extend(self, block: np.ndarray) -> tuple[np.ndarray, DomainError | None]:
-        b = _pows(block, self.q)
-        with np.errstate(over="ignore"):  # an inf square fails the range check below
-            squares = b * b
-        size = _valid_prefix(np.isfinite(squares) & (squares > 0.0))
-        p1 = self._p1.extend(b[:size])
-        p2 = self._p2.extend(squares[:size])
-        n = _counts(self._count, size)
-        k = self.k
-        head = min(max(k - self._count, 0), size)  # elements with n <= k
-        values = np.empty(size)
-        values[:head], _ = self._head.extend(block[:head])  # every a**q here is in range
-        m, p1, p2 = n[head:], p1[head:], p2[head:]
-        moment = ((k / m) * p2 + (k * (k - 1)) / (m * (m - 1.0)) * (p1 * p1 - p2)) / (k * k)
-        values[head:] = _pows(moment, 1.0 / self.s)
-        self._count += size
-        kept = head + _valid_prefix((moment > 0.0) & np.isfinite(moment))
-        if kept < size:
-            return values[:kept], DomainError(_MOMENT_LOST)
-        return values, self._range_error(float(block[size])) if size < block.size else None
+    def _means(self, n: np.ndarray, p2, e2) -> np.ndarray:
+        (p, p_exponent), (e, e_exponent) = p2, e2
+        top = np.maximum(p_exponent, e_exponent)
+        weight = 2.0 * (self.k - 1) / (n - 1.0)
+        x = (np.ldexp(p, p_exponent - top) + weight * np.ldexp(e, e_exponent - top)) / (self.k * n)
+        return _roots(x, top, self.s)
 
 
-class SymmetricFunctionPrefix:
+class SymmetricFunctionPrefix(_ClosedFormPrefix):
     """Running M_{k,s,0} through the elementary-symmetric closed form.
 
     While at most k terms have arrived the mean is the plain geometric
@@ -504,27 +526,18 @@ class SymmetricFunctionPrefix:
         s = ensure_exponent(s, "s")
         if not math.isfinite(s) or is_zero_exponent(s):
             raise DomainError(f"the symmetric-function form needs finite nonzero s, got {s!r}")
-        self.k = k
+        super().__init__(k, 0.0, s / k)
         self.s = s
         self._esp = ElementarySymmetric(k, s / k)
-        self._head = PowerMeanPrefix(0.0)
 
-    def push(self, a: float) -> float:
-        ek, exponent = self._esp.push(a)
-        n = self._esp.count
-        if n > self.k:
-            return _symmetric_mean(ek, exponent, n, self.k, self.s)
-        return self._head.push(a)
+    def _levels(self, m, e, step):
+        return (step(self._esp, m, e),)
 
-    def extend(self, block: np.ndarray) -> tuple[np.ndarray, None]:
-        done = self._esp.count
-        ek, exponent = self._esp.extend(block)
-        n = _counts(done, block.size)
-        head = min(max(self.k - done, 0), block.size)  # elements with n <= k
-        values = np.empty(block.size)
-        values[:head], _ = self._head.extend(block[:head])
-        values[head:] = _symmetric_means(ek[head:], exponent[head:], n[head:], self.k, self.s)
-        return values, None
+    def _mean(self, n: int, ek: tuple[float, int]) -> float:
+        return _symmetric_mean(*ek, n, self.k, self.s)
+
+    def _means(self, n: np.ndarray, ek) -> np.ndarray:
+        return _symmetric_means(*ek, n, self.k, self.s)
 
 
 class BufferedPrefix:

@@ -130,9 +130,16 @@ def _binomial(n: int, k: int) -> tuple[float, int]:
     return mantissa, exponent
 
 
-def _scaled_root(x: float, e: int, s: float) -> float:
-    """(x * 2**e) ** (1/s) where x * 2**e lies outside the double range;
-    e/s is split exactly into whole and fractional parts."""
+def _root(x: float, e: int, s: float) -> float:
+    """(x * 2**e) ** (1/s), for x > 0.
+
+    In the double range the root is the C library's ``pow``, or for s = 2
+    the correctly rounded ``sqrt``, which numpy and ``math`` share.
+    Outside it e/s is split exactly into whole and fractional parts.
+    """
+    if -1021 <= math.frexp(x)[1] + e <= 1024:
+        x = math.ldexp(x, e)
+        return math.sqrt(x) if s == 2.0 else _pow_or_inf(x, 1.0 / s)
     from fractions import Fraction  # only here: it adds to every start-up otherwise
 
     power = Fraction(e) / Fraction(s)
@@ -141,17 +148,9 @@ def _scaled_root(x: float, e: int, s: float) -> float:
 
 
 def _symmetric_mean(ek: float, ek_exponent: int, n: int, k: int, s: float) -> float:
-    """(e_k / C(n, k)) ** (1/s) from e_k = ek * 2**ek_exponent.
-
-    The root is the C library's ``pow``, or for s = 2 the correctly
-    rounded ``sqrt``, which numpy and ``math`` share.
-    """
+    """(e_k / C(n, k)) ** (1/s) from e_k = ek * 2**ek_exponent."""
     c, c_exponent = _binomial(n, k)
-    ratio, exponent = ek / c, ek_exponent - c_exponent
-    if -1021 <= math.frexp(ratio)[1] + exponent <= 1024:
-        x = math.ldexp(ratio, exponent)
-        return math.sqrt(x) if s == 2.0 else _pow_or_inf(x, 1.0 / s)
-    return _scaled_root(ratio, exponent, s)
+    return _root(ek / c, ek_exponent - c_exponent, s)
 
 
 def _unscaled_elementary_symmetric(values: list[float], k: int, p: float) -> tuple[float, int] | None:

@@ -570,6 +570,9 @@ def test_output_past_a_megabyte_arrives_whole(capsys, monkeypatch):
         ("mean", "-k", "2", "-s", "1", "-q", "0", "--data", "1,4,9", "--format", "json"),
         # past the stdout buffer: the write itself fails
         ("classify", "--grid-k", "1..100", "--grid-s", "0,0.5,1,2", "--grid-q", "-1,0,1"),
+        # argparse's help, which ignores a failed write of its own
+        ("--help",),
+        ("hardy-sum", "--help"),
     ],
 )
 def test_unwritable_stdout_is_one_error_line(argv, unbuffered):

@@ -320,18 +320,27 @@ class TestPrefixEvaluators:
             message = re.escape(f"a**p left the double range for a={a!r}")
             values, error = PowerMeanPrefix(2.0).extend(np.array([1.0, 2.0, a, 3.0]))
             assert values.tolist() == [1.0, math.sqrt(2.5)]
+            reference = PowerMeanPrefix(2.0)
             with pytest.raises(DomainError, match=message) as pushed:
-                PowerMeanPrefix(2.0).push(a)
+                reference.push(a)
             assert isinstance(error, DomainError) and str(error) == str(pushed.value)
-        for a in (1e-200, 1e200):
-            message = re.escape(f"(a**q)**2 left the double range for a={a!r}")
-            values, error = SecondMomentPrefix(2, 1.0).extend(np.array([1.0, 2.0, a, 3.0]))
-            assert values.tolist() == [1.0, 1.5]
+            # a refused push changes nothing
+            assert reference.push(3.0) == PowerMeanPrefix(2.0).push(3.0)
+        # the second moment refuses only in its P_q head (n <= k), with the
+        # head's own error: a**q leaves the double range
+        for k, q, v in ((2, -3.0, [1e-300]), (3, 3.0, [1.0, 2.0, 1e200])):
+            values, error = SecondMomentPrefix(k, q).extend(np.array(v))
+            reference = SecondMomentPrefix(k, q)
+            assert values.tolist() == [reference.push(a) for a in v[:-1]]
+            message = re.escape(f"a**p left the double range for a={v[-1]!r}, p={q!r}")
             with pytest.raises(DomainError, match=message) as pushed:
-                SecondMomentPrefix(2, 1.0).push(a)
+                reference.push(v[-1])
             assert isinstance(error, DomainError) and str(error) == str(pushed.value)
-        with pytest.raises(DomainError, match=re.escape("(a**q)**2 left the double range for a=1e-300")):
-            SecondMomentPrefix(2, -3.0).push(1e-300)  # a**q overflows
+            # a refused push changes nothing: the rows go on as if the entry
+            # had never come
+            fresh = SecondMomentPrefix(k, q)
+            rest = v[:-1] + [3.0] * (k + 1)
+            assert [reference.push(a) for a in rest[len(v) - 1 :]] == [fresh.push(a) for a in rest][len(v) - 1 :]
         # the pair recurrence adds positive terms only, so a dominant head
         # loses nothing: the value is the one-shot route's
         v = [1e300, 1e-300, 1e-300]
@@ -368,9 +377,8 @@ class TestPrefixEvaluators:
         "mean, terms, message",
         [
             ("power:2", (1.0, 2.0, 1e200, 3.0), "a**p left the double range for a=1e+200"),
-            ("cmn:2,2,1", (1.0, 2.0, 1e200, 3.0), "(a**q)**2 left the double range for a=1e+200"),
-            # every square is finite, but their sum passes the largest double at n = 2
-            ("cmn:2,2,1", (1e154,) * 4, "second-moment identity lost all significance or overflowed"),
+            # the second moment's P_3 head refuses a**3 at n = 3 <= k
+            ("cmn:3,6,3", (1.0, 2.0, 1e200, 3.0), "a**p left the double range for a=1e+200"),
         ],
     )
     def test_refused_term_ends_the_stream_after_earlier_rows(self, mean, terms, message):
@@ -381,6 +389,34 @@ class TestPrefixEvaluators:
             with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
                 next(rows)
         assert got == list(iter_hardy_checkpoints(parse_mean(mean), CustomTerms(terms[:2]), 2, [1, 2]))
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            (1e200, 2e200, 3e200),  # each (a**q)**2 leaves the double range
+            (1.0, 2.0, 1e200, 3.0),
+            (1.0, 2.0, 1e-200, 3.0),
+            (1e154,) * 4,  # equal entries near the square root of the largest double
+        ],
+        ids=["three-1e200", "1e200-mid", "1e-200-mid", "four-1e154"],
+    )
+    def test_second_moment_answers_the_terms_it_refused(self, terms):
+        # p2 and e2 are levels of the e_k engine: no square leaves the
+        # double range and nothing cancels, so every row is answered
+        want = second_moment_oracle(terms, 2, 1.0)
+        values, error = SecondMomentPrefix(2, 1.0).extend(np.array(terms))
+        assert error is None
+        assert values.tolist() == pytest.approx(want, rel=1e-15)
+        reference = SecondMomentPrefix(2, 1.0)
+        assert [reference.push(a).hex() for a in terms] == [x.hex() for x in values.tolist()]
+        if len(set(terms)) == 1:
+            assert values.tolist() == list(terms)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            marks = list(range(1, len(terms) + 1))
+            rows = list(iter_hardy_checkpoints(parse_mean("cmn:2,2,1"), CustomTerms(terms), len(terms), marks))
+        assert [row[0] for row in rows] == marks
+        assert [row[1] for row in rows] == pytest.approx(np.cumsum(np.array(want, dtype=float)), rel=1e-15)
 
     def test_buffered_extend_fails_before_enumerating(self, monkeypatch):
         enumerated = []
@@ -395,6 +431,47 @@ class TestPrefixEvaluators:
         for k, q in ((1, 1.0), (2, 0.0), (2, INF)):
             with pytest.raises(DomainError):
                 SecondMomentPrefix(k, q)
+
+
+def second_moment_oracle(v, k, q):
+    """Running M_{k,2q,q} of ``v`` in 50-digit arithmetic, from the moments
+    of a k-sample drawn without replacement.
+
+    With b = a**q, mu = p1/n and var = p2/n - mu**2, the mean of
+    (sum_S b / k)**2 over the k-subsets S is mu**2 + var (n-k) / (k (n-1));
+    while n <= k the mean is P_q, the same root of mu**2.
+    """
+    with mpmath.workdps(50):
+        out, p1, p2 = [], mpmath.mpf(0), mpmath.mpf(0)
+        for n, a in enumerate(v, 1):
+            b = mpmath.mpf(a) ** q
+            p1 += b
+            p2 += b * b
+            mu = p1 / n
+            moment = mu**2 if n <= k else mu**2 + (p2 / n - mu**2) * (n - k) / (k * (n - 1))
+            out.append(moment ** (1 / (2 * mpmath.mpf(q))))
+        return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_second_moment_at_the_edges_of_the_range(seed):
+    # entries from 1e-300 to 1e300, and powers a**q and a**(2q) far past
+    # both ends of the double range; the first k entries keep a**q in range
+    # for the P_q head
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        k = int(rng.integers(2, 7))
+        q = float(rng.choice([1.0, -1.0, 0.5, -0.5, 0.25, 2.0, 3.0]))
+        decades = float(rng.choice([1.0, 10.0, 150.0, 300.0]))
+        logs = rng.uniform(-decades, decades, 12)
+        head = min(decades, 300.0 / abs(q))
+        logs[:k] = rng.uniform(-head, head, k)
+        v = (10.0**logs).tolist()
+        values, error = SecondMomentPrefix(k, q).extend(np.array(v))
+        assert error is None
+        want = second_moment_oracle(v, k, q)
+        for n in range(k + 1, len(v) + 1):
+            assert values[n - 1] == pytest.approx(want[n - 1], rel=1e-14), (k, q, v, n)
 
 
 def pair_oracle(v):
@@ -566,10 +643,22 @@ class TestPartialSums:
         assert est.ratio == pytest.approx(expected["ratio"], rel=1e-12)
         assert est.ratio < 4.0
 
-    @pytest.mark.parametrize("mean", ["cmn:2,2,0", "cmn:3,2,0"])
-    def test_ratio_regression_symmetric_mean(self, mean):
-        expected = fixtures.HARDY_RATIOS[(mean, "harmonic-truncated:1000", 10**6)]
-        est = hardy_partial_sum(parse_mean(mean), HarmonicTruncated(1000), 10**6)
+    @pytest.mark.parametrize(
+        "mean, family, n",
+        [
+            pytest.param(mean, family, n, id=mean)
+            for mean, family, n in [
+                ("cmn:2,2,0", "harmonic-truncated:1000", 10**6),
+                ("cmn:3,2,0", "harmonic-truncated:1000", 10**6),
+                # the second-moment form
+                ("cmn:2,2,1", "powertail:2", 10**5),
+                ("cmn:3,-2,-1", "powertail:1.7", 10**5),
+            ]
+        ],
+    )
+    def test_ratio_regression_symmetric_mean(self, mean, family, n):
+        expected = fixtures.HARDY_RATIOS[(mean, family, n)]
+        est = hardy_partial_sum(parse_mean(mean), parse_family(family), n)
         assert est.ratio == pytest.approx(expected["ratio"], rel=1e-12)
         assert est.mean_sum == pytest.approx(expected["mean_sum"], rel=1e-12)
         assert est.term_sum == pytest.approx(expected["term_sum"], rel=1e-12)

@@ -57,7 +57,7 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
     # a refused term between accepted ones
     refused = workdir / "refused.txt"
     refused.write_text("1.0\n2.0\n1e200\n3.0\n", encoding="utf-8")
-    # every square is finite, but their sum passes the largest double at n = 2
+    # four equal entries near the square root of the largest double
     moment = workdir / "moment.txt"
     moment.write_text("1e154\n" * 4, encoding="utf-8")
     # one term dominates the pair mean's prefix
@@ -210,9 +210,12 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
         ("cmn:3,-2,-1", "powertail:1.7", "100000"),
         ("power:-3", "harmonic-truncated:50", "20000"),
         # each way a prefix experiment fails: a term the evaluator refuses,
-        # a moment that overflows, a non-positive term, the enumeration
-        # budget; and a pair-mean prefix led by one dominant term
+        # at a power mean or in the second moment's P_q head, a non-positive
+        # term, the enumeration budget; the second moment over entries near
+        # the square root of the largest double; and a pair-mean prefix led
+        # by one dominant term
         ("power:2", f"custom:{refused}", "4"),
+        ("cmn:3,6,3", f"custom:{refused}", "4"),
         ("cmn:2,2,1", f"custom:{moment}", "4"),
         ("power:0.5", "powertail:400", "10"),
         ("cmn:12,2,-1", "powertail:2", "100"),

@@ -39,6 +39,8 @@ RATIO_CASES = [
     ("cmn:2,1,1", "powertail:1.1", 10**5),
     ("cmn:2,2,0", "harmonic-truncated:1000", 10**6),
     ("cmn:3,2,0", "harmonic-truncated:1000", 10**6),
+    ("cmn:2,2,1", "powertail:2", 10**5),
+    ("cmn:3,-2,-1", "powertail:1.7", 10**5),
 ]
 
 SWEEP_MEAN = "cmn:2,1,0"
@@ -77,6 +79,24 @@ def symmetric_prefix_means(terms: np.ndarray, k: int, s: float) -> np.ndarray:
     return means
 
 
+def second_moment_prefix_means(terms: np.ndarray, k: int, q: float) -> np.ndarray:
+    """M_{k,2q,q} of every prefix from the moments of a k-sample drawn
+    without replacement.
+
+    With b = terms**q, p1 = sum b and p2 = sum b**2, the mean over the
+    k-subsets of (sum_S b / k)**2 is ((k-1) p1**2 + (n-k) p2) / (k n (n-1)),
+    a sum of positive terms; while n <= k the mean is P_q, (p1/n)**(1/q).
+    """
+    n = np.arange(1, terms.size + 1, dtype=LD)
+    b = terms ** LD(q)
+    p1, p2 = np.cumsum(b), np.cumsum(b * b)
+    means = (p1 / n) ** (1 / LD(q))
+    m = n[k:]
+    moments = ((k - 1) * p1[k:] ** 2 + (m - k) * p2[k:]) / (k * m * (m - 1))
+    means[k:] = moments ** (1 / (2 * LD(q)))
+    return means
+
+
 def prefix_means(mean_label: str, terms: np.ndarray) -> np.ndarray:
     n = np.arange(1, terms.size + 1, dtype=LD)
     if mean_label == "power:0.5":
@@ -95,6 +115,8 @@ def prefix_means(mean_label: str, terms: np.ndarray) -> np.ndarray:
         k, s, q = arg.split(",")
         if float(q) == 0.0:
             return symmetric_prefix_means(terms, int(k), float(s))
+        if float(s) == 2.0 * float(q):
+            return second_moment_prefix_means(terms, int(k), float(q))
     raise ValueError(mean_label)
 
 
