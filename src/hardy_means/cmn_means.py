@@ -56,7 +56,6 @@ from .routes import (
     MAX_ENUMERATION_SUBSETS,
     CmnEvalReport,
     EvalMethod,
-    _ldexp_or_inf,
     _pow_or_inf,
     _root,
     cmn_mean_fast,
@@ -342,12 +341,12 @@ class ElementarySymmetric:
     accuracy.  b_i is kept as a mantissa and an exponent
     (:func:`_scaled_pow`), so it may lie outside the double range too.
 
-    Entries must be positive and finite.  ``push(a)`` returns e_order of
-    the terms so far as (value, exponent), meaning value * 2**exponent,
-    and (0.0, 0) while there are fewer than ``order`` terms.
-    ``extend(block)`` returns the same pair as two arrays, one element per
-    term, bit-identical to pushing the terms one by one.  ``push_scaled``
-    and ``extend_scaled`` take b_i itself as a mantissa and an exponent.
+    Entries must be positive and finite.  ``extend(block)`` returns e_order
+    of the terms so far after each term of the block as (values,
+    exponents), meaning values * 2**exponents, and (0.0, 0) while there are
+    fewer than ``order`` terms.  The results do not depend on how the terms
+    are split into blocks.  ``extend_scaled`` takes b_i itself as a
+    mantissa and an exponent array.
     """
 
     def __init__(self, order: int, power: float):
@@ -356,32 +355,6 @@ class ElementarySymmetric:
         self.count = 0
         self._levels = [KahanSum() for _ in range(order)]
         self._scales = [0] * order
-
-    def push(self, a: float) -> tuple[float, int]:
-        return self.push_scaled(*_scaled_pow(a, self.power))
-
-    def push_scaled(self, mantissa: float, exponent: int) -> tuple[float, int]:
-        self.count += 1
-        # High levels first: level j takes b_i times level j-1 before b_i.
-        for j in range(min(self.count, self.order), 0, -1):
-            if j == 1:
-                u, shift = mantissa, exponent
-            else:
-                u, shift = mantissa * self._levels[j - 2].value, exponent + self._scales[j - 2]
-            if j == self.count:  # the level opens; its first term sets the scale
-                self._scales[j - 1] = math.frexp(u)[1] + shift
-            shift -= self._scales[j - 1]
-            level = self._levels[j - 1]
-            term = _ldexp_or_inf(u, shift)
-            if term > _LEVEL_CEILING:  # rescale so that the term lands in [0.5, 1)
-                drop = math.frexp(u)[1] + shift
-                self._scales[j - 1] += drop
-                level.ldexp(-drop)
-                term = math.ldexp(u, shift - drop)
-            level.add(term)
-        if self.count < self.order:
-            return 0.0, 0
-        return self._levels[-1].value, self._scales[-1]
 
     def extend(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.extend_scaled(*_scaled_pows(block, self.power))

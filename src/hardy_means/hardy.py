@@ -35,20 +35,21 @@ prefix while n <= k, and share that step.
 The experiments run block at a time: families produce their terms as
 arrays of a fixed number of elements, and each evaluator's ``extend`` turns
 a block into the running means after each element, with the compensated
-sums of :meth:`KahanSum.extend`.  Every result is bit-identical to feeding
-the same terms one at a time through ``push`` and ``KahanSum.add``, and so
-does not depend on the block size.  Two things make that hold: the running
-sums use ``np.cumsum``, which adds strictly in order, and every ``pow``,
-``log`` and ``exp`` is the C library's.  ``pow`` is ``np.float_power``
-(:func:`_pows`), which calls the C library once per element; ``log`` and
-``exp`` go element by element through ``math`` (:func:`_libm`), because
-numpy's vectorised versions differ from it by an ulp on a share of inputs.
+sums of :meth:`KahanSum.extend`.  No result depends on the block size:
+every running mean rounds as the one-term recurrence over the same terms
+does, and ``KahanSum.extend`` as ``KahanSum.add``.  Two things make that
+hold: the running sums use ``np.cumsum``, which adds strictly in order,
+and every ``pow``, ``log`` and ``exp`` is the C library's.  ``pow`` is
+``np.float_power`` (:func:`_pows`), which calls the C library once per
+element; ``log`` and ``exp`` go element by element through ``math``
+(:func:`_libm`), because numpy's vectorised versions differ from it by an
+ulp on a share of inputs.  ``push`` is ``extend`` of one term.
 Memory stays at a few blocks whatever N is.
 The crossover sweep walks the indices once for all its crossovers, so each
 term 1/i or i**-2 is computed once.
 
 ``extend`` returns the running means of the leading run of terms it
-takes and the error ``push`` would raise on the next term, or None.
+takes and the error of the next term, which it refuses, or None.
 :func:`_advance` alone picks the earliest failure of a block (a
 non-positive term, a term the evaluator refuses or sums that leave the
 double range), so the experiments report every row before it.
@@ -70,7 +71,6 @@ from .cmn_means import (
     _libm,
     _pows,
     _roots,
-    _scaled_pow,
     _scaled_pows,
     _symmetric_means,
     _valid_prefix,
@@ -79,7 +79,7 @@ from .errors import DomainError
 from .extreal import ensure_exponent, format_exponent, parse_exponent
 from .params import MeanLike, MeanParams, format_mean, read_vector_file, require_int
 from .power_means import check_positive_vector, is_zero_exponent
-from .routes import MAX_ENUMERATION_N, _pow_or_inf, _root, _symmetric_mean, closed_form, cmn_mean_fast
+from .routes import MAX_ENUMERATION_N, closed_form, cmn_mean_fast
 
 __all__ = [
     "Harmonic",
@@ -310,13 +310,13 @@ def parse_family(text: str) -> SequenceFamily:
 # ---------------------------------------------------------------------------
 # Incremental prefix evaluators
 #
-# ``push(a)`` takes one term and returns the mean of the prefix so far, or
-# raises a DomainError for a term it refuses.  ``extend(block)`` takes the
-# elements of a float array up to the first one push would refuse and
-# returns (values, error): the running means after each element taken,
-# bit-identical to pushing them one by one, and the DomainError push would
-# raise on the next element, or None when it took the whole block.  An
-# evaluator that returned an error takes no further terms.
+# ``extend(block)`` takes the elements of a float array up to the first one
+# the evaluator refuses and returns (values, error): the running means after
+# each element taken, and the DomainError of the refused element, or None
+# when it took the whole block.  An evaluator that returned an error takes
+# no further terms.  ``push(a)`` is ``extend`` of the one element a: it
+# returns the mean of the prefix so far or raises the error, and a term it
+# refuses leaves the evaluator as it was.
 
 
 def _counts(done: int, size: int) -> np.ndarray:
@@ -331,34 +331,24 @@ def _power_range_error(a: float, p: float) -> DomainError:
     )
 
 
-class PowerMeanPrefix:
-    """Running power mean P_p of everything pushed so far."""
+class _Prefix:
+    """``push``: ``extend`` of one term, for every evaluator."""
+
+    def push(self, a: float) -> float:
+        values, error = self.extend(np.array([a], dtype=np.float64))
+        if error is not None:
+            raise error
+        return float(values[0])
+
+
+class PowerMeanPrefix(_Prefix):
+    """Running power mean P_p of every term taken so far."""
 
     def __init__(self, p: float):
         self.p = ensure_exponent(p, "p")
         self._count = 0
         self._acc = KahanSum()
         self._extreme = None
-
-    def push(self, a: float) -> float:
-        self._count += 1
-        n = self._count
-        p = self.p
-        if p == math.inf:
-            self._extreme = a if self._extreme is None else max(self._extreme, a)
-            return self._extreme
-        if p == -math.inf:
-            self._extreme = a if self._extreme is None else min(self._extreme, a)
-            return self._extreme
-        if is_zero_exponent(p):
-            self._acc.add(math.log(a))
-            return a if n == 1 else math.exp(self._acc.value / n)
-        term = _pow_or_inf(a, p)
-        if not math.isfinite(term) or term <= 0.0:
-            self._count -= 1  # a refused term leaves the evaluator as it was
-            raise _power_range_error(a, p)
-        self._acc.add(term)
-        return a if n == 1 else _pow_or_inf(self._acc.value / n, 1.0 / p)
 
     def extend(self, block: np.ndarray) -> tuple[np.ndarray, DomainError | None]:
         p = self.p
@@ -387,7 +377,7 @@ class PowerMeanPrefix:
         return values, _power_range_error(float(block[size]), p) if size < block.size else None
 
 
-class PairGeometricMeanPrefix:
+class PairGeometricMeanPrefix(_Prefix):
     """Running M_{2,1,0}: the average of sqrt(a_i a_j) over index pairs.
 
     With r_i = sqrt(a_i) and S_i = r_1 + .. + r_i, the sum over pairs is
@@ -400,14 +390,6 @@ class PairGeometricMeanPrefix:
         self._count = 0
         self._roots = KahanSum()
         self._pairs = KahanSum()
-
-    def push(self, a: float) -> float:
-        r = math.sqrt(a)
-        self._pairs.add(r * self._roots.value)
-        self._roots.add(r)
-        self._count += 1
-        n = self._count
-        return a if n == 1 else 2.0 * self._pairs.value / (n * (n - 1))
 
     def extend(self, block: np.ndarray) -> tuple[np.ndarray, None]:
         # sqrt is correctly rounded in numpy and in the C library alike.
@@ -424,18 +406,16 @@ class PairGeometricMeanPrefix:
         return values, None
 
 
-class _ClosedFormPrefix:
+class _ClosedFormPrefix(_Prefix):
     """The step the closed-form prefixes share.
 
     While n <= k the mean is P_r of the prefix (the k >= n branch of the
     definition), read from a :class:`PowerMeanPrefix`; its refusals are
-    the only ones, and a refused ``push`` changes nothing.  Afterwards it
-    is the closed form of running levels of b = a**power.  ``_levels(m, e,
-    step)`` feeds b, as a mantissa and an exponent, to the subclass's
-    engines through ``step`` (``ElementarySymmetric.push_scaled`` or
-    ``extend_scaled``) and returns one (value, exponent) pair per level;
-    ``_mean`` takes them as scalars from ``push``, ``_means`` as arrays
-    from ``extend``.
+    the only ones.  Afterwards it is the closed form of running levels of
+    b = a**power.  ``_levels(m, e)`` feeds b, as mantissa and exponent
+    arrays, to the subclass's engines through
+    ``ElementarySymmetric.extend_scaled`` and returns one (values,
+    exponents) pair per level, which ``_means`` combines.
     """
 
     def __init__(self, k: int, r: float, power: float):
@@ -444,19 +424,13 @@ class _ClosedFormPrefix:
         self._head = PowerMeanPrefix(r)
         self._count = 0
 
-    def push(self, a: float) -> float:
-        head = self._head.push(a) if self._count < self.k else None
-        levels = self._levels(*_scaled_pow(a, self._power), ElementarySymmetric.push_scaled)
-        self._count += 1
-        return self._mean(self._count, *levels) if head is None else head
-
     def extend(self, block: np.ndarray) -> tuple[np.ndarray, DomainError | None]:
         done = self._count
         head = min(max(self.k - done, 0), block.size)  # elements with n <= k
         first, error = self._head.extend(block[:head])
         if error is not None:
             return first, error
-        levels = self._levels(*_scaled_pows(block, self._power), ElementarySymmetric.extend_scaled)
+        levels = self._levels(*_scaled_pows(block, self._power))
         self._count += block.size
         values = np.empty(block.size)
         values[:head] = first
@@ -493,19 +467,12 @@ class SecondMomentPrefix(_ClosedFormPrefix):
         self._p2 = ElementarySymmetric(1, self.s)
         self._e2 = ElementarySymmetric(2, q)
 
-    def _levels(self, m, e, step):
-        return step(self._p2, m * m, 2 * e), step(self._e2, m, e)
-
-    def _mean(self, n: int, p2: tuple[float, int], e2: tuple[float, int]) -> float:
-        (p, p_exponent), (e, e_exponent) = p2, e2
-        top = max(p_exponent, e_exponent)  # both sums on the larger scale
-        weight = 2.0 * (self.k - 1) / (n - 1.0)
-        x = (math.ldexp(p, p_exponent - top) + weight * math.ldexp(e, e_exponent - top)) / (self.k * n)
-        return _root(x, top, self.s)
+    def _levels(self, m, e):
+        return self._p2.extend_scaled(m * m, 2 * e), self._e2.extend_scaled(m, e)
 
     def _means(self, n: np.ndarray, p2, e2) -> np.ndarray:
         (p, p_exponent), (e, e_exponent) = p2, e2
-        top = np.maximum(p_exponent, e_exponent)
+        top = np.maximum(p_exponent, e_exponent)  # both sums on the larger scale
         weight = 2.0 * (self.k - 1) / (n - 1.0)
         x = (np.ldexp(p, p_exponent - top) + weight * np.ldexp(e, e_exponent - top)) / (self.k * n)
         return _roots(x, top, self.s)
@@ -530,17 +497,14 @@ class SymmetricFunctionPrefix(_ClosedFormPrefix):
         self.s = s
         self._esp = ElementarySymmetric(k, s / k)
 
-    def _levels(self, m, e, step):
-        return (step(self._esp, m, e),)
-
-    def _mean(self, n: int, ek: tuple[float, int]) -> float:
-        return _symmetric_mean(*ek, n, self.k, self.s)
+    def _levels(self, m, e):
+        return (self._esp.extend_scaled(m, e),)
 
     def _means(self, n: np.ndarray, ek) -> np.ndarray:
         return _symmetric_means(*ek, n, self.k, self.s)
 
 
-class BufferedPrefix:
+class BufferedPrefix(_Prefix):
     """Fallback: keep the prefix and re-evaluate the mean at every step.
 
     Every step enumerates the subsets of the prefix, so the cap is the
@@ -561,12 +525,6 @@ class BufferedPrefix:
             f"so N must be at most {MAX_ENUMERATION_N}"
         )
 
-    def push(self, a: float) -> float:
-        if len(self._buffer) >= MAX_ENUMERATION_N:
-            raise self._cap_error()
-        self._buffer.append(a)
-        return cmn_mean_fast(self.params, self._buffer).value
-
     def extend(self, block: np.ndarray) -> tuple[np.ndarray, None]:
         k = self.params.k
         for n in range(len(self._buffer) + 1, len(self._buffer) + block.size + 1):
@@ -574,7 +532,11 @@ class BufferedPrefix:
                 raise self._cap_error()
             if n > k:  # k < n enumerates
                 _ensure_enumerable(n, k)
-        return np.array([self.push(a) for a in block.tolist()], dtype=np.float64), None
+        means = []
+        for a in block.tolist():
+            self._buffer.append(a)
+            means.append(cmn_mean_fast(self.params, self._buffer).value)
+        return np.array(means, dtype=np.float64), None
 
 
 def make_prefix_evaluator(mean: MeanLike):

@@ -3,6 +3,7 @@ import re
 import sys
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import prefix_oracle
 import regression_fixtures as fixtures
 from conftest import log_uniform_vector
 from hardy_means import (
@@ -281,17 +283,24 @@ class TestPrefixEvaluators:
         ],
     )
     def test_extend_matches_push_bit_for_bit(self, rng, mean):
+        # extend over any split into blocks, and push, give the bits of the
+        # one-term recurrence
         v = log_uniform_vector(rng, 400, decades=4.0)
-        reference = make_prefix_evaluator(mean)
-        want = [reference.push(a) for a in v]
-        blocked = make_prefix_evaluator(mean)
-        got = []
-        for lo, hi in ((0, 1), (1, 1), (1, 8), (8, 250), (250, 399)):
-            values, error = blocked.extend(np.array(v[lo:hi]))
-            assert error is None
-            got.extend(values.tolist())
-        got.append(blocked.push(v[399]))  # the state carried by extend serves push too
-        assert [x.hex() for x in got] == [x.hex() for x in want]
+        reference = prefix_oracle.reference(make_prefix_evaluator(mean))
+        want = [reference.push(a).hex() for a in v]
+        for _ in range(3):
+            # one-element and empty blocks among random ones
+            cuts = sorted([1, 1, 2, *rng.integers(2, 400, 6).tolist()])
+            blocked = make_prefix_evaluator(mean)
+            got = []
+            for lo, hi in zip([0, *cuts], [*cuts, 399]):
+                values, error = blocked.extend(np.array(v[lo:hi]))
+                assert error is None
+                got.extend(values.tolist())
+            got.append(blocked.push(v[399]))  # the state carried by extend serves push too
+            assert [x.hex() for x in got] == want
+        pushed = make_prefix_evaluator(mean)
+        assert [pushed.push(a).hex() for a in v] == want
 
     @pytest.mark.parametrize(
         "evaluator, args, size",
@@ -304,14 +313,17 @@ class TestPrefixEvaluators:
     )
     def test_push_matches_extend_past_the_largest_double(self, evaluator, args, size):
         # the running mean of entries at the largest double rounds past it:
-        # inf from push, as from extend, rather than OverflowError
+        # inf from extend and push, as from the one-term recurrence, rather
+        # than OverflowError
         v = [sys.float_info.max] * size
+        reference = prefix_oracle.reference(evaluator(*args))
+        want = [reference.push(a).hex() for a in v]
         values, error = evaluator(*args).extend(np.array(v))
         assert error is None
-        want = values.tolist()
-        reference = evaluator(*args)
-        assert [reference.push(a).hex() for a in v] == [x.hex() for x in want]
-        assert math.inf in want
+        assert [x.hex() for x in values.tolist()] == want
+        pushed = evaluator(*args)
+        assert [pushed.push(a).hex() for a in v] == want
+        assert math.inf.hex() in want
 
     def test_extend_keeps_the_per_term_checks(self):
         # extend takes the terms before the refused one and returns the
@@ -407,8 +419,11 @@ class TestPrefixEvaluators:
         values, error = SecondMomentPrefix(2, 1.0).extend(np.array(terms))
         assert error is None
         assert values.tolist() == pytest.approx(want, rel=1e-15)
-        reference = SecondMomentPrefix(2, 1.0)
-        assert [reference.push(a).hex() for a in terms] == [x.hex() for x in values.tolist()]
+        reference = prefix_oracle.SecondMoment(2, 1.0)
+        bits = [reference.push(a).hex() for a in terms]
+        assert [x.hex() for x in values.tolist()] == bits
+        pushed = SecondMomentPrefix(2, 1.0)
+        assert [pushed.push(a).hex() for a in terms] == bits
         if len(set(terms)) == 1:
             assert values.tolist() == list(terms)
         with warnings.catch_warnings():
@@ -426,6 +441,16 @@ class TestPrefixEvaluators:
         with pytest.raises(DomainError, match=f"capped at {MAX_ENUMERATION_N} terms"):
             make_prefix_evaluator(MeanParams(3, 2.0, -1.0)).extend(np.ones(MAX_ENUMERATION_N + 1))
         assert enumerated == []
+
+    def test_buffered_push_keeps_no_refused_term(self, monkeypatch):
+        monkeypatch.setattr(hardy, "cmn_mean_fast", lambda params, values: SimpleNamespace(value=1.0))
+        evaluator = make_prefix_evaluator(MeanParams(12, 2.0, -1.0))
+        for _ in range(24):
+            evaluator.push(1.0)
+        # the refused 25th term is not kept, so the next push meets C(25,12) again
+        for _ in range(2):
+            with pytest.raises(CapacityError, match=re.escape("C(25,12) = 5200300 exceeds")):
+                evaluator.push(1.0)
 
     def test_second_moment_preconditions(self):
         for k, q in ((1, 1.0), (2, 0.0), (2, INF)):
@@ -545,8 +570,10 @@ def test_kahan_extend_matches_add(head, tail, cuts):
         want.append(reference.value)
     got = []
     bounds = [0, *sorted(min(c, len(tail)) for c in cuts), len(tail)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        got.extend(blocked.extend(tail[lo:hi]).tolist())
+    # the overflow examples compute inf - inf, as in the program's blocks
+    with np.errstate(invalid="ignore", over="ignore"):
+        for lo, hi in zip(bounds, bounds[1:]):
+            got.extend(blocked.extend(tail[lo:hi]).tolist())
     assert [x.hex() for x in got] == [x.hex() for x in want]
     assert blocked.value.hex() == reference.value.hex()
 

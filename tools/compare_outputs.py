@@ -202,6 +202,10 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
         ("cmn:2,-1,0", f"custom:{top}", "5"),
         ("cmn:2,1,1", "powertail:2", "30"),
         ("cmn:2,1,1", "powertail:2", "31"),
+        # no closed form: the buffered evaluator up to its cap of 30 terms,
+        # and past it
+        ("cmn:2,3,1", "powertail:2", "30"),
+        ("cmn:2,3,1", "powertail:2", "31"),
         ("power:0.5", "harmonic", "100"),
         # each pow call site at exponents the workloads skip
         ("power:1000", "powertail:2", "100"),
@@ -230,6 +234,7 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
         ("estimate-constant", "--mean", "cmn:3,2,0", "-N", "10"),
         ("estimate-constant", "--mean", "cmn:3,2,0", "-N", "11"),
         ("estimate-constant", "--mean", "power:200", "-N", "100"),
+        ("estimate-constant", "--mean", "cmn:2,3,1", "-N", "31"),
         # usage errors and help (argparse's exits), parse-error paths, and
         # tokens that must parse
         (),
