@@ -9,8 +9,9 @@ regions.  See the ``hardy-means`` CLI for the command-line surface.
 Importing the package loads only the numpy-free modules (the classifier,
 the parameter specs and the error types).  Every other export is imported
 from its module on first access (PEP 562), so ``hardy-means classify`` and
-``hardy-means --help`` never load numpy, and neither do ``cmn_mean_fast``,
-``EvalMethod`` and ``CmnEvalReport`` (from the numpy-free ``routes``).
+``hardy-means --help`` never load numpy, and neither do the exports of
+the numpy-free ``routes``: ``power_mean`` and ``cmn_mean_fast`` with its
+``EvalMethod`` and ``CmnEvalReport``.
 """
 
 import importlib
@@ -48,8 +49,8 @@ _LAZY_EXPORTS = {
         "sharpness_limit_experiment",
         "sharpness_sequence",
     ),
-    "power_means": ("check_positive_vector", "power_mean", "power_mean_lower_bound_check"),
-    "routes": ("CmnEvalReport", "EvalMethod", "cmn_mean_fast"),
+    "routes": ("CmnEvalReport", "EvalMethod", "check_positive_vector", "cmn_mean_fast", "power_mean",
+               "power_mean_lower_bound_check"),
     "verification": ("PropertyResult", "run_verification"),
 }
 _LAZY_MODULE = {name: module for module, names in _LAZY_EXPORTS.items() for name in names}

@@ -22,8 +22,7 @@ import enum
 from collections.abc import Iterable, Sequence
 
 from .errors import DomainError
-from .extreal import ensure_exponent
-from .params import MeanParams, Record, require_int
+from .params import MeanParams, Record, ensure_exponent, require_int
 
 __all__ = ["Verdict", "Reason", "Classification", "classify", "classification_table"]
 

@@ -47,9 +47,7 @@ import numpy as np
 from ._parallel import map_ordered
 from ._summation import KahanSum
 from .errors import CapacityError, DomainError
-from .extreal import ensure_exponent
-from .params import MeanParams, require_int
-from .power_means import check_positive_vector, is_zero_exponent, power_mean
+from .params import MeanParams, ensure_exponent, require_int
 from .routes import (
     _MIN_NORMAL,
     MAX_ENUMERATION_N,
@@ -58,7 +56,10 @@ from .routes import (
     EvalMethod,
     _pow_or_inf,
     _root,
+    check_positive_vector,
     cmn_mean_fast,
+    is_zero_exponent,
+    power_mean,
 )
 
 __all__ = [
@@ -330,7 +331,7 @@ def _scaled_pows(values: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 class ElementarySymmetric:
-    """Running e_1 .. e_order of b_i = a_i**power, in the linear domain.
+    """Running e_1 .. e_order of positive terms b_i, in the linear domain.
 
     Level j holds e_j(b_1..b_m) = sum_{i<=m} b_i * e_{j-1}(b_1..b_{i-1}) as
     a compensated sum of positive terms, so nothing cancels, times a
@@ -338,28 +339,23 @@ class ElementarySymmetric:
     The scale is set by the first term a level takes and is raised
     whenever a term would exceed ``_LEVEL_CEILING``; scaling by a power of
     two is exact, so neither huge binomial counts nor extreme entries cost
-    accuracy.  b_i is kept as a mantissa and an exponent
-    (:func:`_scaled_pow`), so it may lie outside the double range too.
+    accuracy.  ``extend(mantissa, exponent)`` takes a block of b_i as a
+    mantissa and an exponent array (b_i = a_i**p from :func:`_scaled_pows`),
+    so b_i may lie outside the double range too.
 
-    Entries must be positive and finite.  ``extend(block)`` returns e_order
-    of the terms so far after each term of the block as (values,
-    exponents), meaning values * 2**exponents, and (0.0, 0) while there are
-    fewer than ``order`` terms.  The results do not depend on how the terms
-    are split into blocks.  ``extend_scaled`` takes b_i itself as a
-    mantissa and an exponent array.
+    ``extend`` returns e_order of the terms so far after each term of the
+    block as (values, exponents), meaning values * 2**exponents, and
+    (0.0, 0) while there are fewer than ``order`` terms.  The results do
+    not depend on how the terms are split into blocks.
     """
 
-    def __init__(self, order: int, power: float):
+    def __init__(self, order: int):
         self.order = order = require_int(order, "order", 1)
-        self.power = power
         self.count = 0
         self._levels = [KahanSum() for _ in range(order)]
         self._scales = [0] * order
 
-    def extend(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.extend_scaled(*_scaled_pows(block, self.power))
-
-    def extend_scaled(self, mantissa: np.ndarray, exponent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def extend(self, mantissa: np.ndarray, exponent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         size = mantissa.size
         done = self.count
         for j in range(1, min(done + size, self.order) + 1):

@@ -52,7 +52,12 @@ term 1/i or i**-2 is computed once.
 takes and the error of the next term, which it refuses, or None.
 :func:`_advance` alone picks the earliest failure of a block (a
 non-positive term, a term the evaluator refuses or sums that leave the
-double range), so the experiments report every row before it.
+double range), so the experiments report every row before it.  The one
+exception is :class:`BufferedPrefix`: it raises its cap and
+enumeration-budget errors for a whole block before enumerating any of
+it, and since a block holds more terms than its 30-term cap, a refused
+run reports no row at all.  Reporting them would cost seconds of
+enumeration on an error path whose command prints no row.
 """
 
 from __future__ import annotations
@@ -76,10 +81,10 @@ from .cmn_means import (
     _valid_prefix,
 )
 from .errors import DomainError
-from .extreal import ensure_exponent, format_exponent, parse_exponent
-from .params import MeanLike, MeanParams, format_mean, read_vector_file, require_int
-from .power_means import check_positive_vector, is_zero_exponent
-from .routes import MAX_ENUMERATION_N, closed_form, cmn_mean_fast
+from .params import (
+    MeanLike, MeanParams, ensure_exponent, format_exponent, format_mean, parse_exponent, read_vector_file, require_int,
+)
+from .routes import MAX_ENUMERATION_N, check_positive_vector, closed_form, cmn_mean_fast, is_zero_exponent
 
 __all__ = [
     "Harmonic",
@@ -314,9 +319,10 @@ def parse_family(text: str) -> SequenceFamily:
 # the evaluator refuses and returns (values, error): the running means after
 # each element taken, and the DomainError of the refused element, or None
 # when it took the whole block.  An evaluator that returned an error takes
-# no further terms.  ``push(a)`` is ``extend`` of the one element a: it
-# returns the mean of the prefix so far or raises the error, and a term it
-# refuses leaves the evaluator as it was.
+# no further terms.  ``BufferedPrefix`` alone raises its error instead, for
+# the whole block, before it takes any element of it.  ``push(a)`` is
+# ``extend`` of the one element a: it returns the mean of the prefix so far
+# or raises the error, and a term it refuses leaves the evaluator as it was.
 
 
 def _counts(done: int, size: int) -> np.ndarray:
@@ -414,8 +420,8 @@ class _ClosedFormPrefix(_Prefix):
     the only ones.  Afterwards it is the closed form of running levels of
     b = a**power.  ``_levels(m, e)`` feeds b, as mantissa and exponent
     arrays, to the subclass's engines through
-    ``ElementarySymmetric.extend_scaled`` and returns one (values,
-    exponents) pair per level, which ``_means`` combines.
+    ``ElementarySymmetric.extend`` and returns one (values, exponents)
+    pair per level, which ``_means`` combines.
     """
 
     def __init__(self, k: int, r: float, power: float):
@@ -464,11 +470,11 @@ class SecondMomentPrefix(_ClosedFormPrefix):
         super().__init__(k, q, q)
         self.q = q
         self.s = 2.0 * q
-        self._p2 = ElementarySymmetric(1, self.s)
-        self._e2 = ElementarySymmetric(2, q)
+        self._p2 = ElementarySymmetric(1)
+        self._e2 = ElementarySymmetric(2)
 
     def _levels(self, m, e):
-        return self._p2.extend_scaled(m * m, 2 * e), self._e2.extend_scaled(m, e)
+        return self._p2.extend(m * m, 2 * e), self._e2.extend(m, e)
 
     def _means(self, n: np.ndarray, p2, e2) -> np.ndarray:
         (p, p_exponent), (e, e_exponent) = p2, e2
@@ -495,10 +501,10 @@ class SymmetricFunctionPrefix(_ClosedFormPrefix):
             raise DomainError(f"the symmetric-function form needs finite nonzero s, got {s!r}")
         super().__init__(k, 0.0, s / k)
         self.s = s
-        self._esp = ElementarySymmetric(k, s / k)
+        self._esp = ElementarySymmetric(k)
 
     def _levels(self, m, e):
-        return (self._esp.extend_scaled(m, e),)
+        return (self._esp.extend(m, e),)
 
     def _means(self, n: np.ndarray, ek) -> np.ndarray:
         return _symmetric_means(*ek, n, self.k, self.s)
@@ -659,7 +665,9 @@ def iter_hardy_checkpoints(
     Terms are consumed in forward order with compensated running sums, a
     block at a time; the rows of a block are yielded once it is done.  At
     the earliest failure (see :func:`_advance`) every row before it is
-    yielded and then its DomainError raised.  Non-summable families are
+    yielded and then its DomainError raised, except where a
+    :class:`BufferedPrefix` refuses: its error comes before any row of the
+    block that holds the refused term, and so before any row at all.  Non-summable families are
     rejected unless explicitly allowed, since a ratio against a divergent
     norm estimates nothing.
     """

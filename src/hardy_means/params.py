@@ -1,4 +1,10 @@
-"""Mean parameters and their text form.
+"""What the user writes: exponents, integers, vector files, mean specs.
+
+Mean exponents live in R extended by +inf and -inf.  Plain Python floats
+already model that set with the right total order (-inf < x < +inf for
+every finite x), so exponents are ordinary floats throughout the package.
+The only value that must never leak in is NaN, which would silently break
+every comparison; :func:`ensure_exponent` rejects it at the boundaries.
 
 A mean spec is either a plain float, the order p of the power mean P_p,
 or a :class:`MeanParams` triple (k, s, q) naming the subset-composed mean
@@ -13,14 +19,50 @@ spares those commands the import of ``dataclasses`` and, through it, of
 
 from __future__ import annotations
 
+import math
 import operator
 
 from .errors import DomainError
-from .extreal import ensure_exponent, format_exponent, parse_exponent
 
 __all__ = [
+    "ensure_exponent", "parse_exponent", "format_exponent",
     "Record", "MeanParams", "MeanLike", "require_int", "read_vector_file", "parse_params", "parse_mean", "format_mean",
 ]
+
+
+def ensure_exponent(value, name: str = "exponent") -> float:
+    """Validate an extended-real exponent and return it as a float."""
+    try:
+        p = float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a real number or +/-inf, got {value!r}")
+    if math.isnan(p):
+        raise DomainError(f"{name} must not be NaN")
+    return p
+
+
+def parse_exponent(text: str, name: str = "exponent") -> float:
+    """Parse an exponent token: a decimal literal, ``inf`` or ``-inf``."""
+    try:
+        p = float(text.strip())
+    except ValueError:
+        raise DomainError(f"cannot parse {name} from {text!r}")
+    return ensure_exponent(p, name)
+
+
+def format_exponent(p: float) -> str:
+    """Render an exponent the way :func:`parse_exponent` reads it.
+
+    Integer-valued exponents drop the trailing ``.0`` so that mean labels
+    read ``cmn:2,1,0`` rather than ``cmn:2,1.0,0.0``.
+    """
+    if p == math.inf:
+        return "inf"
+    if p == -math.inf:
+        return "-inf"
+    if p == int(p):
+        return str(int(p))
+    return repr(p)
 
 
 def require_int(value, name: str, minimum: int | None = None) -> int:

@@ -22,8 +22,7 @@ from .cmn_means import (
 )
 from .hardy import _decades, sharpness_limit_curve
 from .params import MeanParams, require_int
-from .power_means import power_mean
-from .routes import cmn_mean_fast
+from .routes import cmn_mean_fast, power_mean
 
 __all__ = ["PropertyResult", "run_verification", "EXPONENT_GRID"]
 

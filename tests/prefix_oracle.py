@@ -13,8 +13,7 @@ import math
 from hardy_means._summation import KahanSum
 from hardy_means.cmn_means import _LEVEL_CEILING, _scaled_pow
 from hardy_means.hardy import PairGeometricMeanPrefix, PowerMeanPrefix, SecondMomentPrefix, SymmetricFunctionPrefix
-from hardy_means.power_means import is_zero_exponent
-from hardy_means.routes import _ldexp_or_inf, _pow_or_inf, _root, _symmetric_mean
+from hardy_means.routes import _ldexp_or_inf, _pow_or_inf, _root, _symmetric_mean, is_zero_exponent
 
 
 class PowerMean:

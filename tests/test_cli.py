@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import typing
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,8 +18,7 @@ from hypothesis import strategies as st
 
 from hardy_means import MeanParams, cmn_mean_naive, power_mean
 from hardy_means import cli, cmn_means, routes
-from hardy_means._format import canonical_json
-from hardy_means.cli import main, run_bench
+from hardy_means.cli import canonical_json, main, run_bench
 from hardy_means.hardy import sharpness_limit_curve
 
 
@@ -828,9 +828,9 @@ _REPORT_KERNELS = (
     "    name.partition('.')[2] for name in set(sys.modules) - startup if name.startswith('hardy_means.')\n"
     ")) + '\\n'))\n"
 )
-_SCALAR_KERNELS = "_summation power_means routes"
-_SUBSET_KERNELS = "_parallel _summation cmn_means power_means routes"
-_PREFIX_KERNELS = "_parallel _summation cmn_means hardy power_means routes"
+_SCALAR_KERNELS = "_summation routes"
+_SUBSET_KERNELS = "_parallel _summation cmn_means routes"
+_PREFIX_KERNELS = "_parallel _summation cmn_means hardy routes"
 # Each command with the modules it loads and whether it imports numpy.
 _KERNEL_MODULES = {
     "help": (("--help",), "", False),
@@ -968,6 +968,32 @@ def test_cli_names_reachable_in_a_fresh_interpreter():
     )
     assert (code, err) == (0, "")
     assert out == "".join(f"{name} True\n" for name in _CLI_NAMES)
+
+
+# The rest of what the benchmark's traced run looks up by name, besides
+# _PATCHED_NAMES and _CLI_NAMES (checked above): the entry point and the
+# names it reads from modules it uses whole.
+_TRACED_NAMES = {
+    "cli": ("main",),
+    "classify": ("classify",),
+    "_parallel": ("thread_count",),
+    "_summation": ("KahanSum",),
+    "errors": ("DomainError", "CapacityError"),
+}
+# The evaluators it counts by class name and replays by ``push``.
+_REPLAYED_EVALUATORS = ("PowerMeanPrefix", "PairGeometricMeanPrefix", "SymmetricFunctionPrefix", "BufferedPrefix")
+
+
+def test_every_name_the_traced_benchmark_reads_exists():
+    for module, names in _TRACED_NAMES.items():
+        for name in names:
+            assert hasattr(importlib.import_module(f"hardy_means.{module}"), name), (module, name)
+    hardy = importlib.import_module("hardy_means.hardy")
+    for name in _REPLAYED_EVALUATORS:
+        assert callable(getattr(hardy, name).push), name
+    # its replay also walks ``terms`` of every family
+    for family in typing.get_args(hardy.SequenceFamily):
+        assert callable(family.terms), family
 
 
 def test_kernel_bound_before_main_is_kept():

@@ -25,7 +25,6 @@ from hardy_means import (
     theorem1_identity_check,
 )
 from hardy_means import cmn_means, routes
-from hardy_means.power_means import is_zero_exponent
 from hardy_means.cmn_means import (
     ElementarySymmetric,
     _floyd_rows,
@@ -35,13 +34,14 @@ from hardy_means.cmn_means import (
     _log_power_mean_rows,
     _pow_or_inf,
     _pows,
+    _scaled_pows,
     compare_k_monotonicity,
     compare_qs_monotonicity,
     compare_theorem1_identity,
     power_mean_of_logs,
     subset_log_means,
 )
-from hardy_means.routes import _elementary_symmetric, _unscaled_elementary_symmetric
+from hardy_means.routes import _elementary_symmetric, _unscaled_elementary_symmetric, is_zero_exponent
 
 INF = math.inf
 GRID = (-INF, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, INF)
@@ -168,7 +168,7 @@ class TestElementarySymmetric:
                 refused += 1
                 continue
             taken += 1
-            ek, exponent = ElementarySymmetric(k, p).extend(np.asarray(v))
+            ek, exponent = ElementarySymmetric(k).extend(*_scaled_pows(np.asarray(v), p))
             mantissa, shift = math.frexp(float(ek[-1]))
             assert got == (mantissa, shift + int(exponent[-1]))
         assert taken >= 200 and refused >= 100
@@ -180,7 +180,7 @@ class TestElementarySymmetric:
         for n, k in [(600, 150), (880, 10)]:
             v = list(rng.uniform(0.5, 1.0, n))
             got = _unscaled_elementary_symmetric(v, k, 1.0)
-            ek, exponent = ElementarySymmetric(k, 1.0).extend(np.asarray(v))
+            ek, exponent = ElementarySymmetric(k).extend(*_scaled_pows(np.asarray(v), 1.0))
             mantissa, shift = math.frexp(float(ek[-1]))
             assert got == (mantissa, shift + int(exponent[-1]))
         # entries at both ends of the widest range the bound admits
@@ -189,7 +189,7 @@ class TestElementarySymmetric:
             exponents = rng.choice([-top, top - 1, 0], n)
             v = [math.ldexp(float(m), int(e)) for m, e in zip(rng.uniform(0.5, 1.0, n), exponents)]
             got = _unscaled_elementary_symmetric(v, k, 1.0)
-            ek, exponent = ElementarySymmetric(k, 1.0).extend(np.asarray(v))
+            ek, exponent = ElementarySymmetric(k).extend(*_scaled_pows(np.asarray(v), 1.0))
             mantissa, shift = math.frexp(float(ek[-1]))
             assert got == (mantissa, shift + int(exponent[-1]))
 
@@ -204,7 +204,7 @@ class TestElementarySymmetric:
 
         monkeypatch.setattr(routes, "_unscaled_elementary_symmetric", recorded)
         for n in (896, 897, 901):
-            ek, exponent = ElementarySymmetric(2, 1.0).extend(np.asarray(v[:n]))
+            ek, exponent = ElementarySymmetric(2).extend(*_scaled_pows(np.asarray(v[:n]), 1.0))
             assert math.ldexp(*_elementary_symmetric(v[:n], 2, 1.0)) == math.ldexp(float(ek[-1]), int(exponent[-1]))
         # at k = 2 and L = 1, 896 entries meet 2*k*L + n <= 900 and 897 do
         # not; past 900 entries the scalar route takes no power at all

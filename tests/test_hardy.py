@@ -442,6 +442,19 @@ class TestPrefixEvaluators:
             make_prefix_evaluator(MeanParams(3, 2.0, -1.0)).extend(np.ones(MAX_ENUMERATION_N + 1))
         assert enumerated == []
 
+    def test_buffered_refusal_reports_no_row(self, monkeypatch):
+        # The buffered evaluator's cap and budget errors come before any
+        # row, though rows 1, 2, 5, 10 and 20 precede the refused term:
+        # reporting them would enumerate C(24,12) subsets first.
+        enumerated = []
+        monkeypatch.setattr(hardy, "cmn_mean_fast", lambda *args: enumerated.append(args))
+        rows = []
+        with pytest.raises(DomainError, match=f"capped at {MAX_ENUMERATION_N} terms"):
+            rows.extend(iter_hardy_checkpoints(MeanParams(2, 3.0, 1.0), PowerTail(2.0), MAX_ENUMERATION_N + 1))
+        with pytest.raises(CapacityError, match=re.escape("C(25,12) = 5200300 exceeds")):
+            rows.extend(iter_hardy_checkpoints(MeanParams(12, 2.0, -1.0), PowerTail(2.0), 100))
+        assert rows == [] and enumerated == []
+
     def test_buffered_push_keeps_no_refused_term(self, monkeypatch):
         monkeypatch.setattr(hardy, "cmn_mean_fast", lambda params, values: SimpleNamespace(value=1.0))
         evaluator = make_prefix_evaluator(MeanParams(12, 2.0, -1.0))

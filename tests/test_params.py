@@ -22,6 +22,7 @@ from hardy_means import cli
 from hardy_means.classify import classification_table
 from hardy_means.cmn_means import (
     ElementarySymmetric,
+    _scaled_pows,
     compare_k_monotonicity,
     compare_qs_monotonicity,
     subset_log_means,
@@ -62,7 +63,7 @@ def _verify(**sizes):
 
 
 def _esp(order):
-    ek, exponent = ElementarySymmetric(order, 0.5).extend(BLOCK)
+    ek, exponent = ElementarySymmetric(order).extend(*_scaled_pows(BLOCK, 0.5))
     return ek.tolist(), exponent.tolist()
 
 

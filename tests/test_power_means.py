@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import log_uniform_vector
 from hardy_means import DomainError, power_mean, power_mean_lower_bound_check
-from hardy_means.power_means import check_positive_vector
+from hardy_means.routes import check_positive_vector
 
 INF = math.inf
 EXPONENTS = [-INF, -1000.0, -2.0, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0, 1000.0, INF]

@@ -10,7 +10,7 @@ is a line spanned by a statement of the module's ``ast``, from the
 statement's first line to its last (a decorator line is not part of the
 statement), less the lines of docstrings and the lines that are blank or
 hold only a comment.  The script prints one "<lines>  <module>" row per
-module, sorted by name, then "<lines>  total".
+module, sorted by name, then "<lines>  total (<count> modules)".
 """
 
 from __future__ import annotations
@@ -45,12 +45,13 @@ def code_lines(source: str) -> int:
 
 def main() -> int:
     src = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[1] / "src" / "hardy_means"
+    paths = sorted(src.glob("*.py"))
     total = 0
-    for path in sorted(src.glob("*.py")):
+    for path in paths:
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{count:6d}  {path.name}")
-    print(f"{total:6d}  total")
+    print(f"{total:6d}  total ({len(paths)} modules)")
     return 0
 
 
