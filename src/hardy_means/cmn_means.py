@@ -81,7 +81,7 @@ MIN_SAMPLES = 100
 
 # Rows per enumeration chunk.  Smaller chunks keep a chunk's temporaries in
 # cache: C(22,11) at q = 1 runs faster than with 65536, and its 5.4 MiB of
-# subset log-means peak at 8.2 MiB traced.
+# subset log-means peak at 7.5 MiB traced.
 _CHUNK_ROWS = 8192
 # Cap on the indices held by one :func:`_tail_table` (1 MiB).
 _TAIL_ELEMENTS = 1 << 17
@@ -166,8 +166,9 @@ def _iter_subset_index_chunks(n: int, k: int, chunk_rows: int) -> Iterator[np.nd
                 fill = 0
 
 
-def _log_power_mean_rows(q: float, log_rows: np.ndarray) -> np.ndarray:
-    """log P_q along axis 1 of an (m, k) array of log-values."""
+def _log_power_mean_rows(q: float, log_rows: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """log P_q along axis 1 of an (m, k) array of log-values; ``overwrite``
+    as in :func:`power_mean_of_logs`."""
     k = log_rows.shape[1]
     if q == math.inf:
         return log_rows.max(axis=1)
@@ -175,19 +176,21 @@ def _log_power_mean_rows(q: float, log_rows: np.ndarray) -> np.ndarray:
         return log_rows.min(axis=1)
     if is_zero_exponent(q):
         return log_rows.mean(axis=1)
-    z = q * log_rows  # the one (m, k) temporary: shifted and exponentiated in place
+    z = np.multiply(log_rows, q, out=log_rows if overwrite else None)  # the one work array
     zmax = z.max(axis=1)
     z -= zmax[:, None]
     np.exp(z, out=z)
     return (zmax + np.log(z.sum(axis=1)) - math.log(k)) / q
 
 
-def power_mean_of_logs(s: float, log_values: np.ndarray) -> float:
+def power_mean_of_logs(s: float, log_values: np.ndarray, overwrite: bool = False) -> float:
     """Power mean of order ``s`` of exp(log_values), computed from the logs
     by :func:`_log_power_mean_rows` as one row.
 
-    ``log_values`` is never written.  A finite nonzero ``s`` allocates one
-    work array of its size; s = 0 and s = +-inf allocate none.
+    A finite nonzero ``s`` takes one work array of its size: a new one,
+    or under ``overwrite`` ``log_values`` itself where that is a contiguous
+    float64 array, left undefined.  s = 0 and s = +-inf allocate and write
+    nothing.
 
     Accuracy degrades as |s| approaches the geometric switch point
     (exponents below 1e-12 collapse to the geometric branch), which is far
@@ -197,7 +200,7 @@ def power_mean_of_logs(s: float, log_values: np.ndarray) -> float:
     logs = np.asarray(log_values, dtype=np.float64)
     if logs.size == 0:
         raise DomainError("cannot average an empty collection of subset means")
-    return float(np.exp(_log_power_mean_rows(s, logs.reshape(1, -1))[0]))
+    return float(np.exp(_log_power_mean_rows(s, logs.reshape(1, -1), overwrite)[0]))
 
 
 def _log_means(logs: np.ndarray, q: float, index_blocks: Iterator[np.ndarray], count: int) -> np.ndarray:
@@ -218,7 +221,7 @@ def _log_means(logs: np.ndarray, q: float, index_blocks: Iterator[np.ndarray], c
         stop = filled + len(idx)
         if stop > count:
             raise RuntimeError(f"the index stream holds more than the {count} rows expected")
-        out[filled:stop] = _log_power_mean_rows(q, logs[idx])
+        out[filled:stop] = _log_power_mean_rows(q, logs[idx], overwrite=True)
         filled = stop
 
     map_ordered(fill, index_blocks)
@@ -255,7 +258,7 @@ def cmn_mean_naive(params: MeanParams, values) -> float:
     vals = check_positive_vector(values)
     if params.k >= len(vals):
         return power_mean(params.q, vals)
-    return power_mean_of_logs(params.s, subset_log_means(vals, params.k, params.q))
+    return power_mean_of_logs(params.s, subset_log_means(vals, params.k, params.q), overwrite=True)
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +437,12 @@ def _floyd_rows(rng: random.Random, n: int, k: int, size: int) -> np.ndarray:
     bound's bit length b, retried while the value is out of range, and
     ``getrandbits(b)`` is the generator's next 32-bit word shifted right
     by 32 - b.  So column j takes a word w iff w < (j + 1) << (32 - b).
-    numpy's ``MT19937``, loaded with the state of ``rng``, yields the same
-    words a block at a time.  A word every column takes or every column
-    refuses needs no column; only the words some columns take and others
-    refuse are walked in Python.
+    ``rng.randbytes(4 * count)``, ``getrandbits(32 * count)`` in little
+    endian, yields the next ``count`` words a chunk at a time; at the end
+    ``rng`` rewinds to the last chunk and redraws up to the last word
+    taken.  A word every column takes or every column refuses needs no
+    column; only the words some columns take and others refuse are
+    walked in Python.
     """
     shifts = np.array([32 - (j + 1).bit_length() for j in range(n - k, n)], dtype=np.uint64)
     limits = np.arange(n - k + 1, n + 1, dtype=np.uint64) << shifts
@@ -447,18 +452,13 @@ def _floyd_rows(rng: random.Random, n: int, k: int, size: int) -> np.ndarray:
     # ints: each limit is a multiple of 2**low, so w < limit iff
     # w >> low < limit >> low.
     low = shifts.min()
-    version, internal, gauss = rng.getstate()
-    mt = np.random.MT19937(0)
-    mt.state = {
-        "bit_generator": "MT19937",
-        "state": {"key": np.array(internal[:-1], dtype=np.uint32), "pos": internal[-1]},
-    }
     rows = np.empty((size, k), dtype=np.int64)
     flat = rows.reshape(-1)  # row-major, so flat[i] is in column i % k
     taken = 0
     while taken < flat.size:
-        before = mt.state
-        words = mt.random_raw(min(_DRAW_CHUNK, int((flat.size - taken) / k * words_per_row) + 64))
+        before = rng.getstate()
+        count = min(_DRAW_CHUNK, int((flat.size - taken) / k * words_per_row) + 64)
+        words = np.frombuffer(rng.randbytes(4 * count), "<u4").astype(np.uint64)
         kept = np.flatnonzero(words < hi)  # words some column takes
         kept_words = words[kept]
         split = np.flatnonzero(kept_words >= lo)  # ... and some column refuses
@@ -480,10 +480,8 @@ def _floyd_rows(rng: random.Random, n: int, k: int, size: int) -> np.ndarray:
         taken_at = np.delete(kept, split[refused])[: flat.size - taken]
         flat[taken : taken + taken_at.size] = words[taken_at]
         taken += taken_at.size
-    mt.state = before
-    mt.random_raw(int(taken_at[-1]) + 1)
-    state = mt.state["state"]
-    rng.setstate((version, (*state["key"].tolist(), state["pos"]), gauss))
+    rng.setstate(before)
+    rng.getrandbits(32 * (int(taken_at[-1]) + 1))
     rows >>= shifts.astype(np.int64)
     step = max(1, _DRAW_CHUNK // k)
     for start in range(0, size, step):
@@ -544,7 +542,7 @@ def _jackknife_aggregate(s: float, log_means: np.ndarray) -> tuple[float, float]
     ``log_means`` is never written: every step runs in place on one work
     array of its size.  Where one draw holds more than half the rounded
     s-th-power total, its leave-one-out estimate is the power mean of the
-    others, which costs two more arrays of that size.
+    others, taken in place on one more array of that size.
     """
     m = log_means.size
     if np.all(log_means == log_means[0]):
@@ -579,7 +577,7 @@ def _jackknife_aggregate(s: float, log_means: np.ndarray) -> tuple[float, float]
         estimates /= s
     np.exp(estimates, out=estimates)
     if top is not None:
-        estimates[top] = power_mean_of_logs(s, np.delete(log_means, top))
+        estimates[top] = power_mean_of_logs(s, np.delete(log_means, top), overwrite=True)
     estimates -= estimates.mean()
     # squares of deviations this far from 1 overflow or underflow: square
     # them divided by the largest

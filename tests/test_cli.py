@@ -820,41 +820,46 @@ def test_numpy_commands_run_on_one_thread(argv):
 
 # Prepended to _RUN_CLI: at exit, just before the numpy report, one line of
 # stderr names the package modules the command loaded beyond the ones
-# ``import hardy_means.cli`` loads.
+# ``import hardy_means.cli`` loads, and the next says whether it loaded
+# ``numpy.random``.
 _REPORT_KERNELS = (
     "import hardy_means.cli\n"
     "startup = set(sys.modules)\n"
     "atexit.register(lambda: sys.stderr.write(' '.join(sorted(\n"
     "    name.partition('.')[2] for name in set(sys.modules) - startup if name.startswith('hardy_means.')\n"
-    ")) + '\\n'))\n"
+    ")) + f'\\nnumpy.random imported: {\"numpy.random\" in sys.modules}\\n'))\n"
 )
 _SCALAR_KERNELS = "_summation routes"
 _SUBSET_KERNELS = "_parallel _summation cmn_means routes"
 _PREFIX_KERNELS = "_parallel _summation cmn_means hardy routes"
-# Each command with the modules it loads and whether it imports numpy.
+# Each command with the modules it loads, whether it imports numpy and
+# whether it imports numpy.random: only verify and bench draw from
+# np.random.default_rng; the Monte Carlo sampler takes its words from
+# random.Random.
 _KERNEL_MODULES = {
-    "help": (("--help",), "", False),
-    "classify": (("classify", "--point", "2,1,0"), "", False),
-    "mean-degenerate": (("mean", "-k", "2", "-s", "1", "-q", "1", "--data", "1,4,9,16"), _SCALAR_KERNELS, False),
+    "help": (("--help",), "", False, False),
+    "classify": (("classify", "--point", "2,1,0"), "", False, False),
+    "mean-degenerate": (("mean", "-k", "2", "-s", "1", "-q", "1", "--data", "1,4,9,16"), _SCALAR_KERNELS, False, False),
     "mean-e_k": (("mean", "-k", "2", "-s", "1", "-q", "0", "--data", ",".join(map(str, range(1, 601)))),
-                 _SCALAR_KERNELS, False),
-    "mean-exact": (("mean", *_NUMPY_MEANS["mean"][0]), _SUBSET_KERNELS, True),
-    "mean-e_k-past-the-bound": (("mean", *_NUMPY_MEANS["mean-long"][0]), _SUBSET_KERNELS, True),
-    "mean-sampled": (("mean", *_NUMPY_MEANS["mean-sampled"][0]), _SUBSET_KERNELS, True),
-    "hardy-sum": (("hardy-sum", "--mean", "power:0.5", "--family", "powertail:2", "-N", "10"), _PREFIX_KERNELS, True),
-    "estimate-constant": (("estimate-constant", "--mean", "power:0.5", "-N", "10"), _PREFIX_KERNELS, True),
-    "verify": (("verify", "--quick"), f"{_PREFIX_KERNELS} verification", True),
-    "bench": (("bench", "--samples", "200"), _SUBSET_KERNELS, True),
+                 _SCALAR_KERNELS, False, False),
+    "mean-exact": (("mean", *_NUMPY_MEANS["mean"][0]), _SUBSET_KERNELS, True, False),
+    "mean-e_k-past-the-bound": (("mean", *_NUMPY_MEANS["mean-long"][0]), _SUBSET_KERNELS, True, False),
+    "mean-sampled": (("mean", *_NUMPY_MEANS["mean-sampled"][0]), _SUBSET_KERNELS, True, False),
+    "hardy-sum": (("hardy-sum", "--mean", "power:0.5", "--family", "powertail:2", "-N", "10"),
+                  _PREFIX_KERNELS, True, False),
+    "estimate-constant": (("estimate-constant", "--mean", "power:0.5", "-N", "10"), _PREFIX_KERNELS, True, False),
+    "verify": (("verify", "--quick"), f"{_PREFIX_KERNELS} verification", True, True),
+    "bench": (("bench", "--samples", "200"), _SUBSET_KERNELS, True, True),
 }
 
 
-@pytest.mark.parametrize("argv, modules, numpy", _KERNEL_MODULES.values(), ids=_KERNEL_MODULES)
-def test_each_command_loads_only_the_kernels_it_calls(argv, modules, numpy):
+@pytest.mark.parametrize("argv, modules, numpy, numpy_random", _KERNEL_MODULES.values(), ids=_KERNEL_MODULES)
+def test_each_command_loads_only_the_kernels_it_calls(argv, modules, numpy, numpy_random):
     code, out, err, report, _ = run_fresh(_REPORT_KERNELS + _RUN_CLI, *argv)
     # bench exits 1 when a loaded machine misses its speedup gate
     assert code == 0 or (argv[0], code) == ("bench", 1)
     assert out
-    assert err.splitlines()[-1] == modules
+    assert err.splitlines()[-2:] == [modules, f"numpy.random imported: {numpy_random}"]
     assert report == f"numpy imported: {numpy}\n"
 
 

@@ -452,9 +452,9 @@ class TestSampled:
         drawn = []
         genuine = cmn_means._log_power_mean_rows
 
-        def record(q, log_rows):
+        def record(q, log_rows, overwrite=False):
             drawn.extend(map(tuple, np.rint(log_rows).astype(int).tolist()))
-            return genuine(q, log_rows)
+            return genuine(q, log_rows, overwrite)
 
         monkeypatch.setattr(cmn_means, "_log_power_mean_rows", record)
         cmn_mean_sampled(MeanParams(3, 1.0, 0.0), [math.exp(i) for i in range(8)], 56 * 300, seed=1)
@@ -696,20 +696,22 @@ def traced_peak(fn):
 
 def test_enumeration_memory(rng):
     # The result, 5.4 MiB, plus one chunk's temporaries and the tail table:
-    # about 8.2 MiB.  Concatenating a list of blocks read 10.8 MiB.
+    # about 7.5 MiB.  Concatenating a list of blocks read 10.8 MiB, and a
+    # row kernel with its own work array 8.2 MiB.
     v = log_uniform_vector(rng, 22)
     logs, peak = traced_peak(lambda: subset_log_means(v, 11, 1.0))  # C(22,11) = 705432 subsets
     assert logs.size == 705432
-    assert peak < logs.nbytes + 4 * 2**20
+    assert peak < logs.nbytes + 3 * 2**20
 
 
 def test_naive_memory(rng):
-    # The subset log-means and the outer mean's one work array, each 5.4
-    # MiB: about 10.8 MiB.  Four copies at once read 21.5 MiB.
+    # The subset log-means, 5.4 MiB, which the outer mean reduces in place,
+    # plus one chunk's temporaries: about 7.5 MiB.  An outer work array
+    # read 10.8 MiB, and four copies at once 21.5 MiB.
     v = log_uniform_vector(rng, 22)
     value, peak = traced_peak(lambda: cmn_mean_naive(MeanParams(11, 2.0, 1.0), v))
     assert math.isfinite(value)
-    assert peak < 2 * 705432 * 8 + 2 * 2**20
+    assert peak < 705432 * 8 + 3 * 2**20
 
 
 @pytest.mark.parametrize("s", [2.0, 0.0, -1.0])
@@ -720,6 +722,26 @@ def test_jackknife_memory(s):
     log_means = np.random.default_rng(3).uniform(-3.0, 3.0, 10**6)
     _, peak = traced_peak(lambda: _jackknife_aggregate(s, log_means))
     assert peak < log_means.nbytes + 2**20
+
+
+@pytest.mark.parametrize(
+    "s, top, value, se",
+    [
+        (2.0, 10.0, "0x1.6c72d5309bc09p+4", "0x1.0f9a19610de07p+4"),
+        (-1.0, -20.0, "0x1.0c50c3ed6e3dcp-9", "0x1.3101f7f4b2dcap-2"),
+    ],
+)
+def test_jackknife_dominant_draw_memory(s, top, value, se):
+    # The weight of draw 17 is 1.0 and the rounded total 1.07 (s = 2) or
+    # 1.007 (s = -1), so its leave-one-out estimate is the power mean of the
+    # others, taken in place on a copy without it: two arrays the size of
+    # the input, about 15.3 MiB.  A work array for that mean as well read
+    # 22.9 MiB.
+    log_means = np.random.default_rng(3).uniform(-3.0, 3.0, 10**6)
+    log_means[17] = top
+    got, peak = traced_peak(lambda: _jackknife_aggregate(s, log_means))
+    assert (got[0].hex(), got[1].hex()) == (value, se)
+    assert peak < 2 * log_means.nbytes + 2**20
 
 
 # --- the in-place kernels against the allocating ones, bit for bit ----------------
@@ -742,7 +764,9 @@ def test_row_kernel_matches_reference_bytes(k):
     rows[2::11] *= 100.0
     before = rows.tobytes()
     for q in EXPONENTS:
-        assert as_bytes(_log_power_mean_rows(q, rows)) == as_bytes(reference_log_power_mean_rows(q, rows))
+        want = as_bytes(reference_log_power_mean_rows(q, rows))
+        assert as_bytes(_log_power_mean_rows(q, rows)) == want
+        assert as_bytes(_log_power_mean_rows(q, rows.copy(), overwrite=True)) == want
     assert rows.tobytes() == before
 
 
@@ -751,9 +775,10 @@ def test_power_mean_of_logs_matches_reference_bytes(s):
     rng = np.random.default_rng(5)
     for logs in (rng.uniform(-3.0, 3.0, 10**5), np.zeros(40), rng.uniform(-700.0, 700.0, 1000)):
         before = logs.tobytes()
-        want = float(np.exp(reference_log_power_mean_rows(s, logs.reshape(1, -1))[0]))
-        assert as_bytes(power_mean_of_logs(s, logs)) == as_bytes(want)
+        want = as_bytes(float(np.exp(reference_log_power_mean_rows(s, logs.reshape(1, -1))[0])))
+        assert as_bytes(power_mean_of_logs(s, logs)) == want
         assert logs.tobytes() == before  # callers reuse one array for several s
+        assert as_bytes(power_mean_of_logs(s, logs.copy(), overwrite=True)) == want
 
 
 @pytest.mark.parametrize("s", [s for s in EXPONENTS if math.isfinite(s)])

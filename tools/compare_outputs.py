@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -38,14 +39,16 @@ def _data(values) -> str:
 
 def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
     """Invocations the workloads leave out: ``verify``, Monte Carlo at
-    s = +-inf, over several sample blocks and at the sampler's edge shapes,
-    enumeration, ``hardy-sum`` over every prefix evaluator, past the
-    double range and at each way a prefix experiment fails, every ``pow``
-    call site at extreme exponents, negative seeds, the e_k root of entries
-    at the largest double, each side of the routes of ``mean`` that need no
-    numpy, the subset engine at size, the jackknife with a near-dominant
-    draw, usage-error, parse-error, file-error and output-error paths and
-    every integer range error the command line can reach."""
+    s = +-inf, over several sample blocks, with a last block of one draw
+    and at the sampler's edge shapes, enumeration, ``hardy-sum`` over every
+    prefix evaluator, past the double range and at each way a prefix
+    experiment fails, every ``pow`` call site at extreme exponents,
+    negative seeds, the e_k root of entries at the largest double, each
+    side of the routes of ``mean`` that need no numpy, the subset engine at
+    size and near the enumeration budget, the jackknife with a
+    near-dominant draw, usage-error, parse-error, file-error and
+    output-error paths and every integer range error the command line can
+    reach."""
     sixty = _data(1.0 + (i * 7919 % 97) / 10 for i in range(60))
     # no ties among subset means, so the sampled extremum depends on the draws
     spread = _data(math.exp(math.sin(3.7 * i)) for i in range(60))
@@ -184,6 +187,18 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
             invocations.append(
                 ("mean", "-k", k, "-s", "2", "-q", "1", "--file", path, "--samples", samples, "--seed", seed)
             )
+    # 8193 draws of 5 of the 2000 entries: the last sample block holds one draw
+    for seed in ("0", "2147483647"):
+        invocations.append(
+            ("mean", "-k", "5", "-s", "2", "-q", "1", "--file", shapes[1][1], "--samples", "8193", "--seed", seed)
+        )
+    # near the enumeration budget: C(24,12) = 2704156 subsets of 24
+    # log-uniform entries, the outer mean at each kind of exponent
+    exact24 = workdir / "exact24.txt"
+    draw = random.Random(24)
+    exact24.write_text("".join(f"{10.0 ** draw.uniform(-3.0, 3.0)!r}\n" for _ in range(24)), encoding="utf-8")
+    for s in ("2", "-2", "0", "inf"):
+        invocations.append(("mean", "-k", "12", "-s", s, "-q", "1", "--file", str(exact24)))
     prefix = [
         ("power:0.5", "powertail:2", "500"),
         ("power:inf", "geometric:0.5", "200"),
