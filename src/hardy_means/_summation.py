@@ -27,12 +27,27 @@ class KahanSum:
         self._compensation = 0.0
 
     def add(self, term: float) -> None:
-        total = self._sum + term
-        if abs(self._sum) >= abs(term):
-            self._compensation += (self._sum - total) + term
-        else:
-            self._compensation += (term - total) + self._sum
-        self._sum = total
+        self.add_each((term,))
+
+    def add_each(self, terms) -> list[float]:
+        """Add every element of ``terms`` in order, as :meth:`add` does;
+        return the compensated value after each one.
+
+        The state lives in locals for the loop, so the scalar e_k route
+        pays no method call per term.
+        """
+        total, compensation = self._sum, self._compensation
+        values = []
+        for term in terms:
+            new = total + term
+            if abs(total) >= abs(term):
+                compensation += (total - new) + term
+            else:
+                compensation += (term - new) + total
+            total = new
+            values.append(total + compensation)
+        self._sum, self._compensation = total, compensation
+        return values
 
     def extend(self, terms) -> "np.ndarray":
         """Add every element of ``terms`` in order; return the compensated

@@ -7,8 +7,10 @@ For a positive vector v of length n and parameters (k, s, q):
     k >= n:  P_q(v) itself.
 
 Three evaluators are provided.  ``cmn_mean_naive`` enumerates every
-subset (the oracle; refuses beyond a fixed budget).  ``cmn_mean_fast``
-dispatches to closed forms where they exist, most notably
+subset (the oracle; refuses beyond a fixed budget), a chunk at a time,
+and streams the subset means into a running max-shifted outer sum, so it
+holds none of them.  ``cmn_mean_fast`` dispatches to closed forms where
+they exist, most notably
 
     M_{k,s,0}(v) = ( e_k(b) / C(n,k) ) ** (1/s),   b_i = v_i ** (s/k),
 
@@ -80,8 +82,8 @@ __all__ = [
 MIN_SAMPLES = 100
 
 # Rows per enumeration chunk.  Smaller chunks keep a chunk's temporaries in
-# cache: C(22,11) at q = 1 runs faster than with 65536, and its 5.4 MiB of
-# subset log-means peak at 7.5 MiB traced.
+# cache: C(22,11) at q = 1 runs faster than with 65536, and its Exact mean
+# peaks at 2.7 MiB traced.
 _CHUNK_ROWS = 8192
 # Cap on the indices held by one :func:`_tail_table` (1 MiB).
 _TAIL_ELEMENTS = 1 << 17
@@ -166,31 +168,108 @@ def _iter_subset_index_chunks(n: int, k: int, chunk_rows: int) -> Iterator[np.nd
                 fill = 0
 
 
-def _log_power_mean_rows(q: float, log_rows: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """log P_q along axis 1 of an (m, k) array of log-values; ``overwrite``
-    as in :func:`power_mean_of_logs`."""
-    k = log_rows.shape[1]
+# _row_extrema and _row_sums reduce a block of at least _FOLD_ROWS rows of
+# at most _FOLD_COLUMNS entries a column at a time.  numpy's axis-1
+# reduction pays per row, so on 8192-row blocks (a 2-vCPU Xeon, numpy
+# 2.4.6) the fold took the max of k = 11 columns in 58 us against 372 us
+# and their sum in 76 us against 182 us.  Past about 24 columns each
+# strided column pass leaves the cache and the sum folds slower than
+# numpy; under 1024 rows the calls cost more than the rows.
+_FOLD_ROWS = 1024
+_FOLD_COLUMNS = 24
+
+
+def _row_extrema(rows: np.ndarray, fold: np.ufunc) -> np.ndarray:
+    """``fold.reduce(rows, axis=1)`` for ``fold`` ``np.maximum`` or
+    ``np.minimum``: ``rows.max(axis=1)`` or ``rows.min(axis=1)``.
+
+    Folded over columns, a tie of +0.0 and -0.0 may keep the other zero
+    than numpy's; log-values, the rows here, never hold -0.0, and q times
+    them holds zeros of one sign.
+    """
+    m, k = rows.shape
+    if m < _FOLD_ROWS or k > _FOLD_COLUMNS:
+        return fold.reduce(rows, axis=1)
+    out = rows[:, 0].copy()
+    for j in range(1, k):
+        fold(out, rows[:, j], out=out)
+    return out
+
+
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """``rows.sum(axis=1)``, bit for bit.
+
+    Folded over columns it adds in numpy's own order for rows of at most
+    128 entries (its pairwise sum's leaf): under 8 entries one after
+    another from 0.0; from 8, entry j into accumulator j mod 8 up to the
+    last multiple of 8, the accumulators combined as
+    ((0+1)+(2+3))+((4+5)+(6+7)), the rest added in order, and the result
+    added to 0.0.
+    """
+    m, k = rows.shape
+    if m < _FOLD_ROWS or k > _FOLD_COLUMNS:
+        return np.add.reduce(rows, axis=1)
+    if k < 8:
+        out = rows[:, 0] + 0.0
+        for j in range(1, k):
+            out += rows[:, j]
+        return out
+    acc = rows[:, :8].T.copy()
+    whole = k - k % 8
+    for j in range(8, whole):
+        acc[j % 8] += rows[:, j]
+    acc[0::2] += acc[1::2]
+    acc[0::4] += acc[2::4]
+    out = acc[0]
+    out += acc[4]
+    for j in range(whole, k):
+        out += rows[:, j]
+    out += 0.0
+    return out
+
+
+def _power_sums(q: float, log_rows: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """The parts of log P_q along axis 1 of an (m, k) array of log-values
+    x, as (c, t) per row, that :func:`_log_power_mean` finishes: for a
+    finite nonzero q, c = max qx and t = sum exp(qx - c); otherwise t is
+    None and c is max x, min x (q = -inf) or sum x (q = 0).
+
+    A finite nonzero q takes one work array the size of ``log_rows``: a
+    new one, or under ``overwrite`` ``log_rows`` itself where that is a
+    contiguous float64 array, left undefined.  The other orders allocate
+    and write nothing of that size.
+    """
     if q == math.inf:
-        return log_rows.max(axis=1)
+        return _row_extrema(log_rows, np.maximum), None
     if q == -math.inf:
-        return log_rows.min(axis=1)
+        return _row_extrema(log_rows, np.minimum), None
     if is_zero_exponent(q):
-        return log_rows.mean(axis=1)
+        return _row_sums(log_rows), None
     z = np.multiply(log_rows, q, out=log_rows if overwrite else None)  # the one work array
-    zmax = z.max(axis=1)
+    zmax = _row_extrema(z, np.maximum)
     z -= zmax[:, None]
     np.exp(z, out=z)
-    return (zmax + np.log(z.sum(axis=1)) - math.log(k)) / q
+    return zmax, _row_sums(z)
+
+
+def _log_power_mean(q: float, c: np.ndarray, t: np.ndarray | None, count: int) -> np.ndarray:
+    """log P_q of ``count`` values from the parts (c, t) of :func:`_power_sums`."""
+    if t is None:
+        return c / count if is_zero_exponent(q) else c
+    return (c + np.log(t) - math.log(count)) / q
+
+
+def _log_power_mean_rows(q: float, log_rows: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """log P_q along axis 1 of an (m, k) array of log-values; ``overwrite``
+    as in :func:`_power_sums`."""
+    c, t = _power_sums(q, log_rows, overwrite)
+    return _log_power_mean(q, c, t, log_rows.shape[1])
 
 
 def power_mean_of_logs(s: float, log_values: np.ndarray, overwrite: bool = False) -> float:
     """Power mean of order ``s`` of exp(log_values), computed from the logs
-    by :func:`_log_power_mean_rows` as one row.
-
-    A finite nonzero ``s`` takes one work array of its size: a new one,
-    or under ``overwrite`` ``log_values`` itself where that is a contiguous
-    float64 array, left undefined.  s = 0 and s = +-inf allocate and write
-    nothing.
+    by :func:`_log_power_mean_rows` as one row; ``overwrite`` as in
+    :func:`_power_sums`.
 
     Accuracy degrades as |s| approaches the geometric switch point
     (exponents below 1e-12 collapse to the geometric branch), which is far
@@ -203,31 +282,104 @@ def power_mean_of_logs(s: float, log_values: np.ndarray, overwrite: bool = False
     return float(np.exp(_log_power_mean_rows(s, logs.reshape(1, -1), overwrite)[0]))
 
 
-def _log_means(logs: np.ndarray, q: float, index_blocks: Iterator[np.ndarray], count: int) -> np.ndarray:
-    """log P_q of ``logs[rows]`` for every row of every (m, k) index block,
-    in stream order: one ``map_ordered`` item per block.
+# Log-values per group of :class:`_StreamedPowerMean`.
+_GROUP_SIZE = 4096
 
-    The blocks must hold ``count`` rows in all.  Each block's means go
-    straight into the one result array of that size, so besides it only
-    one block's temporaries are alive at a time.  A stream of any other
-    length raises :class:`RuntimeError`, so no unwritten entry of the
-    result can reach a mean.
+
+class _StreamedPowerMean:
+    """The power mean of order ``s`` of exp(x) over a stream of log-values
+    x, without holding the stream.
+
+    The stream is cut into groups of ``_GROUP_SIZE`` values by position,
+    however ``extend`` receives it.  Each group is reduced to its parts
+    (c, t) by :func:`_power_sums`, as one row, and :meth:`log_value` sums
+    the groups' parts max-shifted with ``math.fsum``: c = max c_g and
+    t = fsum(t_g * exp(c_g - c)), or c = fsum(c_g) at s = 0.  Up to one
+    group this is :func:`power_mean_of_logs`' arithmetic, bit for bit.
+    """
+
+    def __init__(self, s: float):
+        self.s = s
+        self._pending = np.empty(_GROUP_SIZE)
+        self._fill = 0
+        self._parts: list[tuple[float, float | None]] = []  # (c, t) of each full group
+
+    def extend(self, x: np.ndarray) -> None:
+        """Take the next log-values."""
+        while self._fill + x.size >= _GROUP_SIZE:
+            take = _GROUP_SIZE - self._fill
+            self._pending[self._fill :] = x[:take]
+            self._parts.append(self._reduce(self._pending, overwrite=True))
+            self._fill = 0
+            x = x[take:]
+        self._pending[self._fill : self._fill + x.size] = x
+        self._fill += x.size
+
+    def _reduce(self, group: np.ndarray, overwrite: bool) -> tuple[float, float | None]:
+        c, t = _power_sums(self.s, group.reshape(1, -1), overwrite)
+        return float(c[0]), None if t is None else float(t[0])
+
+    def log_value(self) -> np.ndarray:
+        """log P_s of the values so far, as a one-element array; the
+        stream may go on after it."""
+        parts = self._parts
+        if not parts:  # one group, open: the power mean of its values as one row
+            return _log_power_mean_rows(self.s, self._pending[: self._fill].reshape(1, -1))
+        count = len(parts) * _GROUP_SIZE + self._fill
+        if self._fill:
+            parts = parts + [self._reduce(self._pending[: self._fill], overwrite=False)]
+        cs = [c for c, _ in parts]
+        s = self.s
+        if s == math.inf or s == -math.inf or is_zero_exponent(s):
+            c = max(cs) if s == math.inf else min(cs) if s == -math.inf else math.fsum(cs)
+            return _log_power_mean(s, np.array([c]), None, count)
+        c = max(cs)
+        t = math.fsum(t_g * math.exp(c_g - c) for c_g, t_g in parts)
+        return _log_power_mean(s, np.array([c]), np.array([t]), count)
+
+
+def _stream_log_means(logs: np.ndarray, q: float, index_blocks: Iterator[np.ndarray], sink) -> None:
+    """Call ``sink`` with log P_q of ``logs[rows]`` for the rows of each
+    (m, k) index block, in stream order: one ``map_ordered`` item per
+    block.  Only one block's temporaries are alive at a time."""
+    map_ordered(lambda idx: sink(_log_power_mean_rows(q, logs[idx], overwrite=True)), index_blocks)
+
+
+def _log_means(logs: np.ndarray, q: float, index_blocks: Iterator[np.ndarray], count: int) -> np.ndarray:
+    """:func:`_stream_log_means` into one array of ``count`` log-means.
+
+    A stream of any other length raises :class:`RuntimeError`, so no
+    unwritten entry of the result can reach a mean.
     """
     out = np.empty(count)
     filled = 0
 
-    def fill(idx: np.ndarray) -> None:
+    def fill(means: np.ndarray) -> None:
         nonlocal filled
-        stop = filled + len(idx)
+        stop = filled + means.size
         if stop > count:
             raise RuntimeError(f"the index stream holds more than the {count} rows expected")
-        out[filled:stop] = _log_power_mean_rows(q, logs[idx], overwrite=True)
+        out[filled:stop] = means
         filled = stop
 
-    map_ordered(fill, index_blocks)
+    _stream_log_means(logs, q, index_blocks, fill)
     if filled != count:
         raise RuntimeError(f"the index stream holds {filled} rows, {count} expected")
     return out
+
+
+def _enumeration(vals: list[float], k: int, q: float) -> tuple[np.ndarray, float, Iterator[np.ndarray], int]:
+    """(the logs of the sorted entries, q, their k-subsets as a stream of
+    index chunks in lexicographic order, the subset count); raises
+    :class:`CapacityError` beyond the enumeration budget."""
+    n = len(vals)
+    k = require_int(k, "k", 1)
+    if k >= n:
+        raise DomainError(f"subset size k={k} must satisfy 1 <= k < n={n}")
+    q = ensure_exponent(q, "q")
+    count = _ensure_enumerable(n, k)
+    logs = np.log(np.sort(np.asarray(vals, dtype=np.float64)))
+    return logs, q, _iter_subset_index_chunks(n, k, _CHUNK_ROWS), count
 
 
 def subset_log_means(values, k: int, q: float) -> np.ndarray:
@@ -237,28 +389,25 @@ def subset_log_means(values, k: int, q: float) -> np.ndarray:
     deterministic function of the input multiset.  Raises
     :class:`CapacityError` beyond the enumeration budget.
     """
-    vals = check_positive_vector(values)
-    n = len(vals)
-    k = require_int(k, "k", 1)
-    if k >= n:
-        raise DomainError(f"subset size k={k} must satisfy 1 <= k < n={n}")
-    q = ensure_exponent(q, "q")
-    count = _ensure_enumerable(n, k)
-    logs = np.log(np.sort(np.asarray(vals, dtype=np.float64)))
-    return _log_means(logs, q, _iter_subset_index_chunks(n, k, _CHUNK_ROWS), count)
+    return _log_means(*_enumeration(check_positive_vector(values), k, q))
 
 
 def cmn_mean_naive(params: MeanParams, values) -> float:
     """Oracle evaluation of M_{k,s,q} by full subset enumeration.
 
-    Falls back to the plain power mean P_q when k >= n, per the
-    definition.  Refuses inputs beyond the enumeration budget with a
+    The subset log-means stream, a chunk at a time, into the outer mean
+    (:class:`_StreamedPowerMean`), so no array of them is held.  Falls
+    back to the plain power mean P_q when k >= n, per the definition.
+    Refuses inputs beyond the enumeration budget with a
     :class:`CapacityError`.
     """
     vals = check_positive_vector(values)
     if params.k >= len(vals):
         return power_mean(params.q, vals)
-    return power_mean_of_logs(params.s, subset_log_means(vals, params.k, params.q), overwrite=True)
+    logs, q, chunks, _ = _enumeration(vals, params.k, params.q)
+    outer = _StreamedPowerMean(params.s)
+    _stream_log_means(logs, q, chunks, outer.extend)
+    return float(np.exp(outer.log_value()[0]))
 
 
 # ---------------------------------------------------------------------------

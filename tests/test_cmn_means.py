@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 import warnings
 from collections import Counter
@@ -256,6 +257,14 @@ class TestNaive:
 
 # --- fast evaluator -----------------------------------------------------------
 
+# (n, k, s, q) at which the e_k route refuses n copies of the largest double:
+# its result rounds past the double range on the way (ROADMAP item 11)
+REFUSED_AT_THE_LARGEST_DOUBLE = {
+    (n, k, s, 0.0) for n, k, s in itertools.chain(
+        itertools.product((3, 5), (2,), (-2.0, -1.0, 0.5)), itertools.product((5,), (4,), (-2.0, -1.0, 0.5, 1.0))
+    )
+}
+
 
 class TestFast:
     def test_symmetric_path_matches_hand_value(self):
@@ -342,6 +351,35 @@ class TestFast:
             assert min(v) * (1 - 1e-12) <= value <= max(v) * (1 + 1e-12)
             c = float(rng.uniform(0.1, 10.0))
             assert cmn_mean_fast(params, [c * x for x in v]).value == pytest.approx(c * value, rel=1e-12)
+
+    def test_every_route_stays_in_the_hull(self, rng):
+        # entries over 1e-300 .. 1e300 through every route of the dispatch
+        routes_seen = set()
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            decades = float(rng.choice([1.0, 30.0, 300.0]))
+            v = log_uniform_vector(rng, n, decades=decades)
+            params = MeanParams(int(rng.integers(1, n + 1)), float(rng.choice(GRID)), float(rng.choice(GRID)))
+            report = cmn_mean_fast(params, v)
+            routes_seen.add(report.method)
+            assert min(v) <= report.value <= max(v), (params, v)
+        assert routes_seen == {EvalMethod.DEGENERATE, EvalMethod.FAST_SYMMETRIC, EvalMethod.EXACT}
+
+    @pytest.mark.parametrize(
+        "c", [sys.float_info.max, 1e300, 1.0000000000000002, 0.9999999999999999, 1e-300, sys.float_info.min, 5e-324]
+    )
+    def test_constant_vectors_at_the_edges_keep_their_entry(self, c):
+        # the e_k route at (2, -1, 0) returned 1.0 on 0.9999999999999999, and
+        # Exact at (2, 2, 1) 1.7976931348622732e+308 on the largest double
+        for n in (3, 5):
+            for k in range(1, n):
+                for s, q in itertools.product(GRID, GRID):
+                    params = MeanParams(k, s, q)
+                    if c == sys.float_info.max and (n, k, s, q) in REFUSED_AT_THE_LARGEST_DOUBLE:
+                        with pytest.raises(DomainError, match="left the double range"):
+                            cmn_mean_fast(params, [c] * n)
+                        continue
+                    assert cmn_mean_fast(params, [c] * n).value == c, params
 
 
 # --- Monte Carlo sampler -------------------------------------------------------
@@ -705,13 +743,14 @@ def test_enumeration_memory(rng):
 
 
 def test_naive_memory(rng):
-    # The subset log-means, 5.4 MiB, which the outer mean reduces in place,
-    # plus one chunk's temporaries: about 7.5 MiB.  An outer work array
-    # read 10.8 MiB, and four copies at once 21.5 MiB.
+    # The subset log-means stream into the outer mean, so only one chunk's
+    # temporaries and the tail table are alive: about 2.7 MiB.  Holding the
+    # 5.4 MiB of log-means read 7.5 MiB, an outer work array as well 10.8
+    # MiB, and four copies at once 21.5 MiB.
     v = log_uniform_vector(rng, 22)
     value, peak = traced_peak(lambda: cmn_mean_naive(MeanParams(11, 2.0, 1.0), v))
     assert math.isfinite(value)
-    assert peak < 705432 * 8 + 3 * 2**20
+    assert peak < 3 * 2**20
 
 
 @pytest.mark.parametrize("s", [2.0, 0.0, -1.0])
@@ -768,6 +807,49 @@ def test_row_kernel_matches_reference_bytes(k):
         assert as_bytes(_log_power_mean_rows(q, rows)) == want
         assert as_bytes(_log_power_mean_rows(q, rows.copy(), overwrite=True)) == want
     assert rows.tobytes() == before
+
+
+# one exponent per branch of the row kernel
+KERNEL_BRANCHES = (INF, -INF, 0.0, 1e-13, 2.0, -0.3)
+
+
+def kernel_rows(rng, m, k):
+    """(log-values with entries 1 among them, the same with some -0.0)."""
+    rows = rng.uniform(-5.0, 5.0, (m, k)) * rng.choice([1.0, 1e-9, 30.0], (m, k))
+    rows[::5] = 0.0
+    rows[1::7, : (k + 1) // 2] = 0.0
+    signed = rows.copy()
+    signed[2::9, ::2] = -0.0
+    return rows, signed
+
+
+def assert_kernel_matches_numpy(rows, signed):
+    # A folded max may keep either zero of a tie of +0.0 and -0.0; the
+    # infinite orders take log-values, which never hold -0.0, and the
+    # finite ones leave no trace of the zero's sign.
+    for q in KERNEL_BRANCHES:
+        data = rows if math.isinf(q) else signed
+        want = as_bytes(reference_log_power_mean_rows(q, data))
+        assert as_bytes(_log_power_mean_rows(q, data)) == want, q
+        assert as_bytes(_log_power_mean_rows(q, data.copy(), overwrite=True)) == want, q
+    assert as_bytes(cmn_means._row_sums(signed)) == as_bytes(signed.sum(axis=1))
+
+
+@pytest.mark.parametrize("k", range(1, 131))
+def test_folded_kernel_matches_numpy_bytes(monkeypatch, k):
+    # The thresholds lowered, so that 63 rows keep numpy's reductions and 64
+    # fold, for every width up to the 128 entries of numpy's pairwise leaf:
+    # a change in numpy's order of summation fails here.
+    monkeypatch.setattr(cmn_means, "_FOLD_ROWS", 64)
+    monkeypatch.setattr(cmn_means, "_FOLD_COLUMNS", 128)
+    rng = np.random.default_rng(1000 + k)
+    for m in (63, 64):
+        assert_kernel_matches_numpy(*kernel_rows(rng, m, k))
+
+
+@pytest.mark.parametrize("m, k", [(1023, 11), (1024, 11), (1024, 24), (1024, 25), (8192, 5), (8192, 20)])
+def test_row_kernel_matches_numpy_at_the_fold_thresholds(m, k):
+    assert_kernel_matches_numpy(*kernel_rows(np.random.default_rng(m + k), m, k))
 
 
 @pytest.mark.parametrize("s", EXPONENTS)
@@ -901,3 +983,86 @@ def test_log_means_fills_every_row_of_a_stream_of_the_right_length():
     index_rows = np.array(list(itertools.combinations(range(5), 2)))
     got = _log_means(logs, 1.0, iter([index_rows[:4], index_rows[4:]]), 10)
     assert as_bytes(got) == as_bytes(reference_log_power_mean_rows(1.0, logs[index_rows]))
+
+
+# --- the streamed outer mean of the Exact route ------------------------------------
+
+
+def streamed(s, chunks):
+    """exp of :class:`_StreamedPowerMean`'s value over the chunks, fed copies."""
+    outer = cmn_means._StreamedPowerMean(s)
+    for chunk in chunks:
+        outer.extend(chunk.copy())
+    return float(np.exp(outer.log_value()[0]))
+
+
+@pytest.mark.parametrize("s", EXPONENTS)
+def test_streamed_mean_of_one_group_is_power_mean_of_logs(s):
+    group = cmn_means._GROUP_SIZE
+    logs = np.random.default_rng(11).uniform(-30.0, 30.0, group)
+    for size in (1, 1000, group):
+        want = power_mean_of_logs(s, logs[:size])
+        assert as_bytes(streamed(s, [logs[:size]])) == as_bytes(want)
+        assert as_bytes(streamed(s, np.array_split(logs[:size], 7))) == as_bytes(want)
+
+
+@pytest.mark.parametrize("s", EXPONENTS)
+def test_streamed_mean_does_not_depend_on_the_chunks(s):
+    group = cmn_means._GROUP_SIZE
+    logs = np.random.default_rng(12).uniform(-30.0, 30.0, 3 * group + 1)  # one past a group
+    for values in (logs, logs[: 3 * group]):  # and ending on one
+        want = streamed(s, [values])
+        cuts = np.random.default_rng(13).integers(0, values.size, 40)
+        assert as_bytes(streamed(s, np.split(values, np.sort(cuts)))) == as_bytes(want)
+        assert as_bytes(streamed(s, np.array_split(values, 3 * group // 5))) == as_bytes(want)
+        outer = cmn_means._StreamedPowerMean(s)
+        for chunk in np.array_split(values, 9):
+            outer.extend(chunk.copy())
+            outer.log_value()  # a reading leaves the stream as it was
+        assert as_bytes(float(np.exp(outer.log_value()[0]))) == as_bytes(want)
+        assert want == pytest.approx(power_mean_of_logs(s, values), rel=1e-14, abs=0.0)
+
+
+def mp_cmn_means(v, k, q):
+    """M_{k,s,q}(v) by the definition in 40-digit arithmetic, for s in
+    (2, 0, -1, inf, -inf)."""
+    with mpmath.workdps(40):
+        inner = []
+        for subset in itertools.combinations([mpmath.mpf(a) for a in v], k):
+            if q == 0.0:
+                inner.append(mpmath.exp(mpmath.fsum(mpmath.log(a) for a in subset) / k))
+            else:
+                inner.append((mpmath.fsum(a**q for a in subset) / k) ** (1 / mpmath.mpf(q)))
+        m = len(inner)
+        return {
+            2.0: mpmath.sqrt(mpmath.fsum(a * a for a in inner) / m),
+            0.0: mpmath.exp(mpmath.fsum(mpmath.log(a) for a in inner) / m),
+            -1.0: m / mpmath.fsum(1 / a for a in inner),
+            INF: max(inner),
+            -INF: min(inner),
+        }
+
+
+def assert_naive_matches_mpmath(v, k, q):
+    want = mp_cmn_means(v, k, q)
+    for s, value in want.items():
+        got = cmn_mean_naive(MeanParams(k, s, q), v)
+        with mpmath.workdps(40):
+            assert abs(mpmath.mpf(got) / value - 1) < 4e-15, (k, s, q)
+
+
+@pytest.mark.parametrize("n, k, q", [(16, 6, 1.0), (18, 5, -1.0), (24, 4, 0.0)])
+def test_naive_over_several_groups_matches_mpmath(n, k, q):
+    # C(n, k) = 8008, 8568 and 10626: two, three and three groups
+    assert math.comb(n, k) > cmn_means._GROUP_SIZE
+    draw = random.Random(n)
+    assert_naive_matches_mpmath([10.0 ** draw.uniform(-3.0, 3.0) for _ in range(n)], k, q)
+
+
+@pytest.mark.parametrize("group", [5, 3, 1])
+def test_naive_across_group_boundaries_matches_mpmath(monkeypatch, group):
+    # C(7, 3) = 35 subsets: seven groups of 5, eleven of 3 and one past
+    # them, one subset per group
+    monkeypatch.setattr(cmn_means, "_GROUP_SIZE", group)
+    for q in (1.0, 0.0, -2.0):
+        assert_naive_matches_mpmath([0.3, 2.0, 5.5, 1e-3, 40.0, 7.0, 1e3], 3, q)

@@ -574,9 +574,11 @@ finite_magnitudes = st.one_of(
 def test_kahan_extend_matches_add(head, tail, cuts):
     reference = KahanSum()
     blocked = KahanSum()
+    listed = KahanSum()
     for x in head:  # a carried start state, compensation included
         reference.add(x)
         blocked.add(x)
+    listed.add_each(head)
     want = []
     for x in tail:
         reference.add(x)
@@ -589,6 +591,9 @@ def test_kahan_extend_matches_add(head, tail, cuts):
             got.extend(blocked.extend(tail[lo:hi]).tolist())
     assert [x.hex() for x in got] == [x.hex() for x in want]
     assert blocked.value.hex() == reference.value.hex()
+    listed_values = [v for lo, hi in zip(bounds, bounds[1:]) for v in listed.add_each(tail[lo:hi])]
+    assert [x.hex() for x in listed_values] == [x.hex() for x in want]
+    assert listed.value.hex() == reference.value.hex()
 
 
 class TestBlockEngine:

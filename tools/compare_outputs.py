@@ -45,7 +45,9 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
     experiment fails, every ``pow`` call site at extreme exponents,
     negative seeds, the e_k root of entries at the largest double, each
     side of the routes of ``mean`` that need no numpy, the subset engine at
-    size and near the enumeration budget, the jackknife with a
+    size and near the enumeration budget, the Exact route's outer mean over
+    several groups and near a group boundary, results that left the hull
+    of their entries before the clamp, the jackknife with a
     near-dominant draw, usage-error, parse-error, file-error and
     output-error paths and every integer range error the command line can
     reach."""
@@ -199,6 +201,21 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
     exact24.write_text("".join(f"{10.0 ** draw.uniform(-3.0, 3.0)!r}\n" for _ in range(24)), encoding="utf-8")
     for s in ("2", "-2", "0", "inf"):
         invocations.append(("mean", "-k", "12", "-s", s, "-q", "1", "--file", str(exact24)))
+    # the Exact route's outer mean over several groups of 4096 subset means:
+    # C(20,7) = 77520 (19 groups) at each kind of outer exponent, and the
+    # counts nearest a group boundary within the budget, C(28,4) = 20475
+    # (5 short of the fifth) and C(20,9) = 167960 (24 past the 41st); no
+    # C(n,k) with n <= 30 is a multiple of 4096 or one past one
+    draw = random.Random(20)
+    exact20 = _data(10.0 ** draw.uniform(-3.0, 3.0) for _ in range(20))
+    for s in ("2", "0", "-1", "inf", "-inf"):
+        invocations.append(("mean", "-k", "7", "-s", s, "-q", "1", "--data", exact20))
+    invocations.append(("mean", "-k", "7", "-s", "2", "-q", "-1", "--data", exact20, "--format", "json"))
+    invocations.append(("mean", "-k", "9", "-s", "-1", "-q", "0.5", "--data", exact20))
+    invocations.append(("mean", "-k", "4", "-s", "2", "-q", "-2", "--data", _data(range(1, 29))))
+    # results that left the hull [min v, max v] before the clamp
+    invocations.append(("mean", "-k", "2", "-s", "-1", "-q", "0", "--data", ",".join(["0.9999999999999999"] * 3)))
+    invocations.append(("mean", "-k", "2", "-s", "2", "-q", "1", "--data", ",".join([largest] * 3)))
     prefix = [
         ("power:0.5", "powertail:2", "500"),
         ("power:inf", "geometric:0.5", "200"),
