@@ -10,9 +10,8 @@ by flags rather than by the test harness.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from .cmn_means import (
     cmn_mean_naive,
@@ -37,16 +36,15 @@ class PropertyResult:
     detail: str
 
 
-def _random_vector(rng: np.random.Generator, lo: int, hi: int) -> list[float]:
+def _random_vector(rng: random.Random, lo: int, hi: int) -> list[float]:
     # A length in [lo, hi), then entries log-uniform over [1e-3, 1e3]: wide
     # enough to stress the log-domain paths, narrow enough that the stated
     # tolerances are meaningful.
-    n = int(rng.integers(lo, hi))
-    return list(np.exp(rng.uniform(-3.0, 3.0, n) * math.log(10.0)))
+    return [10.0 ** rng.uniform(-3.0, 3.0) for _ in range(rng.randrange(lo, hi))]
 
 
-def _exponent(rng: np.random.Generator) -> float:
-    return float(rng.choice(EXPONENT_GRID))
+def _exponent(rng: random.Random) -> float:
+    return rng.choice(EXPONENT_GRID)
 
 
 def _gap(got: float, want: float) -> float:
@@ -57,61 +55,74 @@ def _gap(got: float, want: float) -> float:
 # (residual, ok, where) triple for each comparison it makes on that input.
 
 
-def _oracle_draw(rng: np.random.Generator):
+def _oracle_draw(rng: random.Random):
     v = _random_vector(rng, 2, 11)
-    k = int(rng.integers(1, len(v) + 1))
+    k = rng.randint(1, len(v))
     for _ in range(4):
         params = MeanParams(k, _exponent(rng), _exponent(rng))
         where = f"k={k}, s={params.s}, q={params.q}, n={len(v)}"
         yield _gap(cmn_mean_fast(params, v).value, cmn_mean_naive(params, v)), True, where
 
 
-def _qs_draw(rng: np.random.Generator):
+def _qs_draw(rng: random.Random):
     v = _random_vector(rng, 2, 11)
-    k = int(rng.integers(1, len(v) + 1))
-    s, t = sorted(rng.choice(EXPONENT_GRID, 2))
-    q, p = sorted(rng.choice(EXPONENT_GRID, 2))
+    k = rng.randint(1, len(v))
+    s, t = sorted(rng.choices(EXPONENT_GRID, k=2))
+    q, p = sorted(rng.choices(EXPONENT_GRID, k=2))
     ok, lhs, rhs = compare_qs_monotonicity(k, s, t, q, p, v)
     yield (lhs - rhs) / rhs, ok, ""
 
 
-def _k_draw(rng: np.random.Generator):
+def _k_draw(rng: random.Random):
     v = _random_vector(rng, 2, 11)
-    k = int(rng.integers(2, len(v) + 1))
+    k = rng.randint(2, len(v))
     while True:
-        s, q = rng.choice(EXPONENT_GRID, 2)
+        s, q = rng.choices(EXPONENT_GRID, k=2)
         if s > q:
             break
-    ok, lhs, rhs = compare_k_monotonicity(k, float(s), float(q), v)
+    ok, lhs, rhs = compare_k_monotonicity(k, s, q, v)
     yield (lhs - rhs) / rhs, ok, ""
 
 
-def _theorem1_draw(rng: np.random.Generator):
+def _theorem1_draw(rng: random.Random):
     ok, gap = compare_theorem1_identity(_random_vector(rng, 2, 51))
     yield gap, ok, ""
 
 
-def _internality_draw(rng: np.random.Generator):
+def _internality_draw(rng: random.Random):
     # the residuals are negative while a mean stays inside the range
     v = _random_vector(rng, 1, 13)
     lo, hi = min(v), max(v)
     means = [power_mean(_exponent(rng), v)]
     if len(v) >= 2:
-        k = int(rng.integers(1, len(v)))
+        k = rng.randrange(1, len(v))
         means.append(cmn_mean_fast(MeanParams(k, _exponent(rng), _exponent(rng)), v).value)
     for m in means:
         yield (lo - m) / lo, True, ""
         yield (m - hi) / hi, True, ""
 
 
-def _homogeneity_draw(rng: np.random.Generator):
+def _homogeneity_draw(rng: random.Random):
     v = _random_vector(rng, 2, 13)
-    c = float(np.exp(rng.uniform(-2.0, 2.0) * math.log(10.0)))
+    c = 10.0 ** rng.uniform(-2.0, 2.0)
     scaled = [c * x for x in v]
     p = _exponent(rng)
     yield _gap(power_mean(p, scaled), c * power_mean(p, v)), True, ""
-    params = MeanParams(int(rng.integers(1, len(v))), _exponent(rng), _exponent(rng))
+    params = MeanParams(rng.randrange(1, len(v)), _exponent(rng), _exponent(rng))
     yield _gap(cmn_mean_fast(params, scaled).value, c * cmn_mean_fast(params, v).value), True, ""
+
+
+def _witness_draw(rng: random.Random):
+    # For s >= k >= 2 the subset of the first k entries alone bounds the
+    # mean: M_{k,s,q}(v) >= P_q(v_1..v_k) * C(n,k)^(-1/s), so its sum over
+    # n diverges.  The residuals are negative while the bound holds.
+    v = _random_vector(rng, 3, 13)
+    n, k, q = len(v), rng.randrange(2, len(v)), _exponent(rng)
+    head = power_mean(q, v[:k])
+    for s in [x for x in EXPONENT_GRID if x >= k] + [rng.uniform(k, 3 * k)]:
+        bound = head * math.comb(n, k) ** (-1.0 / s)
+        where = f"k={k}, s={s}, q={q}, n={n}"
+        yield (bound - cmn_mean_fast(MeanParams(k, s, q), v).value) / bound, True, where
 
 
 def _run_property(name: str, draw, rng, count: int, bound: float, detail: str, worst=0.0) -> PropertyResult:
@@ -161,12 +172,13 @@ def run_verification(
     vectors = require_int(vectors, "vectors", 1)
     n_limit = require_int(n_limit, "N", 2)
     seed = require_int(seed, "seed", 0)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     margin = "{failures} violations in {count} draws; worst (lhs-rhs)/rhs margin"
     oracle = "max |fast - naive|/naive over random draws (worst at {where})"
     theorem1 = "max relative gap between M(2,1,0) and n/(n-1)(P_1/2 - P_1/n)"
     internality = "max relative excursion of any mean outside [min(v), max(v)]"
     homogeneity = "max relative gap between M(c*v) and c*M(v)"
+    witness = "max relative shortfall of M(k,s,q) below P_q(v_1..v_k)*C(n,k)^(-1/s), s >= k (worst at {where})"
     return [
         _run_property("oracle-equivalence", _oracle_draw, rng, vectors, 1e-10, oracle),
         _run_property("qs-monotonicity", _qs_draw, rng, 4 * vectors, math.inf, margin, worst=-math.inf),
@@ -174,5 +186,6 @@ def run_verification(
         _run_property("theorem1-identity", _theorem1_draw, rng, vectors, 1e-11, theorem1),
         _run_property("internality", _internality_draw, rng, vectors, 1e-12, internality),
         _run_property("homogeneity", _homogeneity_draw, rng, vectors, 1e-12, homogeneity),
+        _run_property("divergence-witness", _witness_draw, rng, vectors, 1e-12, witness, worst=-math.inf),
         _check_limit_experiment(n_limit),
     ]

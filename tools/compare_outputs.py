@@ -129,6 +129,7 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
         ("verify", "--quick"),
         ("verify", "--quick", "--format", "json"),
         ("verify", "--vectors", "25", "-N", "1000", "--seed", "3"),
+        ("verify", "--seed", "11", "--vectors", "40", "-N", "2000", "--format", "csv"),
         ("verify", "-N", "50", "--vectors", "3"),
         ("verify", "--vectors", "0"),
         ("verify", "-N", "1"),
