@@ -39,7 +39,12 @@ sums of :meth:`KahanSum.extend`.  No result depends on the block size:
 every running mean rounds as the one-term recurrence over the same terms
 does, and ``KahanSum.extend`` as ``KahanSum.add``.  Two things make that
 hold: the running sums use ``np.cumsum``, which adds strictly in order,
-and every ``pow``, ``log`` and ``exp`` is the C library's.  ``pow`` is
+and every ``pow``, ``log`` and ``exp`` is the C library's.  The sum of the
+means and the sum of the terms are the two lanes of one
+``KahanSum(2)``, one pass over each block for both; each lane rounds as
+its own one-lane sum would, since complex addition and subtraction act
+on each part alone (see :mod:`~hardy_means._summation`), and the
+experiments read each lane back as a Python float.  ``pow`` is
 ``np.float_power`` (:func:`_pows`), which calls the C library once per
 element; ``log`` and ``exp`` go element by element through ``math``
 (:func:`_libm`), because numpy's vectorised versions differ from it by an
@@ -64,7 +69,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -82,7 +86,8 @@ from .cmn_means import (
 )
 from .errors import DomainError
 from .params import (
-    MeanLike, MeanParams, ensure_exponent, format_exponent, format_mean, parse_exponent, read_vector_file, require_int,
+    MeanLike, MeanParams, Record, ensure_exponent, format_exponent, format_mean, parse_exponent, read_vector_file,
+    require_int,
 )
 from .routes import MAX_ENUMERATION_N, check_positive_vector, closed_form, cmn_mean_fast, is_zero_exponent
 
@@ -136,12 +141,13 @@ class _BlockTerms:
     unrolls them.  Both validate ``count`` when called, not when first
     iterated."""
 
+    __slots__ = ()
+
     def terms(self, count: int) -> Iterator[float]:
         return itertools.chain.from_iterable(block.tolist() for block in self.blocks(count))
 
 
-@dataclass(frozen=True)
-class Harmonic(_BlockTerms):
+class Harmonic(_BlockTerms, Record):
     """a_n = 1/n.  Not summable; quarantined behind an explicit opt-in.
 
     Ratio experiments against a divergent ||a||_1 are meaningless, so
@@ -151,7 +157,11 @@ class Harmonic(_BlockTerms):
     and reads the terms from :meth:`blocks` itself.
     """
 
+    __slots__ = ()
     summable = False
+
+    def __init__(self):
+        super().__init__()
 
     def blocks(self, count: int) -> Iterator[np.ndarray]:
         return (1.0 / i for i in _index_blocks(require_int(count, "count", 1)))
@@ -160,8 +170,7 @@ class Harmonic(_BlockTerms):
         return "harmonic"
 
 
-@dataclass(frozen=True)
-class HarmonicTruncated(_BlockTerms):
+class HarmonicTruncated(_BlockTerms, Record):
     """a_n = 1/n up to the crossover, then the inverse-square tail n**-2.
 
     This is the witness family for the sharpness of the constant 4: with a
@@ -169,11 +178,11 @@ class HarmonicTruncated(_BlockTerms):
     while the sequence stays summable.
     """
 
-    crossover: int
+    __slots__ = ("crossover",)
     summable = True
 
-    def __post_init__(self):
-        object.__setattr__(self, "crossover", require_int(self.crossover, "crossover", 1))
+    def __init__(self, crossover: int):
+        super().__init__(require_int(crossover, "crossover", 1))
 
     def blocks(self, count: int) -> Iterator[np.ndarray]:
         return (self._block(i) for i in _index_blocks(require_int(count, "count", 1)))
@@ -188,18 +197,17 @@ class HarmonicTruncated(_BlockTerms):
         return f"harmonic-truncated:{self.crossover}"
 
 
-@dataclass(frozen=True)
-class PowerTail(_BlockTerms):
+class PowerTail(_BlockTerms, Record):
     """a_n = n**-alpha with alpha > 1 (summable)."""
 
-    exponent: float
+    __slots__ = ("exponent",)
     summable = True
 
-    def __post_init__(self):
-        alpha = ensure_exponent(self.exponent, "exponent")
+    def __init__(self, exponent: float):
+        alpha = ensure_exponent(exponent, "exponent")
         if not (math.isfinite(alpha) and alpha > 1.0):
             raise DomainError(f"power tail needs a finite exponent > 1, got {alpha!r}")
-        object.__setattr__(self, "exponent", alpha)
+        super().__init__(alpha)
 
     def blocks(self, count: int) -> Iterator[np.ndarray]:
         return (_pows(i, -self.exponent) for i in _index_blocks(require_int(count, "count", 1)))
@@ -208,8 +216,7 @@ class PowerTail(_BlockTerms):
         return f"powertail:{format_exponent(self.exponent)}"
 
 
-@dataclass(frozen=True)
-class Geometric(_BlockTerms):
+class Geometric(_BlockTerms, Record):
     """a_n = r**n with 0 < r < 1.
 
     Terms are produced by iterated multiplication (``np.multiply.accumulate``
@@ -220,14 +227,14 @@ class Geometric(_BlockTerms):
     emitting zeros or a stalled subnormal tail.
     """
 
-    ratio: float
+    __slots__ = ("ratio",)
     summable = True
 
-    def __post_init__(self):
-        r = ensure_exponent(self.ratio, "ratio")
+    def __init__(self, ratio: float):
+        r = ensure_exponent(ratio, "ratio")
         if not (0.0 < r < 1.0):
             raise DomainError(f"geometric ratio must lie in (0, 1), got {r!r}")
-        object.__setattr__(self, "ratio", r)
+        super().__init__(r)
 
     def max_length(self) -> int:
         return int(math.floor(math.log(_TINY) / math.log(self.ratio)))
@@ -255,17 +262,22 @@ class Geometric(_BlockTerms):
         return f"geometric:{format_exponent(self.ratio)}"
 
 
-@dataclass(frozen=True)
-class CustomTerms(_BlockTerms):
+class CustomTerms(_BlockTerms, Record):
     """An explicit finite prefix.  There is no positive extension past it,
-    so any request for more terms than given is a positivity violation."""
+    so any request for more terms than given is a positivity violation.
 
-    values: tuple
-    source: str | None = field(default=None, compare=False)  # the file parse_family read
+    ``source`` names the file :func:`parse_family` read.  It shows in the
+    repr and survives copy and pickle, but equality and hash ignore it.
+    """
+
+    __slots__ = ("values", "source")
     summable = True
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(check_positive_vector(self.values)))
+    def __init__(self, values: tuple, source: str | None = None):
+        super().__init__(tuple(check_positive_vector(values)), source)
+
+    def _key(self) -> tuple:
+        return (self.values,)
 
     def blocks(self, count: int) -> Iterator[np.ndarray]:
         count = require_int(count, "count", 1)
@@ -569,16 +581,13 @@ def make_prefix_evaluator(mean: MeanLike):
 # Partial-sum experiments
 
 
-@dataclass(frozen=True)
-class HardyEstimate:
+class HardyEstimate(Record):
     """Outcome of a truncated Hardy-constant experiment."""
 
-    ratio: float
-    n: int
-    family: SequenceFamily
-    mean: MeanLike
-    mean_sum: float
-    term_sum: float
+    __slots__ = ("ratio", "n", "family", "mean", "mean_sum", "term_sum")
+
+    def __init__(self, ratio: float, n: int, family: SequenceFamily, mean: MeanLike, mean_sum: float, term_sum: float):
+        super().__init__(ratio, n, family, mean, mean_sum, term_sum)
 
     def as_row(self) -> tuple[str, str, int, float, float]:
         """Canonical table row (family, mean, N, sum of means, ratio)."""
@@ -630,26 +639,29 @@ def _checkpoint_blocks(blocks: Iterator[np.ndarray], marks: list[int]):
         done = end
 
 
-def _advance(evaluator, mean_sum: KahanSum, term_sum: KahanSum, block: np.ndarray, done: int, family):
+def _advance(evaluator, sums: KahanSum, block: np.ndarray, done: int, family):
     """Feed ``block``, the terms done+1.. of ``family``, to the evaluator
-    and to the sums, up to the earliest failure.
+    and to ``sums``, up to the earliest failure.
 
-    Returns the running sums of the means and of the terms after each term
-    taken, and the DomainError of the earliest failure or None.  A failure
-    is a non-positive term, a term the evaluator refuses, or a mean or term
-    that takes a sum out of the double range.
+    ``sums`` is a two-lane :class:`KahanSum`: the sum of the means in the
+    real lane and the sum of the terms in the imaginary one.  Returns the
+    running sums of the means and of the terms after each term taken, and
+    the DomainError of the earliest failure or None.  A failure is a
+    non-positive term, a term the evaluator refuses, or a mean or term that
+    takes a sum out of the double range.
     """
     size = _valid_prefix((block > 0.0) & np.isfinite(block))
     # an overflow is reported at its first index, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         values, error = evaluator.extend(block[:size])
-        sums, norms = mean_sum.extend(values), term_sum.extend(block[: values.size])
+        # each (mean, term) pair of doubles read as one complex number
+        running = sums.extend(np.column_stack((values, block[: values.size])).view(np.complex128)[:, 0])
     if error is None and size < block.size:
         error = DomainError(f"family {family.label()} produced a non-positive term at index {done + size + 1}")
-    finite = _valid_prefix(np.isfinite(sums) & np.isfinite(norms))
-    if finite < sums.size:
+    finite = _valid_prefix(np.isfinite(running))
+    if finite < running.size:
         error = DomainError(f"the partial sum or norm left the double range at n={done + finite + 1}")
-    return sums[:finite], norms[:finite], error
+    return running.real[:finite], running.imag[:finite], error
 
 
 def iter_hardy_checkpoints(
@@ -684,10 +696,9 @@ def iter_hardy_checkpoints(
         if not marks or marks[0] < 1 or marks[-1] > n:
             raise DomainError(f"checkpoints must lie in 1..{n}")
     evaluator = make_prefix_evaluator(mean)
-    mean_sum = KahanSum()
-    term_sum = KahanSum()
+    running = KahanSum(2)
     for done, block, inside in _checkpoint_blocks(family.blocks(n), marks):
-        sums, norms, error = _advance(evaluator, mean_sum, term_sum, block, done, family)
+        sums, norms, error = _advance(evaluator, running, block, done, family)
         for i in inside:
             if i > done + sums.size:
                 break
@@ -783,23 +794,21 @@ def sharpness_constant_sweep(
     families = [HarmonicTruncated(require_int(n0, "n0", 1)) for n0 in crossovers]
     if not families:
         return []
-    runs = [(family, make_prefix_evaluator(mean), KahanSum(), KahanSum()) for family in families]
+    runs = [(family, make_prefix_evaluator(mean), KahanSum(2)) for family in families]
     for lo, hi in _block_ranges(n):
         i = np.arange(lo, hi, dtype=np.float64)
         inverse = 1.0 / i
         square = np.empty_like(i)
         first = min(max(families[0].crossover - lo + 1, 0), i.size)  # the earliest tail
         square[first:] = _pows(i[first:], -2.0)
-        for family, evaluator, mean_sum, term_sum in runs:
+        for family, evaluator, sums in runs:
             cut = min(max(family.crossover - lo + 1, 0), i.size)
             block = np.concatenate((inverse[:cut], square[cut:]))
-            error = _advance(evaluator, mean_sum, term_sum, block, lo - 1, family)[2]
+            error = _advance(evaluator, sums, block, lo - 1, family)[2]
             if error is not None:
                 raise error
+    totals = [(family, sums.value) for family, _, sums in runs]
     return [
-        HardyEstimate(
-            ratio=mean_sum.value / term_sum.value, n=n, family=family, mean=mean,
-            mean_sum=mean_sum.value, term_sum=term_sum.value,
-        )
-        for family, _, mean_sum, term_sum in runs
+        HardyEstimate(ratio=t.real / t.imag, n=n, family=family, mean=mean, mean_sum=t.real, term_sum=t.imag)
+        for family, t in totals
     ]

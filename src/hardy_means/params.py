@@ -12,9 +12,9 @@ M_{k,s,q}.  This module also reads vector files, one decimal per line,
 for the ``mean --file`` and ``custom:<file>`` inputs.  It needs no numpy,
 so the classifier and the command line can parse and print specs and read
 vectors without loading the numerical kernels.  It also holds
-:class:`Record`, the base of the package's small immutable records, which
-spares those commands the import of ``dataclasses`` and, through it, of
-``inspect`` and ``ast``.
+:class:`Record`, the base of every immutable record of the package, which
+spares every command the import of ``dataclasses`` and, on the numpy-free
+path, of ``inspect`` and ``ast``.
 """
 
 from __future__ import annotations
@@ -109,8 +109,10 @@ class Record:
     A subclass names its fields in ``__slots__`` and passes their values,
     normalised, to ``Record.__init__`` in that order.  Records have the
     dataclass ``repr``, compare equal to records of the same class with
-    equal fields, hash as the tuple of their fields, refuse assignment and
-    deletion, and copy and pickle by calling the class again.
+    equal keys, hash as their key, refuse assignment and deletion, and
+    copy and pickle by calling the class again with every field.  The key
+    is the tuple of the fields; a subclass whose equality ignores a field,
+    as ``field(compare=False)`` does, overrides :meth:`_key`.
     """
 
     __slots__ = ()
@@ -122,6 +124,8 @@ class Record:
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
 
+    _key = _fields  # what equality and hash compare
+
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
@@ -129,10 +133,10 @@ class Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._key())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .cmn_means import (
     cmn_mean_naive,
@@ -20,7 +19,7 @@ from .cmn_means import (
     compare_theorem1_identity,
 )
 from .hardy import _decades, sharpness_limit_curve
-from .params import MeanParams, require_int
+from .params import MeanParams, Record, require_int
 from .routes import cmn_mean_fast, power_mean
 
 __all__ = ["PropertyResult", "run_verification", "EXPONENT_GRID"]
@@ -28,12 +27,14 @@ __all__ = ["PropertyResult", "run_verification", "EXPONENT_GRID"]
 EXPONENT_GRID = (-math.inf, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, math.inf)
 
 
-@dataclass(frozen=True)
-class PropertyResult:
-    name: str
-    passed: bool
-    worst: float
-    detail: str
+class PropertyResult(Record):
+    """One property's outcome: whether it passed, its worst residual and
+    what that residual measures."""
+
+    __slots__ = ("name", "passed", "worst", "detail")
+
+    def __init__(self, name: str, passed: bool, worst: float, detail: str):
+        super().__init__(name, passed, worst, detail)
 
 
 def _random_vector(rng: random.Random, lo: int, hi: int) -> list[float]:

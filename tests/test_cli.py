@@ -680,6 +680,27 @@ def test_numpy_free_path_loads_no_heavy_stdlib_module(argv):
     assert result.stdout
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hardy-sum", "--mean", "cmn:3,2,0", "--family", "powertail:2", "-N", "20000"),
+        ("estimate-constant", "--mean", "cmn:2,1,0", "-N", "20000"),
+        ("verify", "--quick"),
+    ],
+)
+def test_numpy_commands_load_no_dataclasses(argv):
+    # -S as above, with numpy's own directory on the path
+    src = os.path.dirname(os.path.dirname(importlib.import_module("hardy_means").__file__))
+    site = os.path.dirname(os.path.dirname(importlib.import_module("numpy").__file__))
+    report = "import atexit, sys\natexit.register(lambda: sys.stderr.write(repr('dataclasses' in sys.modules)))\n"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", report + _RUN_CLI, *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join((src, site))),
+    )
+    assert (result.returncode, result.stderr) == (0, "False")
+    assert result.stdout
+
+
 def test_classify_domain_error_without_numpy():
     code, out, err, report, _ = run_fresh(_RUN_CLI, "classify", "--point", "2,1")
     assert code == 2

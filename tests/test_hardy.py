@@ -596,6 +596,50 @@ def test_kahan_extend_matches_add(head, tail, cuts):
     assert listed.value.hex() == reference.value.hex()
 
 
+finite_pairs = st.tuples(finite_magnitudes, finite_magnitudes)
+
+
+@given(
+    head=st.lists(finite_pairs, max_size=8),
+    tail=st.lists(finite_pairs, max_size=60),
+    cuts=st.lists(st.integers(min_value=0, max_value=60), max_size=4),
+)
+# empty and one-term blocks, with a compensation carried across each cut
+@example(head=[(2.0**53, 1e100), (1.0, 1.0)], tail=[(1.0, -1e100), (1.0, 1.0), (-(2.0**53), 1.0)], cuts=[0, 0, 1, 2, 2])
+@example(head=[], tail=[(1.0, 2.0**53), (1e100, 1.0), (1.0, 1.0), (-1e100, -(2.0**53))], cuts=[1, 2, 3])
+# one lane overflows to inf and then nan; the other stays finite
+@example(head=[], tail=[(1e308, 1.0), (1e308, 2.0), (1.0, 3.0), (-1e308, 4.0)], cuts=[])
+@example(head=[(1.0, 1e308)], tail=[(2.0, 1e308), (3.0, 1.0), (4.0, -1e308)], cuts=[1, 2])
+def test_two_lanes_match_two_sums(head, tail, cuts):
+    pair = KahanSum(2)
+    lanes = [KahanSum(), KahanSum()]
+    added = [KahanSum(), KahanSum()]
+    bounds = [0, *sorted(min(c, len(tail)) for c in cuts), len(tail)]
+    blocks = [head] + [tail[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for block in blocks:  # the first carries its state into the rest
+            got = pair.extend(np.array([complex(x, y) for x, y in block], dtype=np.complex128))
+            for lane, one, by_add, part in zip((0, 1), lanes, added, (got.real, got.imag)):
+                terms = [xy[lane] for xy in block]
+                want = one.extend(terms).tolist()
+                assert [x.hex() for x in part.tolist()] == [x.hex() for x in want]
+                for x, w in zip(terms, want):
+                    by_add.add(x)
+                    assert by_add.value.hex() == w.hex()
+    total = pair.value
+    assert (total.real.hex(), total.imag.hex()) == (lanes[0].value.hex(), lanes[1].value.hex())
+    assert (total.real.hex(), total.imag.hex()) == (added[0].value.hex(), added[1].value.hex())
+
+
+def test_an_overflowing_lane_leaves_the_other_alone():
+    pair = KahanSum(2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = pair.extend(np.array([1e308 + 1j, 1e308 + 2j, 1.0 + 3j]))
+    # the sum is inf from the second term on, its compensated value nan
+    assert got.real[0] == 1e308 and np.isnan(got.real[1:]).all() and math.isnan(pair.value.real)
+    assert got.imag.tolist() == [1.0, 3.0, 6.0] and pair.value.imag == 6.0
+
+
 class TestBlockEngine:
     def test_block_terms_match_per_term_formulas(self, monkeypatch):
         monkeypatch.setattr(hardy, "_BLOCK", 7)

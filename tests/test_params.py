@@ -147,6 +147,8 @@ def test_numpy_integers_are_stored_as_ints():
 
 from hardy_means import CmnEvalReport, EvalMethod, Reason, Verdict, classify  # noqa: E402
 from hardy_means.classify import Classification  # noqa: E402
+from hardy_means.hardy import HardyEstimate  # noqa: E402
+from hardy_means.verification import PropertyResult  # noqa: E402
 
 _THEOREM1 = "the pairwise mean M(2,1,0) satisfies sum M(a_1..a_n) < 4 ||a||_1, and 4 is sharp"
 _RECORDS = {
@@ -170,7 +172,36 @@ _RECORDS = {
         "stderr_estimate=0.25, note='x')",
         (2.0, EvalMethod.MONTE_CARLO, 100, 0.25, "x"),
     ),
+    "Harmonic": (Harmonic(), "Harmonic()", ()),
+    "HarmonicTruncated": (HarmonicTruncated(10), "HarmonicTruncated(crossover=10)", (10,)),
+    "PowerTail": (PowerTail(2.5), "PowerTail(exponent=2.5)", (2.5,)),
+    "Geometric": (Geometric(0.5), "Geometric(ratio=0.5)", (0.5,)),
+    "CustomTerms": (CustomTerms((1.0, 0.5)), "CustomTerms(values=(1.0, 0.5), source=None)", ((1.0, 0.5), None)),
+    "CustomTerms-source": (
+        CustomTerms((1.0, 0.5), source="t.txt"), "CustomTerms(values=(1.0, 0.5), source='t.txt')",
+        ((1.0, 0.5), "t.txt"),
+    ),
+    "HardyEstimate": (
+        hardy_partial_sum(0.5, Geometric(0.5), 3),
+        "HardyEstimate(ratio=1.297034975168197, n=3, family=Geometric(ratio=0.5), mean=0.5, "
+        "mean_sum=1.1349056032721725, term_sum=0.875)",
+        (1.297034975168197, 3, Geometric(0.5), 0.5, 1.1349056032721725, 0.875),
+    ),
+    "HardyEstimate-cmn": (
+        hardy_partial_sum(MeanParams(2, 1, 0), PowerTail(2), 3),
+        "HardyEstimate(ratio=1.346938775510204, n=3, family=PowerTail(exponent=2.0), "
+        "mean=MeanParams(k=2, s=1.0, q=0.0), mean_sum=1.8333333333333333, term_sum=1.3611111111111112)",
+        (1.346938775510204, 3, PowerTail(2.0), MeanParams(2, 1.0, 0.0), 1.8333333333333333, 1.3611111111111112),
+    ),
+    "PropertyResult": (
+        PropertyResult("limit-experiment", True, 0.25, "gap"),
+        "PropertyResult(name='limit-experiment', passed=True, worst=0.25, detail='gap')",
+        ("limit-experiment", True, 0.25, "gap"),
+    ),
 }
+# the fields equality and hash compare: CustomTerms leaves out its source,
+# as field(compare=False) did
+_COMPARED = {CustomTerms: slice(0, 1)}
 
 
 @pytest.mark.parametrize("record, text, fields", _RECORDS.values(), ids=_RECORDS)
@@ -180,16 +211,18 @@ def test_records_behave_as_frozen_dataclasses(record, text, fields):
 
     cls = type(record)
     assert repr(record) == text
-    assert record == cls(*fields) and hash(record) == hash(cls(*fields)) == hash(fields)
+    key = fields[_COMPARED.get(cls, slice(None))]
+    assert record == cls(*fields) and hash(record) == hash(cls(*fields)) == hash(key)
     assert record != fields and record.__eq__(fields) is NotImplemented
     assert {record, cls(*fields)} == {record}
-    name = text.partition("(")[2].partition("=")[0]  # the first field
-    with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
-        setattr(record, name, fields[0])
     with pytest.raises(AttributeError, match="^cannot assign to field 'extra'$"):
         record.extra = 1
-    with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
-        delattr(record, name)
+    if fields:
+        name = text.partition("(")[2].partition("=")[0]  # the first field
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(record, name, fields[0])
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(record, name)
     for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert type(twin) is cls and twin == record and repr(twin) == text
 
@@ -213,3 +246,38 @@ def test_record_constructors_keep_their_signatures():
         CmnEvalReport(1.0, EvalMethod.MONTE_CARLO)
     with pytest.raises(DomainError, match="must be positive"):
         CmnEvalReport(0.0, EvalMethod.EXACT)
+
+
+def test_converted_record_constructors_keep_their_signatures():
+    assert HarmonicTruncated(crossover=np.int64(4)) == HarmonicTruncated(4)
+    assert repr(PowerTail(exponent=np.int64(2))) == "PowerTail(exponent=2.0)"
+    assert repr(Geometric(ratio=np.float32(0.5))) == "Geometric(ratio=0.5)"
+    custom = CustomTerms(values=[1, np.float64(0.5)], source="t.txt")
+    assert repr(custom) == "CustomTerms(values=(1.0, 0.5), source='t.txt')"
+    estimate = HardyEstimate(ratio=1.5, n=2, family=Harmonic(), mean=MeanParams(2, 1, 0), mean_sum=3.0, term_sum=2.0)
+    assert repr(estimate) == (
+        "HardyEstimate(ratio=1.5, n=2, family=Harmonic(), mean=MeanParams(k=2, s=1.0, q=0.0), mean_sum=3.0, "
+        "term_sum=2.0)"
+    )
+    result = PropertyResult(name="limit-experiment", passed=True, worst=0.25, detail="gap")
+    assert result == PropertyResult("limit-experiment", True, 0.25, "gap")
+    for call in (
+        lambda: Harmonic(1), lambda: HarmonicTruncated(), lambda: PowerTail(2.0, 3.0), lambda: Geometric(x=0.5),
+        lambda: CustomTerms(), lambda: HardyEstimate(1.5, 2), lambda: PropertyResult("x", True, 0.0),
+    ):
+        with pytest.raises(TypeError):
+            call()
+    # the checks run on every construction
+    with pytest.raises(DomainError, match="finite exponent > 1"):
+        PowerTail(exponent=1.0)
+    with pytest.raises(DomainError, match=r"must lie in \(0, 1\)"):
+        Geometric(ratio=1.0)
+    with pytest.raises(DomainError):
+        CustomTerms(values=(1.0, 0.0), source="t.txt")
+
+
+def test_custom_terms_equality_ignores_the_source():
+    named, bare = CustomTerms((1.0, 0.5), source="t.txt"), CustomTerms((1.0, 0.5))
+    assert named == bare and hash(named) == hash(bare) and repr(named) != repr(bare)
+    assert named != CustomTerms((1.0, 0.25), source="t.txt")
+    assert {named, bare} == {named}

@@ -42,7 +42,7 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
     s = +-inf, over several sample blocks, with a last block of one draw
     and at the sampler's edge shapes, enumeration, ``hardy-sum`` over every
     prefix evaluator, past the double range and at each way a prefix
-    experiment fails, every ``pow`` call site at extreme exponents,
+    experiment fails, ``estimate-constant`` over several blocks, every ``pow`` call site at extreme exponents,
     negative seeds, the e_k root of entries at the largest double, each
     side of the routes of ``mean`` that need no numpy, the subset engine at
     size and near the enumeration budget, the Exact route's outer mean over
@@ -268,6 +268,11 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
         ("estimate-constant", "--mean", "cmn:3,2,0", "-N", "11"),
         ("estimate-constant", "--mean", "power:200", "-N", "100"),
         ("estimate-constant", "--mean", "cmn:2,3,1", "-N", "31"),
+        # past the first 8192-term block, with each kind of evaluator the
+        # sweep builds: power means (the log route at p = 0), the pair
+        # recurrence, the symmetric-function and the second-moment forms
+        *(("estimate-constant", "--mean", mean, "-N", "20000")
+          for mean in ("power:-1", "power:0", "cmn:2,1,0", "cmn:3,2,0", "cmn:2,2,1")),
         # usage errors and help (argparse's exits), parse-error paths, and
         # tokens that must parse
         (),
