@@ -16,12 +16,14 @@ Degenerate) and the q = 0 closed form
 
     M_{k,s,0}(v) = ( e_k(b) / C(n,k) ) ** (1/s),   b_i = v_i ** (s/k),
 
-on vectors of up to 900 entries whose powers stay well inside the double
-range (FastSymmetric).  This module imports no numpy, so a command that
-takes only those routes never loads it.  Longer or wider e_k inputs go to
-the vector engine (:class:`~hardy_means.cmn_means.ElementarySymmetric`)
-and every other mean to enumeration; both import
-:mod:`~hardy_means.cmn_means` when they run.
+by a scalar recurrence (FastSymmetric) wherever its range test holds (the
+powers stay well inside the double range) and its work, (n - k + 1) * k
+steps, stays under a cap of 2**17.  This module imports no numpy,
+so a command that takes only those routes never loads it.  Other e_k
+inputs go to the vector engine
+(:class:`~hardy_means.cmn_means.ElementarySymmetric`) and every other
+mean to enumeration; both import :mod:`~hardy_means.cmn_means` when they
+run.
 """
 
 from __future__ import annotations
@@ -176,12 +178,18 @@ MAX_ENUMERATION_SUBSETS = 1 << 22
 
 # Smallest positive normal double.
 _MIN_NORMAL = 2.0**-1022
-# :func:`_elementary_symmetric` takes the scalar route wherever the range
-# bound of :func:`_unscaled_elementary_symmetric` holds, which needs at
-# most this many entries.  Within the bound the scalar route takes at most
-# some 30-40 ms (n = 600, k = 150, on a 2-vCPU VM), less than the 0.1 s
-# that importing numpy and the vector engine adds to a command.
+# The range test of the scalar e_k recurrence (:func:`_unscaled_range_holds`):
+# its values stay within 2**(+-(_UNSCALED_RANGE + 53)), well inside the
+# normal doubles.
 _UNSCALED_RANGE = 900
+# The work cap of the scalar e_k route: at most this many steps, a product
+# and a compensated addition each, (n - k + 1) * k for e_k of n terms.  A
+# `mean` command on the vector engine, which imports numpy, took as long
+# as on the scalar route at about 3.1e5 steps for k = 2, 4.1e5 for k = 5,
+# 4.5e5 for k = 20 and past 5.2e5 for k = 50 (medians of fresh processes
+# on a 2-vCPU VM, Python 3.11, numpy 2.4); the cap sits 2.3x below the
+# least of them, where the scalar route saved 34-36 ms on each shape.
+_SCALAR_STEPS = 1 << 17
 
 
 class EvalMethod(enum.Enum):
@@ -284,17 +292,30 @@ def _symmetric_mean(ek: float, ek_exponent: int, n: int, k: int, s: float) -> fl
     return _root(ek / c, ek_exponent - c_exponent, s)
 
 
+def _unscaled_range_holds(n: int, k: int, spread: int) -> bool:
+    """Whether e_k of n terms, each term b with b and 1/b at most
+    2**spread, meets the range test of the unscaled recurrence
+    (:func:`_unscaled_elementary_symmetric`):
+    2*k*spread + min(n, k*ceil(log2 n)) <= ``_UNSCALED_RANGE``."""
+    return 2 * k * spread + min(n, k * (n - 1).bit_length()) <= _UNSCALED_RANGE
+
+
 def _unscaled_elementary_symmetric(values: list[float], k: int, p: float) -> tuple[float, int] | None:
     """e_k of values**p as (m, e) by the recurrence of
     :class:`~hardy_means.cmn_means.ElementarySymmetric` without its
     scales, or None where that could differ from the scaled result.
 
     Scaling by a power of two commutes with every rounding while all
-    values stay normal.  With every b = a**p and 1/b below 2**L, the
-    level values, products and Kahan errors of both computations lie
-    within 2**(+-(2*k*L + n + 53)), a level's scale being the exponent of
-    one of its terms; so for 2*k*L + n <= ``_UNSCALED_RANGE`` the result
-    is bit-identical to ``extend``'s.
+    values stay normal.  Let every b = a**p and 1/b be at most 2**L.  A
+    level j <= k holds sums of at most C(n, j) products of j powers, each
+    product within 2**(+-j*L), and C(n, j) <= min(2**n, n**j) <= 2**B with
+    B = min(n, k*ceil(log2 n)).  So the level values, products and Kahan
+    errors of both computations lie within 2**(+-(2*k*L + B + 53)), a
+    level's scale being the exponent of one of its terms (a nonzero
+    rounding error of a sum of positive terms is at least 2**-53 of the
+    smaller one).  Where 2*k*L + B <= ``_UNSCALED_RANGE``
+    (:func:`_unscaled_range_holds`) every one of them is normal, and the
+    result is bit-identical to ``extend``'s.
     """
     try:
         b = [math.pow(a, p) for a in values]
@@ -302,7 +323,7 @@ def _unscaled_elementary_symmetric(values: list[float], k: int, p: float) -> tup
         return None
     n = len(b)
     lo, hi = min(b), max(b)
-    if lo < _MIN_NORMAL or 2 * k * max(math.frexp(hi)[1], 1 - math.frexp(lo)[1]) + n > _UNSCALED_RANGE:
+    if lo < _MIN_NORMAL or not _unscaled_range_holds(n, k, max(math.frexp(hi)[1], 1 - math.frexp(lo)[1])):
         return None
     level = [1.0] * (n - k + 1)  # e_0 before each term that e_k depends on
     for j in range(k):
@@ -313,12 +334,14 @@ def _unscaled_elementary_symmetric(values: list[float], k: int, p: float) -> tup
 def _elementary_symmetric(values, k: int, p: float) -> tuple[float, int]:
     """e_k of values**p as (m, e), meaning m * 2**e; needs at least k values.
 
-    Inputs within the range bound of the scalar recurrence take it, with
-    the same bits as the vector engine; only the others load numpy.
+    Inputs under the work cap ``_SCALAR_STEPS`` that meet the range test
+    take the scalar recurrence, with the same bits as the vector engine;
+    only the others load numpy.
     """
-    if len(values) < k:
-        raise DomainError(f"e_{k} of {len(values)} terms is zero; need at least k terms")
-    if len(values) <= _UNSCALED_RANGE:  # past it the bound fails, as L >= 1
+    n = len(values)
+    if n < k:
+        raise DomainError(f"e_{k} of {n} terms is zero; need at least k terms")
+    if (n - k + 1) * k <= _SCALAR_STEPS:
         result = _unscaled_elementary_symmetric([float(a) for a in values], k, p)
         if result is not None:
             return result

@@ -6,12 +6,14 @@ import json
 import math
 import os
 import pkgutil
+import random
 import re
 import subprocess
 import sys
 import tempfile
 import typing
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -803,11 +805,12 @@ def test_one_shot_exports_without_numpy():
 
 
 # The mean routes that need arrays, with the route each prints: enumeration,
-# an e_k vector longer than the scalar route's range bound (900), a short
-# one whose powers leave that range, and the Monte Carlo estimator.
+# an e_k vector one entry past the scalar route's work cap ((n - k + 1) * k
+# = 2622 * 50 steps, within its range test), a short one whose powers leave
+# that range, and the Monte Carlo estimator.
 _NUMPY_MEANS = {
     "mean": (("-k", "2", "-s", "2", "-q", "1", "--data", "1,4,9"), "Exact"),
-    "mean-long": (("-k", "2", "-s", "1", "-q", "0", "--data", ",".join(map(str, range(1, 902)))), "FastSymmetric"),
+    "mean-long": (("-k", "50", "-s", "1", "-q", "0", "--data", ",".join(map(str, range(1, 2672)))), "FastSymmetric"),
     "mean-wide": (("-k", "2", "-s", "3", "-q", "0", "--data", "1e-300,1e300,2,5"), "FastSymmetric"),
     "mean-sampled": (("-k", "2", "-s", "1", "-q", "1", "--data", "1,2,3,4,5", "--samples", "200"), "MonteCarlo"),
 }
@@ -819,6 +822,27 @@ def test_numpy_commands_still_load_numpy():
         assert code == 0
         assert out.splitlines()[1].split(",")[5] == method
         assert report == "numpy imported: True\n"
+    # one entry fewer, 2621 * 50 steps, is under the cap and loads no numpy
+    argv = (*_NUMPY_MEANS["mean-long"][0][:-1], ",".join(map(str, range(1, 2671))))
+    assert 2621 * 50 <= routes._SCALAR_STEPS < 2622 * 50
+    code, out, _, report, _ = run_fresh(_RUN_CLI, "mean", *argv, "--format", "csv")
+    assert (code, out.splitlines()[1].split(",")[5], report) == (0, "FastSymmetric", "numpy imported: False\n")
+
+
+def test_long_e_k_file_without_numpy(tmp_path):
+    # 2000 entries over three decades at k = 50: 1951 * 50 steps, and
+    # 2*k*L + min(n, k*ceil(log2 n)) = 100 + 550, so the scalar route takes
+    # it, with the vector engine's bits
+    draws = random.Random(2000)
+    v = [10.0 ** draws.uniform(-1.5, 1.5) for _ in range(2000)]
+    path = tmp_path / "v.txt"
+    path.write_text("".join(f"{x!r}\n" for x in v), encoding="utf-8")
+    code, out, err, report, _ = run_fresh(_RUN_CLI, "mean", "-k", "50", "-s", "1", "-q", "0", "--file", str(path))
+    assert (code, err, report) == (0, "", "numpy imported: False\n")
+    ek, exponent = cmn_means.ElementarySymmetric(50).extend(*cmn_means._scaled_pows(np.asarray(sorted(v)), 1 / 50))
+    value = routes._symmetric_mean(float(ek[-1]), int(exponent[-1]), 2000, 50, 1.0)
+    assert min(v) < value < max(v)
+    assert out == f"{value!r} (FastSymmetric)\n"
 
 
 _NUMPY_COMMANDS = {

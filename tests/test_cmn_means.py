@@ -9,6 +9,8 @@ from collections import Counter
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import log_uniform_vector
 from hardy_means import (
@@ -177,7 +179,8 @@ class TestElementarySymmetric:
         # unscaled (0 and nan without the bound)
         for e in (-900, 900):
             assert _unscaled_elementary_symmetric([math.ldexp(0.75, e)] * 24, 20, 1.0) is None
-        # the corners of the bound, 2*k*L + n = 900 at L = 1
+        # a corner of the range test at L = 1, 2*k*L + n = 300 + 600, and a
+        # corner of the bound it replaced, 2*k*L + n = 20 + 880
         for n, k in [(600, 150), (880, 10)]:
             v = list(rng.uniform(0.5, 1.0, n))
             got = _unscaled_elementary_symmetric(v, k, 1.0)
@@ -195,21 +198,90 @@ class TestElementarySymmetric:
             assert got == (mantissa, shift + int(exponent[-1]))
 
     def test_the_bound_alone_picks_the_scalar_route(self, monkeypatch, rng):
-        v = sorted(rng.uniform(0.5, 1.0, 901))
+        # The work cap and then the range test alone decide the route: each
+        # admits at its limit and refuses one past it.  Past the cap the
+        # scalar route takes no power at all.
         genuine, tried = routes._unscaled_elementary_symmetric, []
 
         def recorded(values, k, p):
             result = genuine(values, k, p)
-            tried.append((len(values), result is not None))
+            tried.append((len(values), k, result is not None))
             return result
 
         monkeypatch.setattr(routes, "_unscaled_elementary_symmetric", recorded)
-        for n in (896, 897, 901):
-            ek, exponent = ElementarySymmetric(2).extend(*_scaled_pows(np.asarray(v[:n]), 1.0))
-            assert math.ldexp(*_elementary_symmetric(v[:n], 2, 1.0)) == math.ldexp(float(ek[-1]), int(exponent[-1]))
-        # at k = 2 and L = 1, 896 entries meet 2*k*L + n <= 900 and 897 do
-        # not; past 900 entries the scalar route takes no power at all
-        assert tried == [(896, True), (897, False)]
+        cap = routes._SCALAR_STEPS
+        # powers in [0.5, 1), so L = 1: (n - k + 1) * k = cap at k = 2 and
+        # k = 64; 2*k*L + min(n, k*ceil(log2 n)) = 150 + 750 = 900 at
+        # n = 1024, k = 75, and 150 + 825 at n = 1025
+        corners = [(cap // 2 + 1, 2), (cap // 2 + 2, 2), (cap // 64 + 63, 64), (cap // 64 + 64, 64),
+                   (1024, 75), (1025, 75)]
+        v = sorted(rng.uniform(0.5, 1.0, cap // 2 + 2))
+        for n, k in corners:
+            ek, exponent = ElementarySymmetric(k).extend(*_scaled_pows(np.asarray(v[:n]), 1.0))
+            want = math.ldexp(float(ek[-1]), int(exponent[-1])).hex()
+            assert math.ldexp(*_elementary_symmetric(v[:n], k, 1.0)).hex() == want
+        assert (cap // 2) * 2 == (cap // 64) * 64 == cap
+        assert tried == [(cap // 2 + 1, 2, True), (cap // 64 + 63, 64, True), (1024, 75, True), (1025, 75, False)]
+
+    def test_range_test_corners(self):
+        # each term of 2*k*L + min(n, k*ceil(log2 n)) <= 900 at its limit
+        # and one past it: the 2*k*L term (n = 4, k = 2: 4*L + 4), the n
+        # term (k = 100, L = 1: 200 + n), and the k*ceil(log2 n) term
+        # (L = 1: 2*k + k*10 up to 1024 entries, 2*k + k*11 past)
+        holds = routes._unscaled_range_holds
+        assert routes._UNSCALED_RANGE == 900
+        assert holds(4, 2, 224) and not holds(4, 2, 225)
+        assert holds(700, 100, 1) and not holds(701, 100, 1)
+        assert holds(1024, 75, 1) and not holds(1025, 75, 1) and not holds(1024, 76, 1)
+        # the first two through the recurrence, against the vector engine
+        # (the last one is in the test above): entries about 0.75 * 2**e
+        # with e from -(L - 1) to L
+        cases = [
+            ([-223, 224, 0, 1], 2, True), ([-223, 225, 0, 1], 2, False), ([-224, 5, 0, 1], 2, False),
+            ([0] * 700, 100, True), ([0] * 701, 100, False),
+        ]
+        for exponents, k, admitted in cases:
+            v = [math.ldexp(0.75 + i / 4096 % 0.25, e) for i, e in enumerate(exponents)]
+            got = _unscaled_elementary_symmetric(v, k, 1.0)
+            assert (got is not None) == admitted, (len(v), k)
+            if admitted:
+                ek, exponent = ElementarySymmetric(k).extend(*_scaled_pows(np.asarray(v), 1.0))
+                assert math.ldexp(*got).hex() == math.ldexp(float(ek[-1]), int(exponent[-1])).hex()
+
+    @given(st.integers(1, 449).flatmap(
+        lambda spread: st.integers(1, 900 // (2 * spread + 1)).flatmap(
+            lambda k: st.tuples(st.integers(k, 900 - 2 * k * spread), st.just(k), st.just(spread)))))
+    @example((600, 150, 1))  # the most steps the old rule admitted: 451 * 150
+    @example((898, 1, 1))
+    @example((4, 1, 448))
+    def test_every_input_the_old_rule_admitted_is_admitted(self, case):
+        # the old rule: at most 900 entries and 2*k*L + n <= 900
+        n, k, spread = case
+        assert n <= 900 and 2 * k * spread + n <= 900
+        assert (n - k + 1) * k <= routes._SCALAR_STEPS
+        assert routes._unscaled_range_holds(n, k, spread)
+
+    def test_scalar_route_past_900_entries_matches_the_vector_engine(self):
+        # seeded draws across the region the range test opened: n from 50
+        # to 4000, k up to 120, entries spread over 0.5 to 100 decades
+        draws = random.Random(30)
+        taken = long = 0
+        for _ in range(80):
+            n = int(math.exp(draws.uniform(math.log(50), math.log(4000))))
+            k = min(int(math.exp(draws.uniform(math.log(2), math.log(121)))), n - 1)
+            if (n - k + 1) * k > routes._SCALAR_STEPS:
+                continue
+            decades = draws.choice([0.5, 3.0, 30.0, 100.0])
+            v = sorted(10.0 ** draws.uniform(-decades, decades) for _ in range(n))
+            p = draws.choice([-2.0, -1.0, 1.0, 2.0, 3.0]) / k
+            got = _unscaled_elementary_symmetric(v, k, p)
+            if got is None:
+                continue
+            taken += 1
+            long += n > 900
+            ek, exponent = ElementarySymmetric(k).extend(*_scaled_pows(np.asarray(v), p))
+            assert math.ldexp(*got).hex() == math.ldexp(float(ek[-1]), int(exponent[-1])).hex(), (n, k, p)
+        assert taken >= 20 and long >= 10
 
 
 # --- naive evaluator ----------------------------------------------------------

@@ -86,13 +86,24 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
         path = workdir / f"esp-{n}.txt"
         path.write_text("".join(f"{math.exp(math.sin(0.7 * i))!r}\n" for i in range(n)), encoding="utf-8")
         esp.append(str(path))
-    # powers in [0.5, 1) at k = 2, s = 2: 2*k*L + n = 4 + 896 meets the range
-    # bound, 4 + 897 passes it
+    # powers in [0.5, 1], so L = 1.  At k = 2, s = 2, 2*k*L + n = 4 + 896 met
+    # the range bound that the range test and the work cap replaced, and
+    # 4 + 897 did not.  At k = s = 75 the range test 2*k*L + min(n, k*ceil(log2 n))
+    # reads 150 + 750 at 1024 entries and 150 + 825 at 1025.  At k = 2, s = 1,
+    # 65537 entries take (n - k + 1) * k = 2**17 steps, the work cap, and
+    # 65538 one step past it.
     bound = []
-    for n in (896, 897):
+    for n in (896, 897, 1024, 1025, 65537, 65538):
         path = workdir / f"bound-{n}.txt"
         path.write_text("".join(f"{0.75 + 0.25 * math.sin(0.7 * i)!r}\n" for i in range(n)), encoding="utf-8")
         bound.append(str(path))
+    # 2000 entries over three decades at k = 50 and 1000 at k = 5, past the
+    # 900 entries the range bound once allowed and within the range test
+    wide_e_k = []
+    for n in (2000, 1000):
+        path = workdir / f"e_k-{n}.txt"
+        path.write_text("".join(f"{10.0 ** (1.5 * math.sin(2.3 * i))!r}\n" for i in range(n)), encoding="utf-8")
+        wide_e_k.append(str(path))
     # a file that is not UTF-8, and an output path in a directory that is not there
     utf16 = workdir / "utf16.txt"
     utf16.write_bytes(b"\xff\xfe1\x00\n\x00")
@@ -162,6 +173,13 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
         ("mean", "-k", "150", "-s", "1.5", "-q", "0", "--file", esp[3], "--format", "json"),
         ("mean", "-k", "2", "-s", "2", "-q", "0", "--file", bound[0]),
         ("mean", "-k", "2", "-s", "2", "-q", "0", "--file", bound[1], "--format", "csv"),
+        ("mean", "-k", "75", "-s", "75", "-q", "0", "--file", bound[2]),
+        ("mean", "-k", "75", "-s", "75", "-q", "0", "--file", bound[3], "--format", "json"),
+        ("mean", "-k", "2", "-s", "1", "-q", "0", "--file", bound[4], "--format", "csv"),
+        ("mean", "-k", "2", "-s", "1", "-q", "0", "--file", bound[5]),
+        ("mean", "-k", "50", "-s", "1", "-q", "0", "--file", wide_e_k[0], "--format", "json"),
+        ("mean", "-k", "50", "-s", "-2", "-q", "0", "--file", wide_e_k[0]),
+        ("mean", "-k", "5", "-s", "1", "-q", "0", "--file", wide_e_k[1], "--format", "csv"),
         ("mean", "-k", "4", "-s", "4", "-q", "0", "--data", wide_powers, "--format", "csv"),
         ("mean", "-k", "4", "-s", "-2", "-q", "0", "--data", wide_powers),
         ("mean", "-k", "5", "-s", "2", "-q", "-1", "--file", str(five)),
