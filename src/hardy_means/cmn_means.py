@@ -22,6 +22,12 @@ likewise scaled.  ``cmn_mean_sampled`` is a Monte Carlo
 estimator over uniform random k-subsets for inputs beyond the enumeration
 budget.
 
+Enumeration and sampling take the inner means P_q a block of subsets at a
+time, one subset per column of a C-contiguous (k, m) block of log-values:
+numpy reduces such a block one row after another, so each column's sum is
+its entries added in order, and a subset's mean does not depend on the
+block it came in.
+
 The dispatch of ``cmn_mean_fast`` and its scalar routes (the power means
 and the e_k recurrence within its range bound) live in the numpy-free
 :mod:`~hardy_means.routes`, which calls back into this module only for
@@ -81,10 +87,10 @@ __all__ = [
 
 MIN_SAMPLES = 100
 
-# Rows per enumeration chunk.  Smaller chunks keep a chunk's temporaries in
-# cache: C(22,11) at q = 1 runs faster than with 65536, and its Exact mean
-# peaks at 2.7 MiB traced.
-_CHUNK_ROWS = 8192
+# Subsets (columns) per enumeration chunk.  Smaller chunks keep a chunk's
+# temporaries in cache: C(22,11) at q = 1 runs faster than with 65536, and
+# its Exact mean peaks at 2.7 MiB traced.
+_CHUNK_COLUMNS = 8192
 # Cap on the indices held by one :func:`_tail_table` (1 MiB).
 _TAIL_ELEMENTS = 1 << 17
 _SAMPLE_BLOCK = 8192
@@ -114,162 +120,115 @@ def _ensure_enumerable(n: int, k: int) -> int:
 
 
 def _tail_table(n: int, k: int) -> np.ndarray:
-    """The last r indices of every k-subset of range(n), lexicographic: all
-    r-subsets of range(k - r, n), for the largest r <= k whose table holds
-    at most ``_TAIL_ELEMENTS`` indices.
+    """The last r indices of every k-subset of range(n), one subset per
+    column, in lexicographic order: all r-subsets of range(k - r, n), for
+    the largest r <= k whose table holds at most ``_TAIL_ELEMENTS`` indices.
 
-    Built a column at a time: the j-subsets of range(r - j, m) that start
-    with f are f followed by the last C(m - 1 - f, j - 1) rows of the
+    Built a row at a time: the j-subsets of range(r - j, m) that start
+    with f are f above the last C(m - 1 - f, j - 1) columns of the
     (j - 1)-subsets (Knuth, TAOCP 4A, 7.2.1.3).
     """
     r = k
     while r > 1 and math.comb(n - k + r, r) * r > _TAIL_ELEMENTS:
         r -= 1
     m = n - k + r
-    table = np.arange(r - 1, m, dtype=np.intp)[:, None]
+    table = np.arange(r - 1, m, dtype=np.intp)[None, :]
     for j in range(2, r + 1):
         firsts = range(r - j, m - j + 1)
         counts = [math.comb(m - 1 - f, j - 1) for f in firsts]
-        rests = np.concatenate([table[len(table) - c :] for c in counts])
-        table = np.hstack((np.repeat(np.array(firsts, dtype=np.intp), counts)[:, None], rests))
+        rests = np.hstack([table[:, table.shape[1] - c :] for c in counts])
+        table = np.vstack((np.repeat(np.array(firsts, dtype=np.intp), counts), rests))
     table += k - r
     return table
 
 
-def _iter_subset_index_chunks(n: int, k: int, chunk_rows: int) -> Iterator[np.ndarray]:
-    """Stream (m, k) index arrays covering all k-subsets in lexicographic order.
+def _iter_subset_index_chunks(n: int, k: int, chunk_columns: int) -> Iterator[np.ndarray]:
+    """Stream C-contiguous (k, m) index arrays, one subset per column,
+    covering all k-subsets in lexicographic order.
 
-    Every chunk but the last holds ``chunk_rows`` rows.  A row is a head,
-    its first k - r indices from ``itertools.combinations``, followed by a
-    tail from :func:`_tail_table`; the tails after a head that ends at a
-    are the last C(n - 1 - a, r) rows of the table.
+    Every chunk but the last holds ``chunk_columns`` columns.  A column is
+    a head, its first k - r indices from ``itertools.combinations``, above
+    a tail from :func:`_tail_table`; the tails below a head that ends at a
+    are the last C(n - 1 - a, r) columns of the table.
     """
     tail = _tail_table(n, k)
-    size, r = tail.shape
+    r, size = tail.shape
     h = k - r
     left = math.comb(n, k)
-    chunk = np.empty((min(chunk_rows, left), k), dtype=np.intp)
+    chunk = np.empty((k, min(chunk_columns, left)), dtype=np.intp)
     fill = 0
     for head in itertools.combinations(range(n - r), h):
         start = size - math.comb(n - 1 - head[-1], r) if head else 0
         while start < size:
-            stop = min(size, start + len(chunk) - fill)
-            rows = slice(fill, fill + stop - start)
+            stop = min(size, start + chunk.shape[1] - fill)
+            columns = slice(fill, fill + stop - start)
             if head:
-                chunk[rows, :h] = head
-            chunk[rows, h:] = tail[start:stop]
+                chunk.T[columns, :h] = head
+            chunk[h:, columns] = tail[:, start:stop]
             fill += stop - start
             start = stop
-            if fill == len(chunk):
+            if fill == chunk.shape[1]:
                 yield chunk
                 left -= fill
                 if left:
-                    chunk = np.empty((min(chunk_rows, left), k), dtype=np.intp)
+                    chunk = np.empty((k, min(chunk_columns, left)), dtype=np.intp)
                 fill = 0
 
 
-# _row_extrema and _row_sums reduce a block of at least _FOLD_ROWS rows of
-# at most _FOLD_COLUMNS entries a column at a time.  numpy's axis-1
-# reduction pays per row, so on 8192-row blocks (a 2-vCPU Xeon, numpy
-# 2.4.6) the fold took the max of k = 11 columns in 58 us against 372 us
-# and their sum in 76 us against 182 us.  Past about 24 columns each
-# strided column pass leaves the cache and the sum folds slower than
-# numpy; under 1024 rows the calls cost more than the rows.
-_FOLD_ROWS = 1024
-_FOLD_COLUMNS = 24
+def _power_sums(q: float, log_columns: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """The parts of log P_q along axis 0 of log-values x, as (c, t) per
+    column, that :func:`_log_power_mean` finishes: for a finite nonzero q,
+    c = max qx and t = sum exp(qx - c); otherwise t is None and c is max x,
+    min x (q = -inf) or sum x (q = 0).
 
+    ``log_columns`` is a C-contiguous (k, m) block, one subset per column,
+    or a 1-D group of the outer mean.  numpy sums pairwise only along an
+    array's fast axis, so it reduces a block one row after another: each
+    column's sum is its entries added in order from +0.0, and its max or
+    min keeps the later of tied +0.0 and -0.0.  A column's parts then do
+    not depend on the block it came in.  A lone column, which numpy would
+    reduce as one contiguous run, is reduced beside a copy of itself.  A
+    1-D group is summed pairwise.
 
-def _row_extrema(rows: np.ndarray, fold: np.ufunc) -> np.ndarray:
-    """``fold.reduce(rows, axis=1)`` for ``fold`` ``np.maximum`` or
-    ``np.minimum``: ``rows.max(axis=1)`` or ``rows.min(axis=1)``.
-
-    Folded over columns, a tie of +0.0 and -0.0 may keep the other zero
-    than numpy's; log-values, the rows here, never hold -0.0, and q times
-    them holds zeros of one sign.
-    """
-    m, k = rows.shape
-    if m < _FOLD_ROWS or k > _FOLD_COLUMNS:
-        return fold.reduce(rows, axis=1)
-    out = rows[:, 0].copy()
-    for j in range(1, k):
-        fold(out, rows[:, j], out=out)
-    return out
-
-
-def _row_sums(rows: np.ndarray) -> np.ndarray:
-    """``rows.sum(axis=1)``, bit for bit.
-
-    Folded over columns it adds in numpy's own order for rows of at most
-    128 entries (its pairwise sum's leaf): under 8 entries one after
-    another from 0.0; from 8, entry j into accumulator j mod 8 up to the
-    last multiple of 8, the accumulators combined as
-    ((0+1)+(2+3))+((4+5)+(6+7)), the rest added in order, and the result
-    added to 0.0.
-    """
-    m, k = rows.shape
-    if m < _FOLD_ROWS or k > _FOLD_COLUMNS:
-        return np.add.reduce(rows, axis=1)
-    if k < 8:
-        out = rows[:, 0] + 0.0
-        for j in range(1, k):
-            out += rows[:, j]
-        return out
-    acc = rows[:, :8].T.copy()
-    whole = k - k % 8
-    for j in range(8, whole):
-        acc[j % 8] += rows[:, j]
-    acc[0::2] += acc[1::2]
-    acc[0::4] += acc[2::4]
-    out = acc[0]
-    out += acc[4]
-    for j in range(whole, k):
-        out += rows[:, j]
-    out += 0.0
-    return out
-
-
-def _power_sums(q: float, log_rows: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """The parts of log P_q along axis 1 of an (m, k) array of log-values
-    x, as (c, t) per row, that :func:`_log_power_mean` finishes: for a
-    finite nonzero q, c = max qx and t = sum exp(qx - c); otherwise t is
-    None and c is max x, min x (q = -inf) or sum x (q = 0).
-
-    A finite nonzero q takes one work array the size of ``log_rows``: a
-    new one, or under ``overwrite`` ``log_rows`` itself where that is a
-    contiguous float64 array, left undefined.  The other orders allocate
+    A finite nonzero q takes one work array the size of ``log_columns``:
+    a new one, or under ``overwrite`` ``log_columns`` itself where that is
+    a contiguous float64 array, left undefined.  The other orders allocate
     and write nothing of that size.
     """
+    if log_columns.ndim == 2 and log_columns.shape[1] == 1:
+        c, t = _power_sums(q, np.hstack((log_columns, log_columns)), overwrite=True)
+        return c[:1], None if t is None else t[:1]
     if q == math.inf:
-        return _row_extrema(log_rows, np.maximum), None
+        return np.maximum.reduce(log_columns), None
     if q == -math.inf:
-        return _row_extrema(log_rows, np.minimum), None
+        return np.minimum.reduce(log_columns), None
     if is_zero_exponent(q):
-        return _row_sums(log_rows), None
-    z = np.multiply(log_rows, q, out=log_rows if overwrite else None)  # the one work array
-    zmax = _row_extrema(z, np.maximum)
-    z -= zmax[:, None]
+        return np.add.reduce(log_columns), None
+    z = np.multiply(log_columns, q, out=log_columns if overwrite else None)  # the one work array
+    zmax = np.maximum.reduce(z)
+    z -= zmax
     np.exp(z, out=z)
-    return zmax, _row_sums(z)
+    return zmax, np.add.reduce(z)
 
 
-def _log_power_mean(q: float, c: np.ndarray, t: np.ndarray | None, count: int) -> np.ndarray:
-    """log P_q of ``count`` values from the parts (c, t) of :func:`_power_sums`."""
+def _log_power_mean(q: float, c, t, count: int):
+    """log P_q of ``count`` values from the parts (c, t) of :func:`_power_sums`,
+    arrays or floats."""
     if t is None:
         return c / count if is_zero_exponent(q) else c
     return (c + np.log(t) - math.log(count)) / q
 
 
-def _log_power_mean_rows(q: float, log_rows: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """log P_q along axis 1 of an (m, k) array of log-values; ``overwrite``
-    as in :func:`_power_sums`."""
-    c, t = _power_sums(q, log_rows, overwrite)
-    return _log_power_mean(q, c, t, log_rows.shape[1])
+def _log_power_mean_columns(q: float, log_columns: np.ndarray, overwrite: bool = False):
+    """log P_q along axis 0 of log-values, as in :func:`_power_sums`."""
+    c, t = _power_sums(q, log_columns, overwrite)
+    return _log_power_mean(q, c, t, len(log_columns))
 
 
 def power_mean_of_logs(s: float, log_values: np.ndarray, overwrite: bool = False) -> float:
     """Power mean of order ``s`` of exp(log_values), computed from the logs
-    by :func:`_log_power_mean_rows` as one row; ``overwrite`` as in
-    :func:`_power_sums`.
+    by :func:`_log_power_mean_columns` as one 1-D group; ``overwrite`` as
+    in :func:`_power_sums`.
 
     Accuracy degrades as |s| approaches the geometric switch point
     (exponents below 1e-12 collapse to the geometric branch), which is far
@@ -279,7 +238,7 @@ def power_mean_of_logs(s: float, log_values: np.ndarray, overwrite: bool = False
     logs = np.asarray(log_values, dtype=np.float64)
     if logs.size == 0:
         raise DomainError("cannot average an empty collection of subset means")
-    return float(np.exp(_log_power_mean_rows(s, logs.reshape(1, -1), overwrite)[0]))
+    return float(np.exp(_log_power_mean_columns(s, logs.reshape(-1), overwrite)))
 
 
 # Log-values per group of :class:`_StreamedPowerMean`.
@@ -292,7 +251,7 @@ class _StreamedPowerMean:
 
     The stream is cut into groups of ``_GROUP_SIZE`` values by position,
     however ``extend`` receives it.  Each group is reduced to its parts
-    (c, t) by :func:`_power_sums`, as one row, and :meth:`log_value` sums
+    (c, t) by :func:`_power_sums`, as a 1-D group, and :meth:`log_value` sums
     the groups' parts max-shifted with ``math.fsum``: c = max c_g and
     t = fsum(t_g * exp(c_g - c)), or c = fsum(c_g) at s = 0.  Up to one
     group this is :func:`power_mean_of_logs`' arithmetic, bit for bit.
@@ -316,15 +275,14 @@ class _StreamedPowerMean:
         self._fill += x.size
 
     def _reduce(self, group: np.ndarray, overwrite: bool) -> tuple[float, float | None]:
-        c, t = _power_sums(self.s, group.reshape(1, -1), overwrite)
-        return float(c[0]), None if t is None else float(t[0])
+        c, t = _power_sums(self.s, group, overwrite)
+        return float(c), None if t is None else float(t)
 
-    def log_value(self) -> np.ndarray:
-        """log P_s of the values so far, as a one-element array; the
-        stream may go on after it."""
+    def log_value(self) -> float:
+        """log P_s of the values so far; the stream may go on after it."""
         parts = self._parts
-        if not parts:  # one group, open: the power mean of its values as one row
-            return _log_power_mean_rows(self.s, self._pending[: self._fill].reshape(1, -1))
+        if not parts:  # one group, open: the power mean of its values as one group
+            return float(_log_power_mean_columns(self.s, self._pending[: self._fill]))
         count = len(parts) * _GROUP_SIZE + self._fill
         if self._fill:
             parts = parts + [self._reduce(self._pending[: self._fill], overwrite=False)]
@@ -332,17 +290,19 @@ class _StreamedPowerMean:
         s = self.s
         if s == math.inf or s == -math.inf or is_zero_exponent(s):
             c = max(cs) if s == math.inf else min(cs) if s == -math.inf else math.fsum(cs)
-            return _log_power_mean(s, np.array([c]), None, count)
+            return float(_log_power_mean(s, c, None, count))
         c = max(cs)
         t = math.fsum(t_g * math.exp(c_g - c) for c_g, t_g in parts)
-        return _log_power_mean(s, np.array([c]), np.array([t]), count)
+        return float(_log_power_mean(s, c, t, count))
 
 
 def _stream_log_means(logs: np.ndarray, q: float, index_blocks: Iterator[np.ndarray], sink) -> None:
-    """Call ``sink`` with log P_q of ``logs[rows]`` for the rows of each
-    (m, k) index block, in stream order: one ``map_ordered`` item per
-    block.  Only one block's temporaries are alive at a time."""
-    map_ordered(lambda idx: sink(_log_power_mean_rows(q, logs[idx], overwrite=True)), index_blocks)
+    """Call ``sink`` with log P_q of the subsets of each (k, m) index
+    block, one subset per column, in stream order: one ``map_ordered``
+    item per block.  ``np.take`` gathers a C-contiguous block of logs
+    whatever the order of the index block, as :func:`_power_sums` needs.
+    Only one block's temporaries are alive at a time."""
+    map_ordered(lambda idx: sink(_log_power_mean_columns(q, np.take(logs, idx), overwrite=True)), index_blocks)
 
 
 def _log_means(logs: np.ndarray, q: float, index_blocks: Iterator[np.ndarray], count: int) -> np.ndarray:
@@ -358,13 +318,13 @@ def _log_means(logs: np.ndarray, q: float, index_blocks: Iterator[np.ndarray], c
         nonlocal filled
         stop = filled + means.size
         if stop > count:
-            raise RuntimeError(f"the index stream holds more than the {count} rows expected")
+            raise RuntimeError(f"the index stream holds more than the {count} subsets expected")
         out[filled:stop] = means
         filled = stop
 
     _stream_log_means(logs, q, index_blocks, fill)
     if filled != count:
-        raise RuntimeError(f"the index stream holds {filled} rows, {count} expected")
+        raise RuntimeError(f"the index stream holds {filled} subsets, {count} expected")
     return out
 
 
@@ -379,7 +339,7 @@ def _enumeration(vals: list[float], k: int, q: float) -> tuple[np.ndarray, float
     q = ensure_exponent(q, "q")
     count = _ensure_enumerable(n, k)
     logs = np.log(np.sort(np.asarray(vals, dtype=np.float64)))
-    return logs, q, _iter_subset_index_chunks(n, k, _CHUNK_ROWS), count
+    return logs, q, _iter_subset_index_chunks(n, k, _CHUNK_COLUMNS), count
 
 
 def subset_log_means(values, k: int, q: float) -> np.ndarray:
@@ -407,7 +367,7 @@ def cmn_mean_naive(params: MeanParams, values) -> float:
     logs, q, chunks, _ = _enumeration(vals, params.k, params.q)
     outer = _StreamedPowerMean(params.s)
     _stream_log_means(logs, q, chunks, outer.extend)
-    return float(np.exp(outer.log_value()[0]))
+    return float(np.exp(outer.log_value()))
 
 
 # ---------------------------------------------------------------------------
@@ -674,11 +634,12 @@ def _floyd_collisions(rows: np.ndarray, n: int, k: int) -> None:
 
 
 def _sample_index_blocks(n: int, k: int, samples: int, seed: int) -> Iterator[np.ndarray]:
-    """Floyd rows for ``samples`` draws in blocks of ``_SAMPLE_BLOCK``,
-    block b drawn from ``random.Random(seed * _SEED_STRIDE + b)``."""
+    """``samples`` Floyd draws in blocks of ``_SAMPLE_BLOCK``, block b drawn
+    from ``random.Random(seed * _SEED_STRIDE + b)``, each a (k, m) index
+    block with one draw per column: :func:`_floyd_rows`' rows, transposed."""
     for b, start in enumerate(range(0, samples, _SAMPLE_BLOCK)):
         rng = random.Random(seed * _SEED_STRIDE + b)
-        yield _floyd_rows(rng, n, k, min(_SAMPLE_BLOCK, samples - start))
+        yield _floyd_rows(rng, n, k, min(_SAMPLE_BLOCK, samples - start)).T
 
 
 def _jackknife_aggregate(s: float, log_means: np.ndarray) -> tuple[float, float]:

@@ -125,6 +125,12 @@ class TestLowerBoundCheck:
     def test_singleton_is_equality(self):
         assert power_mean_lower_bound_check(1, (1.7,)) is False
 
+    def test_saturated_tie(self):
+        # P_2(1, 1e-300) = sqrt(1/2) rounds to 2**(-1/2) * 1: the strict
+        # margin of 1e-600 is lost, and the comparison reads the tie
+        assert power_mean(2.0, (1.0, 1e-300)) == 2.0 ** (-1 / 2.0)
+        assert power_mean_lower_bound_check(2.0, [1.0, 1e-300]) is False
+
     def test_random_vectors_always_pass(self, rng):
         # q1 and the dynamic range are kept where the strict margin,
         # roughly (k-1) * (max/min)**-q1 / q1, stays resolvable in doubles

@@ -46,8 +46,10 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
     negative seeds, the e_k root of entries at the largest double, each
     side of the routes of ``mean`` that need no numpy, the subset engine at
     size and near the enumeration budget, the Exact route's outer mean over
-    several groups and near a group boundary, results that left the hull
-    of their entries before the clamp, the jackknife with a
+    several groups and near a group boundary, the subset means of k >= 8
+    entries in Exact chunks and sample blocks at each kind of inner
+    exponent, results that left the hull of their entries before the clamp,
+    powers that underflow on the e_k route, the jackknife with a
     near-dominant draw, usage-error, parse-error, file-error and
     output-error paths and every integer range error the command line can
     reach."""
@@ -232,6 +234,23 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
     invocations.append(("mean", "-k", "7", "-s", "2", "-q", "-1", "--data", exact20, "--format", "json"))
     invocations.append(("mean", "-k", "9", "-s", "-1", "-q", "0.5", "--data", exact20))
     invocations.append(("mean", "-k", "4", "-s", "2", "-q", "-2", "--data", _data(range(1, 29))))
+    # subset means of at least 8 entries, where a sum in order and numpy's
+    # pairwise sum part: Exact under 1024 subsets (C(12,8) = 495, C(14,11)
+    # = 364, C(30,29) = 30) and over it (C(16,8) = 12870, C(16,11) = 4368),
+    # and 3000 draws of 40 entries, at q = 0, a finite q and q = +-inf.
+    # Exact takes q = 0 only at an infinite s, which outside it has the e_k
+    # closed form.
+    forty = [math.exp(3.0 * math.sin(2.9 * i)) for i in range(40)]
+    inner = (("0", "-inf"), ("1.5", "2"), ("inf", "-1"), ("-inf", "0.5"))
+    for k, n in ((8, 12), (8, 16), (11, 14), (11, 16), (29, 30)):
+        for q, s in inner:
+            invocations.append(("mean", "-k", str(k), "-s", s, "-q", q, "--data", _data(forty[:n])))
+    for k in (8, 11, 29):
+        for q, s in inner:
+            invocations.append(("mean", "-k", str(k), "-s", s, "-q", q, "--data", _data(forty),
+                                "--samples", "3000", "--seed", "5", "--format", "json"))
+    # 1e-300**2 underflows: the scalar e_k route leaves it to the vector engine
+    invocations.append(("mean", "-k", "2", "-s", "4", "-q", "0", "--data", "1e-300,1e-300,1"))
     # results that left the hull [min v, max v] before the clamp
     invocations.append(("mean", "-k", "2", "-s", "-1", "-q", "0", "--data", ",".join(["0.9999999999999999"] * 3)))
     invocations.append(("mean", "-k", "2", "-s", "2", "-q", "1", "--data", ",".join([largest] * 3)))
