@@ -986,6 +986,36 @@ def test_column_kernel_matches_plain_python(k, m):
     assert block.tobytes() == before
 
 
+# one exponent per branch of the column kernel
+KERNEL_BRANCHES = (INF, -INF, 0.0, 1e-13, 2.0, -0.3)
+
+
+@pytest.mark.parametrize("k", range(1, 131))
+def test_folded_kernel_matches_numpy_bytes(k):
+    # numpy folds a C-contiguous (k, m) block one row after another, and
+    # the kernel must give numpy's own axis-0 reductions byte for byte, for
+    # every height up to the 128 entries of numpy's pairwise leaf.  Each
+    # column must also read the same alone, in 63 columns and in 64: a lone
+    # column, which numpy would sum pairwise as one run, fails here from
+    # k = 8 on if the kernel hands it to numpy as it is.
+    rng = np.random.default_rng(1000 + k)
+    block = rng.uniform(-5.0, 5.0, (k, 64)) * rng.choice([1.0, 1e-9, 30.0], (k, 64))
+    block[:, ::5] = 0.0  # entries 1
+    block[: (k + 1) // 2, 1::7] = 0.0
+    block[::2, 2::9] = -0.0
+    before = block.tobytes()
+    assert as_bytes(cmn_means._power_sums(0.0, block)[0]) == as_bytes(block.sum(axis=0))
+    for q in KERNEL_BRANCHES:
+        want = as_bytes(reference_log_power_mean_columns(q, block))
+        assert as_bytes(_log_power_mean_columns(q, block)) == want, q
+        assert as_bytes(_log_power_mean_columns(q, block.copy(), overwrite=True)) == want, q
+        narrow = np.ascontiguousarray(block[:, :63])
+        assert as_bytes(_log_power_mean_columns(q, narrow)) == want[: 63 * 8], q
+        alone = [as_bytes(_log_power_mean_columns(q, block[:, j : j + 1].copy())) for j in range(64)]
+        assert b"".join(alone) == want, q
+    assert block.tobytes() == before
+
+
 @pytest.mark.parametrize("s", EXPONENTS)
 def test_power_mean_of_logs_matches_reference_bytes(s):
     rng = np.random.default_rng(5)
