@@ -10,8 +10,10 @@ Importing the package loads only the numpy-free modules (the classifier,
 the parameter specs and the error types).  Every other export is imported
 from its module on first access (PEP 562), so ``hardy-means classify`` and
 ``hardy-means --help`` never load numpy, and neither do the exports of
-the numpy-free ``routes``: ``power_mean`` and ``cmn_mean_fast`` with its
-``EvalMethod`` and ``CmnEvalReport``.
+the numpy-free ``routes`` (``power_mean`` and ``cmn_mean_fast`` with its
+``EvalMethod`` and ``CmnEvalReport``) and ``prefix`` (the sequence
+families, ``parse_family`` and ``iter_checkpoints``, which runs short
+prefix experiments without arrays).
 """
 
 import importlib
@@ -34,21 +36,17 @@ _LAZY_EXPORTS = {
         "theorem1_identity_check",
     ),
     "hardy": (
-        "CustomTerms",
-        "Geometric",
-        "Harmonic",
-        "HarmonicTruncated",
         "HardyEstimate",
-        "PowerTail",
         "hardy_partial_sum",
         "iter_hardy_checkpoints",
         "landau_constant",
-        "parse_family",
         "sharpness_constant_sweep",
         "sharpness_limit_curve",
         "sharpness_limit_experiment",
         "sharpness_sequence",
     ),
+    "prefix": ("CustomTerms", "Geometric", "Harmonic", "HarmonicTruncated", "PowerTail", "iter_checkpoints",
+               "parse_family"),
     "routes": ("CmnEvalReport", "EvalMethod", "check_positive_vector", "cmn_mean_fast", "power_mean",
                "power_mean_lower_bound_check"),
     "verification": ("PropertyResult", "run_verification"),

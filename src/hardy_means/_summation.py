@@ -39,7 +39,15 @@ class KahanSum:
         self._sum = self._compensation = 0.0 if lanes == 1 else 0j
 
     def add(self, term: float) -> None:
-        self.add_each((term,))
+        """Add one term: Neumaier's update, with the error of the rounded
+        sum kept in the compensation."""
+        total = self._sum
+        new = total + term
+        if abs(total) >= abs(term):
+            self._compensation += (total - new) + term
+        else:
+            self._compensation += (term - new) + total
+        self._sum = new
 
     def add_each(self, terms) -> list[float]:
         """Add every element of ``terms`` in order, as :meth:`add` does;

@@ -264,19 +264,15 @@ def _cmd_mean(args) -> int:
 
 
 def _cmd_hardy_sum(args) -> int:
-    _load_kernels("iter_hardy_checkpoints", "parse_family")
     mean = parse_mean(args.mean)
+    _load_kernels("iter_checkpoints", "parse_family")
     family = parse_family(args.family)
     if not (family.summable or args.allow_nonsummable):
         raise DomainError(
             f"family {family.label()} is not summable (hint: --allow-nonsummable runs it anyway, "
             "for limit experiments only)"
         )
-    rows = list(
-        iter_hardy_checkpoints(
-            mean, family, args.N, allow_nonsummable=args.allow_nonsummable
-        )
-    )
+    rows = list(iter_checkpoints(mean, family, args.N, allow_nonsummable=args.allow_nonsummable))
     header = ["n", "partial_sum", "partial_norm", "ratio"]
     plain = [f"{'n':>10}  {'partial_sum':>24}  {'partial_norm':>24}  ratio"]
     for n, mean_sum, term_sum, ratio in rows:
@@ -293,8 +289,8 @@ def _cmd_hardy_sum(args) -> int:
 
 
 def _cmd_estimate_constant(args) -> int:
-    _load_kernels("sharpness_constant_sweep")
     mean = parse_mean(args.mean)
+    _load_kernels("sharpness_constant_sweep")
     estimates = sharpness_constant_sweep(mean, args.N)
     best = max(estimates, key=lambda est: est.ratio)
     header = ["n0", "n", "partial_sum", "partial_norm", "ratio"]

@@ -57,13 +57,14 @@ from ._summation import KahanSum
 from .errors import CapacityError, DomainError
 from .params import MeanParams, ensure_exponent, require_int
 from .routes import (
+    _LEVEL_CEILING,
     _MIN_NORMAL,
     MAX_ENUMERATION_N,
     MAX_ENUMERATION_SUBSETS,
     CmnEvalReport,
     EvalMethod,
-    _pow_or_inf,
     _root,
+    _scaled_pow,
     check_positive_vector,
     cmn_mean_fast,
     is_zero_exponent,
@@ -393,43 +394,16 @@ def _valid_prefix(ok: np.ndarray) -> int:
 
 
 def _pows(values: np.ndarray, p: float) -> np.ndarray:
-    """:func:`_pow_or_inf` of every element, in one call.
+    """:func:`~hardy_means.routes._pow_or_inf` of every element, in one call.
 
     ``np.float_power`` has no SIMD loop: it calls the C library's ``pow``
     once per element, as ``math.pow`` does, and so gives the same bits.
     ``np.power`` does not (about 5% of ``i ** -2.0`` over i <= 10^6 differ
     by an ulp on an AVX-512 machine).  A result past the double range is
-    inf, as in :func:`_pow_or_inf`.
+    inf, as in :func:`~hardy_means.routes._pow_or_inf`.
     """
     with np.errstate(over="ignore"):
         return np.float_power(values, p)
-
-
-# A level of :class:`ElementarySymmetric` is rescaled before it takes a
-# term above this, so that the term lands in [0.5, 1).  Levels then stay in
-# [0.5, 2**(512 + 53)], far from both ends of the double range, and so do
-# the products of the next level.
-_LEVEL_CEILING = 2.0**512
-
-
-def _scaled_pow(a: float, p: float) -> tuple[float, int]:
-    """a**p as (m, e) with m in [0.5, 1), also where a**p leaves the double range.
-
-    In range this is ``math.frexp`` of the C library's ``pow``.  Outside
-    it, a**p = 2**x with x = p*e_a + p*log2(m_a) for a = m_a * 2**e_a; the
-    first part is exact, so the relative error of m stays near
-    |p*log2(m_a)| ulps.
-    """
-    x = _pow_or_inf(a, p)
-    if _MIN_NORMAL <= x < math.inf:
-        return math.frexp(x)
-    from fractions import Fraction  # only here: it adds to every start-up otherwise
-
-    m, e = math.frexp(a)
-    x = Fraction(p) * e + Fraction(p * math.log2(m))
-    whole = math.floor(x)
-    m, e = math.frexp(2.0 ** float(x - whole))
-    return m, e + whole
 
 
 def _scaled_pows(values: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:

@@ -10,13 +10,15 @@ for the standard sequence families, exposes the sharp power-mean constant
 (1-p)**(-1/p), and runs the sharpness experiments around the pairwise
 mean M_{2,1,0}, whose empirical constant approaches 4 from below.
 
-Prefix means are computed incrementally.  Which closed form applies is
-decided once, by :func:`~hardy_means.routes.closed_form`, for this module
-and for ``cmn_mean_fast`` alike: a power mean (P_s at k = 1, P_q at s = q)
+Prefix means are computed incrementally.  Which incremental form applies
+is decided once, by :func:`~hardy_means.prefix.prefix_form` on top of
+:func:`~hardy_means.routes.closed_form`, for this module, for the
+one-term engine of :mod:`~hardy_means.prefix` and for ``cmn_mean_fast``
+alike: a power mean (P_s at k = 1, P_q at s = q)
 keeps one running sum, and M_{k,s,0} keeps the elementary-symmetric levels
 e_1..e_k of b_i = a_i**(s/k) in the linear domain, each a compensated sum
 of positive terms under its own power-of-two scale, at O(k) per step.  Two
-forms are this module's own.  M_{2,1,0} uses the O(1)-per-step recurrence
+forms belong to the prefix experiments alone.  M_{2,1,0} uses the O(1)-per-step recurrence
 
     M_{2,1,0}(a_1..a_n) = 2 E_n / (n * (n - 1)),
     E_n = sum_{i<=n} r_i * S_{i-1},  S_i = r_1 + .. + r_i,  r_i = sqrt(a_i),
@@ -32,8 +34,12 @@ which cancels nothing and keeps every square under a power-of-two scale,
 so it refuses no entry once n > k.  Both e_k forms read P_r of the
 prefix while n <= k, and share that step.
 
-The experiments run block at a time: families produce their terms as
-arrays of a fixed number of elements, and each evaluator's ``extend`` turns
+This module is the block engine.  The sequence families, the checkpoint
+ladder and the one-term engine, which runs the short closed-form
+experiments without numpy and with the same bits, live in
+:mod:`~hardy_means.prefix`.  The experiments here run block at a time:
+families produce their terms as arrays of a fixed number of elements
+(``blocks``), and each evaluator's ``extend`` turns
 a block into the running means after each element, with the compensated
 sums of :meth:`KahanSum.extend`.  No result depends on the block size:
 every running mean rounds as the one-term recurrence over the same terms
@@ -67,7 +73,6 @@ enumeration on an error path whose command prints no row.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterator, Sequence, Union
 
@@ -85,25 +90,19 @@ from .cmn_means import (
     _valid_prefix,
 )
 from .errors import DomainError
-from .params import (
-    MeanLike, MeanParams, Record, ensure_exponent, format_exponent, format_mean, parse_exponent, read_vector_file,
-    require_int,
+from .params import MeanLike, MeanParams, Record, ensure_exponent, format_mean, require_int
+from .prefix import (
+    CustomTerms, Geometric, Harmonic, HarmonicTruncated, PowerTail, _block_ranges, _checkpoint_marks, _decades,
+    _power_range_error, prefix_form,
 )
-from .routes import MAX_ENUMERATION_N, check_positive_vector, closed_form, cmn_mean_fast, is_zero_exponent
+from .routes import MAX_ENUMERATION_N, cmn_mean_fast, is_zero_exponent
 
 __all__ = [
-    "Harmonic",
-    "HarmonicTruncated",
-    "PowerTail",
-    "Geometric",
-    "CustomTerms",
     "SequenceFamily",
-    "parse_family",
     "make_prefix_evaluator",
     "HardyEstimate",
     "hardy_partial_sum",
     "iter_hardy_checkpoints",
-    "default_checkpoints",
     "landau_constant",
     "sharpness_sequence",
     "sharpness_limit_experiment",
@@ -111,217 +110,7 @@ __all__ = [
     "sharpness_constant_sweep",
 ]
 
-# Smallest positive double; used for the geometric representability horizon.
-_TINY = 5e-324
-
-# Terms per block of the prefix engine.  Results do not depend on it; the
-# working set does (a few arrays of this length), so peak memory stays
-# flat in N.
-_BLOCK = 8192
-
-
-def _block_ranges(count: int) -> Iterator[tuple[int, int]]:
-    """Index ranges [lo, hi) covering 1..count, _BLOCK indices each."""
-    for lo in range(1, count + 1, _BLOCK):
-        yield lo, min(lo + _BLOCK, count + 1)
-
-
-def _index_blocks(count: int) -> Iterator[np.ndarray]:
-    """The indices 1..count as float arrays, one per block."""
-    return (np.arange(lo, hi, dtype=np.float64) for lo, hi in _block_ranges(count))
-
-
-# ---------------------------------------------------------------------------
-# Sequence families
-
-
-class _BlockTerms:
-    """Per-term view of a family's array form: ``blocks(count)`` yields
-    the first ``count`` terms as consecutive float arrays, and ``terms``
-    unrolls them.  Both validate ``count`` when called, not when first
-    iterated."""
-
-    __slots__ = ()
-
-    def terms(self, count: int) -> Iterator[float]:
-        return itertools.chain.from_iterable(block.tolist() for block in self.blocks(count))
-
-
-class Harmonic(_BlockTerms, Record):
-    """a_n = 1/n.  Not summable; quarantined behind an explicit opt-in.
-
-    Ratio experiments against a divergent ||a||_1 are meaningless, so
-    :func:`iter_hardy_checkpoints` (and :func:`hardy_partial_sum` through
-    it) rejects this family unless the caller sets ``allow_nonsummable``.
-    The limit experiment (:func:`sharpness_limit_curve`) needs no ratio
-    and reads the terms from :meth:`blocks` itself.
-    """
-
-    __slots__ = ()
-    summable = False
-
-    def __init__(self):
-        super().__init__()
-
-    def blocks(self, count: int) -> Iterator[np.ndarray]:
-        return (1.0 / i for i in _index_blocks(require_int(count, "count", 1)))
-
-    def label(self) -> str:
-        return "harmonic"
-
-
-class HarmonicTruncated(_BlockTerms, Record):
-    """a_n = 1/n up to the crossover, then the inverse-square tail n**-2.
-
-    This is the witness family for the sharpness of the constant 4: with a
-    long harmonic prefix the empirical ratio climbs arbitrarily close to 4
-    while the sequence stays summable.
-    """
-
-    __slots__ = ("crossover",)
-    summable = True
-
-    def __init__(self, crossover: int):
-        super().__init__(require_int(crossover, "crossover", 1))
-
-    def blocks(self, count: int) -> Iterator[np.ndarray]:
-        return (self._block(i) for i in _index_blocks(require_int(count, "count", 1)))
-
-    def _block(self, i: np.ndarray) -> np.ndarray:
-        out = 1.0 / i
-        tail = i > self.crossover
-        out[tail] = _pows(i[tail], -2.0)
-        return out
-
-    def label(self) -> str:
-        return f"harmonic-truncated:{self.crossover}"
-
-
-class PowerTail(_BlockTerms, Record):
-    """a_n = n**-alpha with alpha > 1 (summable)."""
-
-    __slots__ = ("exponent",)
-    summable = True
-
-    def __init__(self, exponent: float):
-        alpha = ensure_exponent(exponent, "exponent")
-        if not (math.isfinite(alpha) and alpha > 1.0):
-            raise DomainError(f"power tail needs a finite exponent > 1, got {alpha!r}")
-        super().__init__(alpha)
-
-    def blocks(self, count: int) -> Iterator[np.ndarray]:
-        return (_pows(i, -self.exponent) for i in _index_blocks(require_int(count, "count", 1)))
-
-    def label(self) -> str:
-        return f"powertail:{format_exponent(self.exponent)}"
-
-
-class Geometric(_BlockTerms, Record):
-    """a_n = r**n with 0 < r < 1.
-
-    Terms are produced by iterated multiplication (``np.multiply.accumulate``
-    within a block, the last term carried into the next) and are only
-    available while r**n stays inside the positive double range;
-    ``max_length`` gives that horizon (618 terms already for r = 0.3).
-    Requests past it raise a :class:`DomainError` instead of quietly
-    emitting zeros or a stalled subnormal tail.
-    """
-
-    __slots__ = ("ratio",)
-    summable = True
-
-    def __init__(self, ratio: float):
-        r = ensure_exponent(ratio, "ratio")
-        if not (0.0 < r < 1.0):
-            raise DomainError(f"geometric ratio must lie in (0, 1), got {r!r}")
-        super().__init__(r)
-
-    def max_length(self) -> int:
-        return int(math.floor(math.log(_TINY) / math.log(self.ratio)))
-
-    def blocks(self, count: int) -> Iterator[np.ndarray]:
-        count = require_int(count, "count", 1)
-        if count > self.max_length():
-            raise DomainError(
-                f"geometric ratio {self.ratio} underflows after {self.max_length()} terms; "
-                f"requested {count}"
-            )
-
-        def generate():
-            x = 1.0
-            for lo, hi in _block_ranges(count):
-                block = np.full(hi - lo, self.ratio)
-                block[0] = x * self.ratio
-                np.multiply.accumulate(block, out=block)
-                x = float(block[-1])
-                yield block
-
-        return generate()
-
-    def label(self) -> str:
-        return f"geometric:{format_exponent(self.ratio)}"
-
-
-class CustomTerms(_BlockTerms, Record):
-    """An explicit finite prefix.  There is no positive extension past it,
-    so any request for more terms than given is a positivity violation.
-
-    ``source`` names the file :func:`parse_family` read.  It shows in the
-    repr and survives copy and pickle, but equality and hash ignore it.
-    """
-
-    __slots__ = ("values", "source")
-    summable = True
-
-    def __init__(self, values: tuple, source: str | None = None):
-        super().__init__(tuple(check_positive_vector(values)), source)
-
-    def _key(self) -> tuple:
-        return (self.values,)
-
-    def blocks(self, count: int) -> Iterator[np.ndarray]:
-        count = require_int(count, "count", 1)
-        if count > len(self.values):
-            raise DomainError(
-                f"custom family has {len(self.values)} strictly positive terms; "
-                f"term {len(self.values) + 1} would be zero"
-            )
-        values = np.array(self.values[:count], dtype=np.float64)
-        return (values[lo - 1 : hi - 1] for lo, hi in _block_ranges(count))
-
-    def label(self) -> str:
-        return f"custom:{len(self.values) if self.source is None else self.source}"
-
-
 SequenceFamily = Union[Harmonic, HarmonicTruncated, PowerTail, Geometric, CustomTerms]
-
-
-def parse_family(text: str) -> SequenceFamily:
-    """Parse a family spec: ``harmonic``, ``harmonic-truncated:<N0>``,
-    ``powertail:<alpha>``, ``geometric:<r>`` or ``custom:<file>`` (the terms
-    in the file, one decimal per line, read by
-    :func:`~hardy_means.params.read_vector_file`).  The kind is
-    case-insensitive."""
-    kind, _, arg = text.strip().partition(":")
-    kind = kind.lower()
-    if kind == "harmonic" and not arg:
-        return Harmonic()
-    if kind == "harmonic-truncated":
-        try:
-            crossover = int(arg)
-        except ValueError:
-            raise DomainError(f"harmonic-truncated needs an integer crossover, got {arg!r}")
-        return HarmonicTruncated(crossover)
-    if kind == "powertail":
-        return PowerTail(parse_exponent(arg, "powertail exponent"))
-    if kind == "geometric":
-        return Geometric(parse_exponent(arg, "geometric ratio"))
-    if kind == "custom":
-        return CustomTerms(tuple(read_vector_file(arg)), source=arg)
-    raise DomainError(
-        f"unknown family {text!r}; expected harmonic, harmonic-truncated:<N0>, "
-        "powertail:<alpha>, geometric:<r> or custom:<file>"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +129,6 @@ def parse_family(text: str) -> SequenceFamily:
 def _counts(done: int, size: int) -> np.ndarray:
     """The prefix lengths done+1 .. done+size as floats (exact below 2**53)."""
     return np.arange(done + 1, done + size + 1, dtype=np.float64)
-
-
-def _power_range_error(a: float, p: float) -> DomainError:
-    return DomainError(
-        f"a**p left the double range for a={a!r}, p={p!r}; "
-        "the incremental evaluator needs representable powers"
-    )
 
 
 class _Prefix:
@@ -557,24 +339,20 @@ class BufferedPrefix(_Prefix):
         return np.array(means, dtype=np.float64), None
 
 
-def make_prefix_evaluator(mean: MeanLike):
-    """Build the cheapest incremental evaluator for the given mean.
+_EVALUATORS = {
+    "power": PowerMeanPrefix,
+    "pair": PairGeometricMeanPrefix,
+    "symmetric": SymmetricFunctionPrefix,
+    "second-moment": SecondMomentPrefix,
+    "buffered": BufferedPrefix,
+}
 
-    The closed forms of :func:`~hardy_means.routes.closed_form` come
-    first; the pair recurrence at (2, 1, 0) and the second-moment identity
-    at s = 2q are the prefix route's own.
-    """
-    if not isinstance(mean, MeanParams):
-        return PowerMeanPrefix(ensure_exponent(mean, "p"))
-    k, s, q = mean.k, mean.s, mean.q
-    order, symmetric = closed_form(mean)
-    if order is not None:
-        return PowerMeanPrefix(order)
-    if symmetric:
-        return PairGeometricMeanPrefix() if (k, s, q) == (2, 1.0, 0.0) else SymmetricFunctionPrefix(k, s)
-    if math.isfinite(q) and not is_zero_exponent(q) and s == 2.0 * q:
-        return SecondMomentPrefix(k, q)
-    return BufferedPrefix(mean)
+
+def make_prefix_evaluator(mean: MeanLike):
+    """Build the block evaluator of the incremental form that
+    :func:`~hardy_means.prefix.prefix_form` gives the mean."""
+    kind, *args = prefix_form(mean)
+    return _EVALUATORS[kind](*args)
 
 
 # ---------------------------------------------------------------------------
@@ -592,29 +370,6 @@ class HardyEstimate(Record):
     def as_row(self) -> tuple[str, str, int, float, float]:
         """Canonical table row (family, mean, N, sum of means, ratio)."""
         return (self.family.label(), format_mean(self.mean), self.n, self.mean_sum, self.ratio)
-
-
-def default_checkpoints(n: int) -> list[int]:
-    """Logarithmic checkpoint ladder 1, 2, 5, 10, ... capped by (and
-    always including) n."""
-    n = require_int(n, "N", 1)
-    points = {n}
-    scale = 1
-    while scale <= n:
-        for lead in (1, 2, 5):
-            if lead * scale <= n:
-                points.add(lead * scale)
-        scale *= 10
-    return sorted(points)
-
-
-def _decades(first: int, n: int) -> list[int]:
-    """first, 10 * first, ... below n, then n."""
-    marks = []
-    while first < n:
-        marks.append(first)
-        first *= 10
-    return marks + [n]
 
 
 def _checkpoint_blocks(blocks: Iterator[np.ndarray], marks: list[int]):
@@ -683,18 +438,7 @@ def iter_hardy_checkpoints(
     rejected unless explicitly allowed, since a ratio against a divergent
     norm estimates nothing.
     """
-    n = require_int(n, "N", 1)
-    if not family.summable and not allow_nonsummable:
-        raise DomainError(
-            f"family {family.label()} is not summable; pass allow_nonsummable=True "
-            "only for limit experiments"
-        )
-    if checkpoints is None:
-        marks = default_checkpoints(n)
-    else:
-        marks = sorted({require_int(m, "checkpoint") for m in checkpoints})
-        if not marks or marks[0] < 1 or marks[-1] > n:
-            raise DomainError(f"checkpoints must lie in 1..{n}")
+    n, marks = _checkpoint_marks(family, n, checkpoints, allow_nonsummable)
     evaluator = make_prefix_evaluator(mean)
     running = KahanSum(2)
     for done, block, inside in _checkpoint_blocks(family.blocks(n), marks):

@@ -259,6 +259,34 @@ def _ldexp_or_inf(x: float, e: int) -> float:
         return math.inf
 
 
+# A level of the e_k engines (:class:`~hardy_means.cmn_means.ElementarySymmetric`
+# and its one-term twin in :mod:`~hardy_means.prefix`) is rescaled before it
+# takes a term above this, so that the term lands in [0.5, 1).  Levels then
+# stay in [0.5, 2**(512 + 53)], far from both ends of the double range, and
+# so do the products of the next level.
+_LEVEL_CEILING = 2.0**512
+
+
+def _scaled_pow(a: float, p: float) -> tuple[float, int]:
+    """a**p as (m, e) with m in [0.5, 1), also where a**p leaves the double range.
+
+    In range this is ``math.frexp`` of the C library's ``pow``.  Outside
+    it, a**p = 2**x with x = p*e_a + p*log2(m_a) for a = m_a * 2**e_a; the
+    first part is exact, so the relative error of m stays near
+    |p*log2(m_a)| ulps.
+    """
+    x = _pow_or_inf(a, p)
+    if _MIN_NORMAL <= x < math.inf:
+        return math.frexp(x)
+    from fractions import Fraction  # only here: it adds to every start-up otherwise
+
+    m, e = math.frexp(a)
+    x = Fraction(p) * e + Fraction(p * math.log2(m))
+    whole = math.floor(x)
+    m, e = math.frexp(2.0 ** float(x - whole))
+    return m, e + whole
+
+
 def _binomial(n: int, k: int) -> tuple[float, int]:
     """C(n, k) as (m, e): the float product of (n - t) / (t + 1), rescaled
     by ``frexp`` after every factor."""

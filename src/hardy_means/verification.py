@@ -18,8 +18,9 @@ from .cmn_means import (
     compare_qs_monotonicity,
     compare_theorem1_identity,
 )
-from .hardy import _decades, sharpness_limit_curve
+from .hardy import sharpness_limit_curve
 from .params import MeanParams, Record, require_int
+from .prefix import _decades
 from .routes import cmn_mean_fast, power_mean
 
 __all__ = ["PropertyResult", "run_verification", "EXPONENT_GRID"]

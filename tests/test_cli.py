@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hardy_means import MeanParams, cmn_mean_naive, power_mean
-from hardy_means import cli, cmn_means, routes
+from hardy_means import cli, cmn_means, prefix, routes
 from hardy_means.cli import canonical_json, main, run_bench
 from hardy_means.hardy import sharpness_limit_curve
 
@@ -665,6 +665,7 @@ _HEAVY_MODULES = ("dataclasses", "inspect", "typing", "json", "csv")
         _CLASSIFY_GRID,
         ("mean", "-k", "2", "-s", "1", "-q", "0", "--data", "1,4,9"),
         ("mean", "-k", "2", "-s", "1.5", "-q", "1.5", "--data", "1,4,9,16"),
+        ("hardy-sum", "--mean", "cmn:3,2,0", "--family", "harmonic-truncated:10", "-N", "1000"),
     ],
 )
 def test_numpy_free_path_loads_no_heavy_stdlib_module(argv):
@@ -845,9 +846,38 @@ def test_long_e_k_file_without_numpy(tmp_path):
     assert out == f"{value!r} (FastSymmetric)\n"
 
 
+# The pair recurrence takes 2 steps a term, so 16384 terms are the most the
+# scalar prefix engine runs, and 16385 go to the block engine.
+_PAST_THE_PREFIX_CAP = ("hardy-sum", "--mean", "cmn:2,1,0", "--family", "powertail:2", "-N", "16385")
+
+
+def test_hardy_sum_past_the_cap_loads_numpy():
+    assert 16384 * 2 <= prefix._PREFIX_STEPS < 16385 * 2
+    assert run_fresh(_RUN_CLI, *_PAST_THE_PREFIX_CAP[:-1], "16384")[3] == "numpy imported: False\n"
+    assert run_fresh(_RUN_CLI, *_PAST_THE_PREFIX_CAP)[3] == "numpy imported: True\n"
+
+
+_UNKNOWN_MEAN = "error: unknown mean 'bogus:1'; expected power:<p> or cmn:<k>,<s>,<q>\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("estimate-constant", "--mean", "bogus:1", "-N", "10"), _UNKNOWN_MEAN),
+        (("hardy-sum", "--mean", "bogus:1", "--family", "powertail:2", "-N", "10"), _UNKNOWN_MEAN),
+        (("hardy-sum", "--mean", "power:0.5", "--family", "foo", "-N", "10"),
+         "error: unknown family 'foo'; expected harmonic, harmonic-truncated:<N0>, powertail:<alpha>, "
+         "geometric:<r> or custom:<file>\n"),
+    ],
+)
+def test_prefix_parse_errors_without_numpy(argv, message):
+    # the mean and the family are parsed before any kernel is loaded
+    assert run_fresh(_RUN_CLI, *argv)[:4] == (2, "", message, "numpy imported: False\n")
+
+
 _NUMPY_COMMANDS = {
     **{name: ("mean", *argv, "--format", "json") for name, (argv, _) in _NUMPY_MEANS.items()},
-    "hardy-sum": ("hardy-sum", "--mean", "cmn:2,1,0", "--family", "powertail:2", "-N", "1000", "--format", "csv"),
+    "hardy-sum": (*_PAST_THE_PREFIX_CAP, "--format", "csv"),
     "verify": ("verify", "--quick"),
 }
 
@@ -875,8 +905,9 @@ _REPORT_KERNELS = (
     ")) + f'\\nnumpy.random imported: {\"numpy.random\" in sys.modules}\\n'))\n"
 )
 _SCALAR_KERNELS = "_summation routes"
+_SCALAR_PREFIX_KERNELS = "_summation prefix routes"
 _SUBSET_KERNELS = "_parallel _summation cmn_means routes"
-_PREFIX_KERNELS = "_parallel _summation cmn_means hardy routes"
+_PREFIX_KERNELS = "_parallel _summation cmn_means hardy prefix routes"
 # Each command with the modules it loads and whether it imports numpy.  No
 # command imports numpy.random: verify, bench and the Monte Carlo sampler
 # draw from random.Random.
@@ -890,7 +921,8 @@ _KERNEL_MODULES = {
     "mean-e_k-past-the-bound": (("mean", *_NUMPY_MEANS["mean-long"][0]), _SUBSET_KERNELS, True),
     "mean-sampled": (("mean", *_NUMPY_MEANS["mean-sampled"][0]), _SUBSET_KERNELS, True),
     "hardy-sum": (("hardy-sum", "--mean", "power:0.5", "--family", "powertail:2", "-N", "10"),
-                  _PREFIX_KERNELS, True),
+                  _SCALAR_PREFIX_KERNELS, False),
+    "hardy-sum-past-the-cap": (_PAST_THE_PREFIX_CAP, _PREFIX_KERNELS, True),
     "estimate-constant": (("estimate-constant", "--mean", "power:0.5", "-N", "10"), _PREFIX_KERNELS, True),
     "verify": (("verify", "--quick"), f"{_PREFIX_KERNELS} verification", True),
     "bench": (("bench", "--samples", "200"), _SUBSET_KERNELS, True),

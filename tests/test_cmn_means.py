@@ -37,7 +37,6 @@ from hardy_means.cmn_means import (
     _jackknife_aggregate,
     _log_means,
     _log_power_mean_columns,
-    _pow_or_inf,
     _pows,
     _scaled_pows,
     compare_k_monotonicity,
@@ -46,7 +45,7 @@ from hardy_means.cmn_means import (
     power_mean_of_logs,
     subset_log_means,
 )
-from hardy_means.routes import _elementary_symmetric, _unscaled_elementary_symmetric, is_zero_exponent
+from hardy_means.routes import _elementary_symmetric, _pow_or_inf, _unscaled_elementary_symmetric, is_zero_exponent
 
 INF = math.inf
 GRID = (-INF, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, INF)

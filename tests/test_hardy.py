@@ -11,7 +11,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-import prefix_oracle
 import regression_fixtures as fixtures
 from conftest import log_uniform_vector
 from hardy_means import (
@@ -36,7 +35,7 @@ from hardy_means import (
     sharpness_limit_experiment,
     sharpness_sequence,
 )
-from hardy_means import hardy
+from hardy_means import hardy, prefix
 from hardy_means._summation import KahanSum
 from hardy_means.cmn_means import MAX_ENUMERATION_N, EvalMethod, cmn_mean_fast
 from hardy_means.hardy import (
@@ -45,11 +44,18 @@ from hardy_means.hardy import (
     PowerMeanPrefix,
     SecondMomentPrefix,
     SymmetricFunctionPrefix,
-    default_checkpoints,
     make_prefix_evaluator,
 )
+from hardy_means.prefix import default_checkpoints
 
 INF = math.inf
+
+
+def scalar_twin(evaluator, *args):
+    """The scalar engine's one-term evaluator of the form that the block
+    evaluator class ``evaluator`` runs, with the same arguments."""
+    kind = next(kind for kind, block in hardy._EVALUATORS.items() if block is evaluator)
+    return prefix._SCALAR_FORMS[kind][0](*args)
 
 
 class TestLandauConstant:
@@ -286,7 +292,7 @@ class TestPrefixEvaluators:
         # extend over any split into blocks, and push, give the bits of the
         # one-term recurrence
         v = log_uniform_vector(rng, 400, decades=4.0)
-        reference = prefix_oracle.reference(make_prefix_evaluator(mean))
+        reference = prefix._make_scalar_evaluator(mean)
         want = [reference.push(a).hex() for a in v]
         for _ in range(3):
             # one-element and empty blocks among random ones
@@ -316,7 +322,7 @@ class TestPrefixEvaluators:
         # inf from extend and push, as from the one-term recurrence, rather
         # than OverflowError
         v = [sys.float_info.max] * size
-        reference = prefix_oracle.reference(evaluator(*args))
+        reference = scalar_twin(evaluator, *args)
         want = [reference.push(a).hex() for a in v]
         values, error = evaluator(*args).extend(np.array(v))
         assert error is None
@@ -419,7 +425,7 @@ class TestPrefixEvaluators:
         values, error = SecondMomentPrefix(2, 1.0).extend(np.array(terms))
         assert error is None
         assert values.tolist() == pytest.approx(want, rel=1e-15)
-        reference = prefix_oracle.SecondMoment(2, 1.0)
+        reference = scalar_twin(SecondMomentPrefix, 2, 1.0)
         bits = [reference.push(a).hex() for a in terms]
         assert [x.hex() for x in values.tolist()] == bits
         pushed = SecondMomentPrefix(2, 1.0)
@@ -642,7 +648,7 @@ def test_an_overflowing_lane_leaves_the_other_alone():
 
 class TestBlockEngine:
     def test_block_terms_match_per_term_formulas(self, monkeypatch):
-        monkeypatch.setattr(hardy, "_BLOCK", 7)
+        monkeypatch.setattr(prefix, "_BLOCK", 7)
         n = 200
         x, iterated = 1.0, []
         for _ in range(n):
@@ -681,7 +687,7 @@ class TestBlockEngine:
         marks = [1, 2, 6, 7, 8, 13, 14, 15, 1000, 1999, n]
         runs = []
         for block in (1, 7, 8192):
-            monkeypatch.setattr(hardy, "_BLOCK", block)
+            monkeypatch.setattr(prefix, "_BLOCK", block)
             rows = list(iter_hardy_checkpoints(parse_mean(mean), parse_family(family), n))
             rows += list(iter_hardy_checkpoints(parse_mean(mean), parse_family(family), n, marks))
             runs.append(rows)
@@ -691,7 +697,7 @@ class TestBlockEngine:
         marks = [2, 3, 7, 8, 500, 2000]
         curves = []
         for block in (1, 7, 8192):
-            monkeypatch.setattr(hardy, "_BLOCK", block)
+            monkeypatch.setattr(prefix, "_BLOCK", block)
             curves.append(sharpness_limit_curve(marks))
         assert curves[0] == curves[1] == curves[2]
 
@@ -825,7 +831,7 @@ class TestSharpnessExperiments:
         n = 120
         ladder = [17, 1, n, 40, 17, n - 1, 1000]
         for block in (1, 7, 8192):
-            monkeypatch.setattr(hardy, "_BLOCK", block)
+            monkeypatch.setattr(prefix, "_BLOCK", block)
             got = sharpness_constant_sweep(parse_mean(mean), n, ladder)
             want = [hardy_partial_sum(parse_mean(mean), HarmonicTruncated(n0), n) for n0 in sorted(set(ladder))]
             assert [(e.family, e.n) for e in got] == [(e.family, e.n) for e in want]

@@ -27,8 +27,9 @@ from hardy_means.cmn_means import (
     compare_qs_monotonicity,
     subset_log_means,
 )
-from hardy_means.hardy import SecondMomentPrefix, SymmetricFunctionPrefix, default_checkpoints
+from hardy_means.hardy import SecondMomentPrefix, SymmetricFunctionPrefix
 from hardy_means.params import require_int
+from hardy_means.prefix import default_checkpoints
 from hardy_means.verification import run_verification
 
 BLOCK = np.array([1.0, 2.0, 3.0, 5.0, 8.0])

@@ -44,7 +44,8 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
     prefix evaluator, past the double range and at each way a prefix
     experiment fails, ``estimate-constant`` over several blocks, every ``pow`` call site at extreme exponents,
     negative seeds, the e_k root of entries at the largest double, each
-    side of the routes of ``mean`` that need no numpy, the subset engine at
+    side of the routes of ``mean`` and ``hardy-sum`` that need no numpy, a
+    short ``hardy-sum`` over each family kind, the subset engine at
     size and near the enumeration budget, the Exact route's outer mean over
     several groups and near a group boundary, the subset means of k >= 8
     entries in Exact chunks and sample blocks at each kind of inner
@@ -295,8 +296,23 @@ def extra_invocations(workdir: Path) -> list[tuple[str, ...]]:
         ("cmn:12,2,-1", "powertail:2", "100"),
         ("cmn:2,1,0", f"custom:{dominant}", "3"),
     ]
+    # each side of the work cap of the scalar prefix engine, 2**15 steps:
+    # 2 steps a term for a power mean and the pair recurrence, k + 6 for
+    # the e_k form and 9 for the second moment
+    for mean, at_cap in (("power:0.5", 16384), ("cmn:2,1,0", 16384), ("cmn:2,2,0", 4096), ("cmn:4,2,0", 3276),
+                         ("cmn:2,2,1", 3640)):
+        for n in (at_cap, at_cap + 1):
+            prefix.append((mean, "powertail:1.5", str(n)))
+    # one short experiment on each family kind
+    prefix += [
+        ("cmn:3,2,0", "harmonic-truncated:7", "60"),
+        ("cmn:2,1,0", "powertail:2.5", "60"),
+        ("cmn:2,2,1", "geometric:0.8", "60"),
+        ("power:-1", custom, "40"),
+    ]
     for mean, family, n in prefix:
         invocations.append(("hardy-sum", "--mean", mean, "--family", family, "-N", n, "--format", "json"))
+    invocations.append(("hardy-sum", "--mean", "cmn:2,1,0", "--family", "harmonic", "-N", "60", "--allow-nonsummable"))
     invocations += [
         ("estimate-constant", "--mean", "cmn:2,1,0", "-N", "1000"),
         ("estimate-constant", "--mean", "power:0.5", "-N", "1000", "--format", "csv"),
