@@ -12,8 +12,8 @@ from its module on first access (PEP 562), so ``hardy-means classify`` and
 ``hardy-means --help`` never load numpy, and neither do the exports of
 the numpy-free ``routes`` (``power_mean`` and ``cmn_mean_fast`` with its
 ``EvalMethod`` and ``CmnEvalReport``) and ``prefix`` (the sequence
-families, ``parse_family`` and ``iter_checkpoints``, which runs short
-prefix experiments without arrays).
+families, ``parse_family`` and ``iter_hardy_checkpoints``, which runs
+short prefix experiments without arrays).
 """
 
 import importlib
@@ -38,14 +38,13 @@ _LAZY_EXPORTS = {
     "hardy": (
         "HardyEstimate",
         "hardy_partial_sum",
-        "iter_hardy_checkpoints",
         "landau_constant",
         "sharpness_constant_sweep",
         "sharpness_limit_curve",
         "sharpness_limit_experiment",
         "sharpness_sequence",
     ),
-    "prefix": ("CustomTerms", "Geometric", "Harmonic", "HarmonicTruncated", "PowerTail", "iter_checkpoints",
+    "prefix": ("CustomTerms", "Geometric", "Harmonic", "HarmonicTruncated", "PowerTail", "iter_hardy_checkpoints",
                "parse_family"),
     "routes": ("CmnEvalReport", "EvalMethod", "check_positive_vector", "cmn_mean_fast", "power_mean",
                "power_mean_lower_bound_check"),

@@ -265,14 +265,14 @@ def _cmd_mean(args) -> int:
 
 def _cmd_hardy_sum(args) -> int:
     mean = parse_mean(args.mean)
-    _load_kernels("iter_checkpoints", "parse_family")
+    _load_kernels("iter_hardy_checkpoints", "parse_family")
     family = parse_family(args.family)
     if not (family.summable or args.allow_nonsummable):
         raise DomainError(
             f"family {family.label()} is not summable (hint: --allow-nonsummable runs it anyway, "
             "for limit experiments only)"
         )
-    rows = list(iter_checkpoints(mean, family, args.N, allow_nonsummable=args.allow_nonsummable))
+    rows = list(iter_hardy_checkpoints(mean, family, args.N, allow_nonsummable=args.allow_nonsummable))
     header = ["n", "partial_sum", "partial_norm", "ratio"]
     plain = [f"{'n':>10}  {'partial_sum':>24}  {'partial_norm':>24}  ratio"]
     for n, mean_sum, term_sum, ratio in rows:

@@ -17,8 +17,8 @@ they exist, most notably
 with e_k the k-th elementary symmetric polynomial evaluated by the O(n*k)
 recurrence e_j(b_1..b_m) = sum_{i<=m} b_i e_{j-1}(b_1..b_{i-1}): one
 compensated cumulative sum of positive terms per level, each level under
-its own power-of-two scale (:class:`ElementarySymmetric`), and C(n,k)
-likewise scaled.  ``cmn_mean_sampled`` is a Monte Carlo
+its own power-of-two scale (:class:`~hardy_means.prefix.ElementarySymmetric`),
+and C(n,k) likewise scaled.  ``cmn_mean_sampled`` is a Monte Carlo
 estimator over uniform random k-subsets for inputs beyond the enumeration
 budget.
 
@@ -31,8 +31,8 @@ block it came in.
 The dispatch of ``cmn_mean_fast`` and its scalar routes (the power means
 and the e_k recurrence within its range bound) live in the numpy-free
 :mod:`~hardy_means.routes`, which calls back into this module only for
-enumeration and the vector e_k engine.  This module imports from it only
-the names it uses itself.
+enumeration and the array helpers of the e_k engine.  This module imports
+from it only the names it uses itself.
 
 The comparison helpers at the bottom turn the family's monotonicity
 inequalities (in the inner/outer exponents and in the subset size k) and
@@ -53,11 +53,9 @@ from typing import Iterator
 import numpy as np
 
 from ._parallel import map_ordered
-from ._summation import KahanSum
 from .errors import CapacityError, DomainError
 from .params import MeanParams, ensure_exponent, require_int
 from .routes import (
-    _LEVEL_CEILING,
     _MIN_NORMAL,
     MAX_ENUMERATION_N,
     MAX_ENUMERATION_SUBSETS,
@@ -83,7 +81,6 @@ __all__ = [
     "compare_k_monotonicity",
     "compare_theorem1_identity",
     "theorem1_identity_check",
-    "ElementarySymmetric",
 ]
 
 MIN_SAMPLES = 100
@@ -372,8 +369,9 @@ def cmn_mean_naive(params: MeanParams, values) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The vector e_k engine, for the prefix experiments and for the e_k inputs
-# the scalar route of :mod:`~hardy_means.routes` leaves
+# Array helpers of the block-wise ``extend`` of the prefix forms and of the
+# e_k engine, for the prefix experiments and for the e_k inputs the scalar
+# route of :mod:`~hardy_means.routes` leaves
 
 
 def _libm(fn, values: np.ndarray) -> np.ndarray:
@@ -414,68 +412,6 @@ def _scaled_pows(values: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
     for i in np.flatnonzero(~((x >= _MIN_NORMAL) & (x < math.inf))).tolist():
         mantissa[i], exponent[i] = _scaled_pow(float(values[i]), p)
     return mantissa, exponent
-
-
-class ElementarySymmetric:
-    """Running e_1 .. e_order of positive terms b_i, in the linear domain.
-
-    Level j holds e_j(b_1..b_m) = sum_{i<=m} b_i * e_{j-1}(b_1..b_{i-1}) as
-    a compensated sum of positive terms, so nothing cancels, times a
-    power-of-two scale 2**scale_j that keeps it inside the double range.
-    The scale is set by the first term a level takes and is raised
-    whenever a term would exceed ``_LEVEL_CEILING``; scaling by a power of
-    two is exact, so neither huge binomial counts nor extreme entries cost
-    accuracy.  ``extend(mantissa, exponent)`` takes a block of b_i as a
-    mantissa and an exponent array (b_i = a_i**p from :func:`_scaled_pows`),
-    so b_i may lie outside the double range too.
-
-    ``extend`` returns e_order of the terms so far after each term of the
-    block as (values, exponents), meaning values * 2**exponents, and
-    (0.0, 0) while there are fewer than ``order`` terms.  The results do
-    not depend on how the terms are split into blocks.
-    """
-
-    def __init__(self, order: int):
-        self.order = order = require_int(order, "order", 1)
-        self.count = 0
-        self._levels = [KahanSum() for _ in range(order)]
-        self._scales = [0] * order
-
-    def extend(self, mantissa: np.ndarray, exponent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        size = mantissa.size
-        done = self.count
-        for j in range(1, min(done + size, self.order) + 1):
-            if j == 1:
-                u, shift = mantissa, exponent
-            else:
-                # level j - 1 before each term: its carried value, then its
-                # value after the term before
-                u = mantissa * np.concatenate(([previous], values[:-1]))
-                shift = exponent + np.concatenate(([previous_scale], scales[:-1]))
-            level = self._levels[j - 1]
-            previous, previous_scale = level.value, self._scales[j - 1]
-            start = max(j - done - 1, 0)  # the level's first term in this block
-            if done + start + 1 == j:
-                self._scales[j - 1] = math.frexp(float(u[start]))[1] + int(shift[start])
-            values = np.zeros(size)
-            scales = np.zeros(size, dtype=np.int64)
-            # Each rescale puts the term at stop in [0.5, 1), so every pass
-            # takes at least one term.
-            while start < size:
-                with np.errstate(over="ignore"):  # inf terms are caught as too large
-                    terms = np.ldexp(u[start:], shift[start:] - self._scales[j - 1])
-                stop = start + _valid_prefix(terms <= _LEVEL_CEILING)
-                values[start:stop] = level.extend(terms[: stop - start])
-                scales[start:stop] = self._scales[j - 1]
-                if stop < size:  # rescale so that the term at stop lands in [0.5, 1)
-                    drop = math.frexp(float(u[stop]))[1] + int(shift[stop]) - self._scales[j - 1]
-                    self._scales[j - 1] += drop
-                    level.ldexp(-drop)
-                start = stop
-        self.count += size
-        if self.count < self.order:
-            return np.zeros(size), np.zeros(size, dtype=np.int64)
-        return values, scales
 
 
 def _binomials(n: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

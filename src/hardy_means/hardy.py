@@ -12,9 +12,8 @@ mean M_{2,1,0}, whose empirical constant approaches 4 from below.
 
 Prefix means are computed incrementally.  Which incremental form applies
 is decided once, by :func:`~hardy_means.prefix.prefix_form` on top of
-:func:`~hardy_means.routes.closed_form`, for this module, for the
-one-term engine of :mod:`~hardy_means.prefix` and for ``cmn_mean_fast``
-alike: a power mean (P_s at k = 1, P_q at s = q)
+:func:`~hardy_means.routes.closed_form`, for both engines and for
+``cmn_mean_fast`` alike: a power mean (P_s at k = 1, P_q at s = q)
 keeps one running sum, and M_{k,s,0} keeps the elementary-symmetric levels
 e_1..e_k of b_i = a_i**(s/k) in the linear domain, each a compensated sum
 of positive terms under its own power-of-two scale, at O(k) per step.  Two
@@ -34,28 +33,30 @@ which cancels nothing and keeps every square under a power-of-two scale,
 so it refuses no entry once n > k.  Both e_k forms read P_r of the
 prefix while n <= k, and share that step.
 
-This module is the block engine.  The sequence families, the checkpoint
-ladder and the one-term engine, which runs the short closed-form
-experiments without numpy and with the same bits, live in
-:mod:`~hardy_means.prefix`.  The experiments here run block at a time:
-families produce their terms as arrays of a fixed number of elements
-(``blocks``), and each evaluator's ``extend`` turns
-a block into the running means after each element, with the compensated
-sums of :meth:`KahanSum.extend`.  No result depends on the block size:
-every running mean rounds as the one-term recurrence over the same terms
-does, and ``KahanSum.extend`` as ``KahanSum.add``.  Two things make that
-hold: the running sums use ``np.cumsum``, which adds strictly in order,
-and every ``pow``, ``log`` and ``exp`` is the C library's.  The sum of the
-means and the sum of the terms are the two lanes of one
+The closed forms are the classes of :mod:`~hardy_means.prefix`, each with
+a one-term ``push`` and a block-wise ``extend`` on one state, and are
+re-exported here; the sequence families, the checkpoint ladder,
+:func:`~hardy_means.prefix.iter_hardy_checkpoints`, which picks the
+engine, and the scalar engine, which runs the short closed-form
+experiments without numpy, live there too.  This module is the block
+engine.  Its experiments run a block at a time: families produce their
+terms as arrays of a fixed number of elements (``blocks``), and each
+evaluator's ``extend`` turns a block into the running means after each
+element, with the compensated sums of :meth:`KahanSum.extend`.  No result
+depends on the block size: every running mean rounds as ``push`` over the
+same terms does, and ``KahanSum.extend`` as ``KahanSum.add``.  Two things
+make that hold: the running sums use ``np.cumsum``, which adds strictly
+in order, and every ``pow``, ``log`` and ``exp`` is the C library's.  The
+sum of the means and the sum of the terms are the two lanes of one
 ``KahanSum(2)``, one pass over each block for both; each lane rounds as
 its own one-lane sum would, since complex addition and subtraction act
 on each part alone (see :mod:`~hardy_means._summation`), and the
 experiments read each lane back as a Python float.  ``pow`` is
-``np.float_power`` (:func:`_pows`), which calls the C library once per
-element; ``log`` and ``exp`` go element by element through ``math``
-(:func:`_libm`), because numpy's vectorised versions differ from it by an
-ulp on a share of inputs.  ``push`` is ``extend`` of one term.
-Memory stays at a few blocks whatever N is.
+``np.float_power`` (:func:`~hardy_means.cmn_means._pows`), which calls
+the C library once per element; ``log`` and ``exp`` go element by
+element through ``math`` (:func:`~hardy_means.cmn_means._libm`), because
+numpy's vectorised versions differ from it by an ulp on a share of
+inputs.  Memory stays at a few blocks whatever N is.
 The crossover sweep walks the indices once for all its crossovers, so each
 term 1/i or i**-2 is computed once.
 
@@ -79,30 +80,22 @@ from typing import Iterator, Sequence, Union
 import numpy as np
 
 from ._summation import KahanSum
-from .cmn_means import (
-    ElementarySymmetric,
-    _ensure_enumerable,
-    _libm,
-    _pows,
-    _roots,
-    _scaled_pows,
-    _symmetric_means,
-    _valid_prefix,
-)
+from .cmn_means import _ensure_enumerable, _pows, _valid_prefix
 from .errors import DomainError
 from .params import MeanLike, MeanParams, Record, ensure_exponent, format_mean, require_int
+# The closed-form evaluators and iter_hardy_checkpoints are re-exported here.
 from .prefix import (
-    CustomTerms, Geometric, Harmonic, HarmonicTruncated, PowerTail, _block_ranges, _checkpoint_marks, _decades,
-    _power_range_error, prefix_form,
+    _FORMS, CustomTerms, Geometric, Harmonic, HarmonicTruncated, PairGeometricMeanPrefix, PowerMeanPrefix, PowerTail,
+    SecondMomentPrefix, SymmetricFunctionPrefix, _block_ranges, _checkpoint_marks, _decades, iter_hardy_checkpoints,
+    prefix_form,
 )
-from .routes import MAX_ENUMERATION_N, cmn_mean_fast, is_zero_exponent
+from .routes import MAX_ENUMERATION_N, cmn_mean_fast
 
 __all__ = [
     "SequenceFamily",
     "make_prefix_evaluator",
     "HardyEstimate",
     "hardy_partial_sum",
-    "iter_hardy_checkpoints",
     "landau_constant",
     "sharpness_sequence",
     "sharpness_limit_experiment",
@@ -116,195 +109,12 @@ SequenceFamily = Union[Harmonic, HarmonicTruncated, PowerTail, Geometric, Custom
 # ---------------------------------------------------------------------------
 # Incremental prefix evaluators
 #
-# ``extend(block)`` takes the elements of a float array up to the first one
-# the evaluator refuses and returns (values, error): the running means after
-# each element taken, and the DomainError of the refused element, or None
-# when it took the whole block.  An evaluator that returned an error takes
-# no further terms.  ``BufferedPrefix`` alone raises its error instead, for
-# the whole block, before it takes any element of it.  ``push(a)`` is
-# ``extend`` of the one element a: it returns the mean of the prefix so far
-# or raises the error, and a term it refuses leaves the evaluator as it was.
+# The closed forms are the classes of :mod:`~hardy_means.prefix`, with their
+# ``push`` and ``extend``.  ``BufferedPrefix`` is the one form that needs
+# arrays at every step, so it lives here.
 
 
-def _counts(done: int, size: int) -> np.ndarray:
-    """The prefix lengths done+1 .. done+size as floats (exact below 2**53)."""
-    return np.arange(done + 1, done + size + 1, dtype=np.float64)
-
-
-class _Prefix:
-    """``push``: ``extend`` of one term, for every evaluator."""
-
-    def push(self, a: float) -> float:
-        values, error = self.extend(np.array([a], dtype=np.float64))
-        if error is not None:
-            raise error
-        return float(values[0])
-
-
-class PowerMeanPrefix(_Prefix):
-    """Running power mean P_p of every term taken so far."""
-
-    def __init__(self, p: float):
-        self.p = ensure_exponent(p, "p")
-        self._count = 0
-        self._acc = KahanSum()
-        self._extreme = None
-
-    def extend(self, block: np.ndarray) -> tuple[np.ndarray, DomainError | None]:
-        p = self.p
-        if math.isinf(p):
-            pick = np.maximum if p > 0 else np.minimum
-            values = pick.accumulate(block)
-            if self._extreme is not None:
-                values = pick(values, self._extreme)
-            if values.size:
-                self._extreme = float(values[-1])
-            self._count += block.size
-            return values, None
-        if is_zero_exponent(p):
-            logs = _libm(math.log, block)
-            means = self._acc.extend(logs) / _counts(self._count, block.size)
-            values = _libm(math.exp, means)
-            size = block.size
-        else:
-            terms = _pows(block, p)
-            size = _valid_prefix(np.isfinite(terms) & (terms > 0.0))
-            means = self._acc.extend(terms[:size]) / _counts(self._count, size)
-            values = _pows(means, 1.0 / p)
-        if self._count == 0 and size:
-            values[0] = block[0]
-        self._count += size
-        return values, _power_range_error(float(block[size]), p) if size < block.size else None
-
-
-class PairGeometricMeanPrefix(_Prefix):
-    """Running M_{2,1,0}: the average of sqrt(a_i a_j) over index pairs.
-
-    With r_i = sqrt(a_i) and S_i = r_1 + .. + r_i, the sum over pairs is
-    E_n = sum_{i<=n} r_i * S_{i-1}, and the mean is 2 E_n / (n (n-1)).
-    S and E are compensated sums of positive terms, so nothing cancels and
-    each step costs O(1).
-    """
-
-    def __init__(self):
-        self._count = 0
-        self._roots = KahanSum()
-        self._pairs = KahanSum()
-
-    def extend(self, block: np.ndarray) -> tuple[np.ndarray, None]:
-        # sqrt is correctly rounded in numpy and in the C library alike.
-        r = np.sqrt(block)
-        before = np.empty(block.size)  # S_{i-1}: the carried sum, then the sum after each root
-        before[:1] = self._roots.value
-        before[1:] = self._roots.extend(r)[:-1]
-        n = _counts(self._count, block.size)
-        # n = 1 divides by 1 instead of 0; its value is replaced by a below.
-        values = 2.0 * self._pairs.extend(r * before) / np.maximum(n * (n - 1.0), 1.0)
-        if self._count == 0 and block.size:
-            values[0] = block[0]
-        self._count += block.size
-        return values, None
-
-
-class _ClosedFormPrefix(_Prefix):
-    """The step the closed-form prefixes share.
-
-    While n <= k the mean is P_r of the prefix (the k >= n branch of the
-    definition), read from a :class:`PowerMeanPrefix`; its refusals are
-    the only ones.  Afterwards it is the closed form of running levels of
-    b = a**power.  ``_levels(m, e)`` feeds b, as mantissa and exponent
-    arrays, to the subclass's engines through
-    ``ElementarySymmetric.extend`` and returns one (values, exponents)
-    pair per level, which ``_means`` combines.
-    """
-
-    def __init__(self, k: int, r: float, power: float):
-        self.k = k
-        self._power = power
-        self._head = PowerMeanPrefix(r)
-        self._count = 0
-
-    def extend(self, block: np.ndarray) -> tuple[np.ndarray, DomainError | None]:
-        done = self._count
-        head = min(max(self.k - done, 0), block.size)  # elements with n <= k
-        first, error = self._head.extend(block[:head])
-        if error is not None:
-            return first, error
-        levels = self._levels(*_scaled_pows(block, self._power))
-        self._count += block.size
-        values = np.empty(block.size)
-        values[:head] = first
-        values[head:] = self._means(_counts(done, block.size)[head:], *[(v[head:], e[head:]) for v, e in levels])
-        return values, None
-
-
-class SecondMomentPrefix(_ClosedFormPrefix):
-    """Running M_{k,2q,q} through the second-moment identity.
-
-    With b_i = a_i**q the inner mean of a k-subset S is (sum_S b / k)**(1/q),
-    so its s-th power (s = 2q) is (sum_S b)**2 / k**2.  Averaged over the
-    C(n,k) subsets,
-
-        M**s = p2 / (k n) + 2 (k-1) e2 / (k n (n-1)),
-        p2 = e_1(b**2),  e2 = e_2(b),
-
-    both levels of an :class:`~hardy_means.cmn_means.ElementarySymmetric`
-    engine, each a compensated sum of positive terms under its own
-    power-of-two scale; b**2 is taken from the mantissa and exponent of
-    b, so it needs no second power.  Nothing cancels and no square leaves
-    the double range, so no entry is refused past the P_q head; each step
-    costs O(1).
-    """
-
-    def __init__(self, k: int, q: float):
-        k = require_int(k, "k", 2)
-        q = ensure_exponent(q, "q")
-        if not math.isfinite(q) or is_zero_exponent(q):
-            raise DomainError(f"the second-moment form needs finite nonzero q, got {q!r}")
-        super().__init__(k, q, q)
-        self.q = q
-        self.s = 2.0 * q
-        self._p2 = ElementarySymmetric(1)
-        self._e2 = ElementarySymmetric(2)
-
-    def _levels(self, m, e):
-        return self._p2.extend(m * m, 2 * e), self._e2.extend(m, e)
-
-    def _means(self, n: np.ndarray, p2, e2) -> np.ndarray:
-        (p, p_exponent), (e, e_exponent) = p2, e2
-        top = np.maximum(p_exponent, e_exponent)  # both sums on the larger scale
-        weight = 2.0 * (self.k - 1) / (n - 1.0)
-        x = (np.ldexp(p, p_exponent - top) + weight * np.ldexp(e, e_exponent - top)) / (self.k * n)
-        return _roots(x, top, self.s)
-
-
-class SymmetricFunctionPrefix(_ClosedFormPrefix):
-    """Running M_{k,s,0} through the elementary-symmetric closed form.
-
-    While at most k terms have arrived the mean is the plain geometric
-    mean of the prefix (the k >= n branch of the definition with q = 0);
-    afterwards it is (e_k(b)/C(n,k))**(1/s) with b_i = a_i**(s/k), with
-    e_k kept by the scaled linear-domain recurrence of
-    :class:`~hardy_means.cmn_means.ElementarySymmetric` at O(k) per term.
-    """
-
-    def __init__(self, k: int, s: float):
-        k = require_int(k, "k", 2)
-        s = ensure_exponent(s, "s")
-        if not math.isfinite(s) or is_zero_exponent(s):
-            raise DomainError(f"the symmetric-function form needs finite nonzero s, got {s!r}")
-        super().__init__(k, 0.0, s / k)
-        self.s = s
-        self._esp = ElementarySymmetric(k)
-
-    def _levels(self, m, e):
-        return (self._esp.extend(m, e),)
-
-    def _means(self, n: np.ndarray, ek) -> np.ndarray:
-        return _symmetric_means(*ek, n, self.k, self.s)
-
-
-class BufferedPrefix(_Prefix):
+class BufferedPrefix:
     """Fallback: keep the prefix and re-evaluate the mean at every step.
 
     Every step enumerates the subsets of the prefix, so the cap is the
@@ -312,6 +122,8 @@ class BufferedPrefix(_Prefix):
     ``extend`` first looks for the error a term of the block would hit,
     the cap or the enumeration budget of C(n,k) subsets, and raises it
     before enumerating anything: these depend on the prefix length alone.
+    Unlike the closed forms, it raises its error instead of returning it,
+    and ``push(a)`` is ``extend`` of the one term a.
     """
 
     def __init__(self, params: MeanParams):
@@ -338,21 +150,15 @@ class BufferedPrefix(_Prefix):
             means.append(cmn_mean_fast(self.params, self._buffer).value)
         return np.array(means, dtype=np.float64), None
 
-
-_EVALUATORS = {
-    "power": PowerMeanPrefix,
-    "pair": PairGeometricMeanPrefix,
-    "symmetric": SymmetricFunctionPrefix,
-    "second-moment": SecondMomentPrefix,
-    "buffered": BufferedPrefix,
-}
+    def push(self, a: float) -> float:
+        return float(self.extend(np.array([a], dtype=np.float64))[0][0])
 
 
 def make_prefix_evaluator(mean: MeanLike):
-    """Build the block evaluator of the incremental form that
+    """Build the evaluator of the incremental form that
     :func:`~hardy_means.prefix.prefix_form` gives the mean."""
     kind, *args = prefix_form(mean)
-    return _EVALUATORS[kind](*args)
+    return BufferedPrefix(*args) if kind == "buffered" else _FORMS[kind][0](*args)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +225,7 @@ def _advance(evaluator, sums: KahanSum, block: np.ndarray, done: int, family):
     return running.real[:finite], running.imag[:finite], error
 
 
-def iter_hardy_checkpoints(
+def _block_checkpoints(
     mean: MeanLike,
     family: SequenceFamily,
     n: int,
@@ -427,16 +233,14 @@ def iter_hardy_checkpoints(
     *,
     allow_nonsummable: bool = False,
 ) -> Iterator[tuple[int, float, float, float]]:
-    """Yield (i, mean_sum, term_sum, ratio) at each checkpoint up to n.
+    """The rows of :func:`~hardy_means.prefix.iter_hardy_checkpoints` by
+    the block engine, at any N.
 
-    Terms are consumed in forward order with compensated running sums, a
-    block at a time; the rows of a block are yielded once it is done.  At
-    the earliest failure (see :func:`_advance`) every row before it is
-    yielded and then its DomainError raised, except where a
-    :class:`BufferedPrefix` refuses: its error comes before any row of the
-    block that holds the refused term, and so before any row at all.  Non-summable families are
-    rejected unless explicitly allowed, since a ratio against a divergent
-    norm estimates nothing.
+    Terms are consumed a block at a time; the rows of a block are yielded
+    once it is done.  At the earliest failure (see :func:`_advance`) every
+    row before it is yielded and then its DomainError raised, except where
+    a :class:`BufferedPrefix` refuses: its error comes before any row of
+    the block that holds the refused term, and so before any row at all.
     """
     n, marks = _checkpoint_marks(family, n, checkpoints, allow_nonsummable)
     evaluator = make_prefix_evaluator(mean)

@@ -1,24 +1,24 @@
-"""The prefix experiments without arrays: the sequence families, the
-checkpoint ladder, the incremental form each mean takes, and a scalar
-engine that runs those forms one term at a time.
+"""The prefix experiments: the sequence families, the checkpoint ladder,
+the incremental form each mean takes, and the scalar engine that runs
+those forms one term at a time.
 
 :func:`prefix_form` decides once, for both engines, which incremental form
 a mean takes: a running power mean, the pair recurrence of M_{2,1,0}, the
 elementary-symmetric levels of M_{k,s,0}, the second moment of
-M_{k,2q,q}, or re-enumeration of every prefix (``buffered``).  The block
-engine, :func:`~hardy_means.hardy.iter_hardy_checkpoints`, runs each form
-on arrays a block of terms at a time; this module runs the same
-recurrences one term at a time, on ``math`` and :meth:`KahanSum.add`
-alone.  Each block-wise ``extend`` rounds as its one-term recurrence
-does, so the two engines give the same rows and the same errors, bit for
-bit.
+M_{k,2q,q}, or re-enumeration of every prefix (``buffered``).  Each closed
+form is one class here with one state and two steps: ``push`` takes one
+term on ``math`` and :meth:`KahanSum.add` alone, and ``extend`` takes a
+block of terms on arrays, importing numpy when it is called.  ``extend``
+rounds as ``push`` does, so the two engines give the same rows and the
+same errors, bit for bit.
 
-:func:`iter_checkpoints` picks the engine from the mean and N alone,
-before any term is computed: the scalar engine takes every closed form
-whose work, N terms at the steps per term of its form, is at most
-``_PREFIX_STEPS``, and the block engine the rest, along with every
-buffered mean.  So a short ``hardy-sum`` never imports numpy, and a long
-one pays for numpy once and then runs on arrays.
+:func:`iter_hardy_checkpoints` picks the engine from the mean and N alone,
+before any term is computed: the scalar engine, which pushes, takes every
+closed form whose work, N terms at the steps per term of its form, is at
+most ``_PREFIX_STEPS``, and the block engine of :mod:`~hardy_means.hardy`,
+which extends, the rest, along with every buffered mean.  So a short
+``hardy-sum`` never imports numpy, and a long one pays for numpy once and
+then runs on arrays.
 
 The families yield their terms one at a time (``terms``) for the scalar
 engine and as arrays (``blocks``) for the block engine, with the same
@@ -50,7 +50,8 @@ __all__ = [
     "parse_family",
     "default_checkpoints",
     "prefix_form",
-    "iter_checkpoints",
+    "iter_hardy_checkpoints",
+    "ElementarySymmetric",
 ]
 
 # Smallest positive double; used for the geometric representability horizon.
@@ -88,7 +89,7 @@ class Harmonic(Record):
     """a_n = 1/n.  Not summable; quarantined behind an explicit opt-in.
 
     Ratio experiments against a divergent ||a||_1 are meaningless, so
-    :func:`iter_checkpoints` and the block engine reject this family
+    :func:`iter_hardy_checkpoints` rejects this family
     unless the caller sets ``allow_nonsummable``.  The limit experiment
     (:func:`~hardy_means.hardy.sharpness_limit_curve`) needs no ratio and
     reads the terms from :meth:`blocks` itself.
@@ -345,12 +346,25 @@ def _checkpoint_marks(family, n: int, checkpoints, allow_nonsummable: bool) -> t
 
 
 # ---------------------------------------------------------------------------
-# The incremental forms, one term at a time
+# The incremental forms
 #
-# ``push(a)`` takes one positive finite term and returns the mean of the
-# prefix so far, or raises the DomainError of a term the form refuses, with
-# the state as it was.  Each is the recurrence that the block-wise
-# ``extend`` of its evaluator in :mod:`~hardy_means.hardy` vectorises.
+# Each form keeps one state and takes terms by either of two steps, in any
+# mix.  ``push(a)`` takes one positive finite term, on ``math`` alone, and
+# returns the mean of the prefix so far, or raises the DomainError of a
+# term the form refuses, with the state as it was.  ``extend(block)`` takes
+# the elements of a float array up to the first one the form refuses and
+# returns (values, error): the running means after each element taken, and
+# the DomainError of the refused element, or None when it took the whole
+# block; a form that returned an error takes no further terms.  ``extend``
+# imports numpy and the block helpers of :mod:`~hardy_means.cmn_means` when
+# it is called, and rounds as ``push`` does over the same terms.
+
+
+def _counts(done: int, size: int) -> np.ndarray:
+    """The prefix lengths done+1 .. done+size as floats (exact below 2**53)."""
+    import numpy as np
+
+    return np.arange(done + 1, done + size + 1, dtype=np.float64)
 
 
 def _power_range_error(a: float, p: float) -> DomainError:
@@ -360,11 +374,11 @@ def _power_range_error(a: float, p: float) -> DomainError:
     )
 
 
-class _PowerMean:
-    """Running P_p."""
+class PowerMeanPrefix:
+    """Running power mean P_p of every term taken so far."""
 
     def __init__(self, p: float):
-        self.p = p
+        self.p = ensure_exponent(p, "p")
         self._count = 0
         self._acc = KahanSum()
         self._extreme = None
@@ -386,9 +400,44 @@ class _PowerMean:
         self._count += 1
         return a if self._count == 1 else _pow_or_inf(self._acc.value / self._count, 1.0 / p)
 
+    def extend(self, block: np.ndarray) -> tuple[np.ndarray, DomainError | None]:
+        import numpy as np
 
-class _PairMean:
-    """Running M_{2,1,0} = 2 E_n / (n (n-1)), E_n = sum_i r_i S_{i-1}."""
+        from .cmn_means import _libm, _pows, _valid_prefix
+
+        p = self.p
+        if math.isinf(p):
+            pick = np.maximum if p > 0 else np.minimum
+            values = pick.accumulate(block)
+            if self._extreme is not None:
+                values = pick(values, self._extreme)
+            if values.size:
+                self._extreme = float(values[-1])
+            return values, None
+        if is_zero_exponent(p):
+            logs = _libm(math.log, block)
+            means = self._acc.extend(logs) / _counts(self._count, block.size)
+            values = _libm(math.exp, means)
+            size = block.size
+        else:
+            terms = _pows(block, p)
+            size = _valid_prefix(np.isfinite(terms) & (terms > 0.0))
+            means = self._acc.extend(terms[:size]) / _counts(self._count, size)
+            values = _pows(means, 1.0 / p)
+        if self._count == 0 and size:
+            values[0] = block[0]
+        self._count += size
+        return values, _power_range_error(float(block[size]), p) if size < block.size else None
+
+
+class PairGeometricMeanPrefix:
+    """Running M_{2,1,0}: the average of sqrt(a_i a_j) over index pairs.
+
+    With r_i = sqrt(a_i) and S_i = r_1 + .. + r_i, the sum over pairs is
+    E_n = sum_{i<=n} r_i * S_{i-1}, and the mean is 2 E_n / (n (n-1)).
+    S and E are compensated sums of positive terms, so nothing cancels and
+    each step costs O(1).
+    """
 
     def __init__(self):
         self._count = 0
@@ -403,28 +452,61 @@ class _PairMean:
         n = self._count
         return a if n == 1 else 2.0 * self._pairs.value / (n * (n - 1))
 
+    def extend(self, block: np.ndarray) -> tuple[np.ndarray, None]:
+        import numpy as np
 
-class _ElementarySymmetric:
-    """Running e_1 .. e_order of terms given as (mantissa, exponent), each
-    level a compensated sum under its own power-of-two scale: the
-    recurrence of :class:`~hardy_means.cmn_means.ElementarySymmetric`."""
+        # sqrt is correctly rounded in numpy and in the C library alike.
+        r = np.sqrt(block)
+        before = np.empty(block.size)  # S_{i-1}: the carried sum, then the sum after each root
+        before[:1] = self._roots.value
+        before[1:] = self._roots.extend(r)[:-1]
+        n = _counts(self._count, block.size)
+        # n = 1 divides by 1 instead of 0; its value is replaced by a below.
+        values = 2.0 * self._pairs.extend(r * before) / np.maximum(n * (n - 1.0), 1.0)
+        if self._count == 0 and block.size:
+            values[0] = block[0]
+        self._count += block.size
+        return values, None
+
+
+class ElementarySymmetric:
+    """Running e_1 .. e_order of positive terms b_i, in the linear domain.
+
+    Level j holds e_j(b_1..b_m) = sum_{i<=m} b_i * e_{j-1}(b_1..b_{i-1}) as
+    a compensated sum of positive terms, so nothing cancels, times a
+    power-of-two scale 2**scale_j that keeps it inside the double range.
+    The scale is set by the first term a level takes and is raised
+    whenever a term would exceed ``_LEVEL_CEILING``; scaling by a power of
+    two is exact, so neither huge binomial counts nor extreme entries cost
+    accuracy.  Each b_i comes as a mantissa and an exponent (b_i = a_i**p
+    from :func:`~hardy_means.routes._scaled_pow`), so b_i may lie outside
+    the double range too: ``push(mantissa, exponent)`` takes one term and
+    ``extend(mantissa, exponent)`` a block, as arrays
+    (:func:`~hardy_means.cmn_means._scaled_pows`).
+
+    Each returns e_order of the terms so far, after the term or after
+    each term of the block, as values and exponents, meaning
+    values * 2**exponents, and (0.0, 0) while there are fewer than
+    ``order`` terms.  The results do not depend on how the terms are
+    split into pushes and blocks.
+    """
 
     def __init__(self, order: int):
-        self._order = order
-        self._count = 0
+        self.order = order = require_int(order, "order", 1)
+        self.count = 0
         self._levels = [KahanSum() for _ in range(order)]
         self._scales = [0] * order
 
     def push(self, mantissa: float, exponent: int) -> tuple[float, int]:
-        self._count += 1
+        self.count += 1
         # High levels first: level j takes b_i times level j-1 before b_i.
-        for j in range(min(self._count, self._order), 0, -1):
+        for j in range(min(self.count, self.order), 0, -1):
             level = self._levels[j - 1]
             if j == 1:
                 u, shift = mantissa, exponent
             else:
                 u, shift = mantissa * self._levels[j - 2].value, exponent + self._scales[j - 2]
-            if j == self._count:  # the level opens; its first term sets the scale
+            if j == self.count:  # the level opens; its first term sets the scale
                 self._scales[j - 1] = math.frexp(u)[1] + shift
             shift -= self._scales[j - 1]
             term = _ldexp_or_inf(u, shift)
@@ -434,62 +516,173 @@ class _ElementarySymmetric:
                 level.ldexp(-drop)
                 term = math.ldexp(u, shift - drop)
             level.add(term)
-        if self._count < self._order:
+        if self.count < self.order:
             return 0.0, 0
         return self._levels[-1].value, self._scales[-1]
 
+    def extend(self, mantissa: np.ndarray, exponent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        import numpy as np
 
-class _ClosedForm:
-    """P_r of the prefix while n <= k, then ``_mean(n, *levels)`` of the
-    levels that ``_levels(m, e)`` pushes b = a**power into."""
+        from .cmn_means import _valid_prefix
+
+        size = mantissa.size
+        done = self.count
+        for j in range(1, min(done + size, self.order) + 1):
+            if j == 1:
+                u, shift = mantissa, exponent
+            else:
+                # level j - 1 before each term: its carried value, then its
+                # value after the term before
+                u = mantissa * np.concatenate(([previous], values[:-1]))
+                shift = exponent + np.concatenate(([previous_scale], scales[:-1]))
+            level = self._levels[j - 1]
+            previous, previous_scale = level.value, self._scales[j - 1]
+            start = max(j - done - 1, 0)  # the level's first term in this block
+            if done + start + 1 == j:
+                self._scales[j - 1] = math.frexp(float(u[start]))[1] + int(shift[start])
+            values = np.zeros(size)
+            scales = np.zeros(size, dtype=np.int64)
+            # Each rescale puts the term at stop in [0.5, 1), so every pass
+            # takes at least one term.
+            while start < size:
+                with np.errstate(over="ignore"):  # inf terms are caught as too large
+                    terms = np.ldexp(u[start:], shift[start:] - self._scales[j - 1])
+                stop = start + _valid_prefix(terms <= _LEVEL_CEILING)
+                values[start:stop] = level.extend(terms[: stop - start])
+                scales[start:stop] = self._scales[j - 1]
+                if stop < size:  # rescale so that the term at stop lands in [0.5, 1)
+                    drop = math.frexp(float(u[stop]))[1] + int(shift[stop]) - self._scales[j - 1]
+                    self._scales[j - 1] += drop
+                    level.ldexp(-drop)
+                start = stop
+        self.count += size
+        if self.count < self.order:
+            return np.zeros(size), np.zeros(size, dtype=np.int64)
+        return values, scales
+
+
+class _ClosedFormPrefix:
+    """The steps the closed-form prefixes share.
+
+    While n <= k the mean is P_r of the prefix (the k >= n branch of the
+    definition), read from a :class:`PowerMeanPrefix`; its refusals are
+    the only ones.  Afterwards it is the closed form of running levels of
+    b = a**power.  ``_levels(step, m, e)`` feeds b, as a mantissa and an
+    exponent (arrays under ``extend``), to the subclass's
+    :class:`ElementarySymmetric` levels by their ``step``, ``"push"`` or
+    ``"extend"``, and returns one (value, exponent) pair per level, which
+    ``_mean`` combines for one term and ``_means`` for arrays.
+    """
 
     def __init__(self, k: int, r: float, power: float):
         self.k = k
         self._power = power
-        self._head = _PowerMean(r)
+        self._head = PowerMeanPrefix(r)
         self._count = 0
 
     def push(self, a: float) -> float:
         head = self._head.push(a) if self._count < self.k else None
-        levels = self._levels(*_scaled_pow(a, self._power))
+        levels = self._levels("push", *_scaled_pow(a, self._power))
         self._count += 1
         return self._mean(self._count, *levels) if head is None else head
 
+    def extend(self, block: np.ndarray) -> tuple[np.ndarray, DomainError | None]:
+        import numpy as np
 
-class _SymmetricFunction(_ClosedForm):
-    """Running M_{k,s,0} = (e_k(b) / C(n,k))**(1/s), b = a**(s/k)."""
+        from .cmn_means import _scaled_pows
 
-    def __init__(self, k: int, s: float):
-        super().__init__(k, 0.0, s / k)
-        self.s = s
-        self._esp = _ElementarySymmetric(k)
+        done = self._count
+        head = min(max(self.k - done, 0), block.size)  # elements with n <= k
+        first, error = self._head.extend(block[:head])
+        if error is not None:
+            return first, error
+        levels = self._levels("extend", *_scaled_pows(block, self._power))
+        self._count += block.size
+        values = np.empty(block.size)
+        values[:head] = first
+        values[head:] = self._means(_counts(done, block.size)[head:], *[(v[head:], e[head:]) for v, e in levels])
+        return values, None
 
-    def _levels(self, m, e):
-        return (self._esp.push(m, e),)
 
-    def _mean(self, n, ek):
-        return _symmetric_mean(*ek, n, self.k, self.s)
+class SecondMomentPrefix(_ClosedFormPrefix):
+    """Running M_{k,2q,q} through the second-moment identity.
 
+    With b_i = a_i**q the inner mean of a k-subset S is (sum_S b / k)**(1/q),
+    so its s-th power (s = 2q) is (sum_S b)**2 / k**2.  Averaged over the
+    C(n,k) subsets,
 
-class _SecondMoment(_ClosedForm):
-    """Running M_{k,2q,q}: M**(2q) = p2 / (k n) + 2 (k-1) e2 / (k n (n-1)),
-    p2 = e_1(b**2), e2 = e_2(b), b = a**q."""
+        M**s = p2 / (k n) + 2 (k-1) e2 / (k n (n-1)),
+        p2 = e_1(b**2),  e2 = e_2(b),
+
+    both levels of an :class:`ElementarySymmetric` engine, each a
+    compensated sum of positive terms under its own power-of-two scale;
+    b**2 is taken from the mantissa and exponent of b, so it needs no
+    second power.  Nothing cancels and no square leaves the double range,
+    so no entry is refused past the P_q head; each step costs O(1).
+    """
 
     def __init__(self, k: int, q: float):
+        k = require_int(k, "k", 2)
+        q = ensure_exponent(q, "q")
+        if not math.isfinite(q) or is_zero_exponent(q):
+            raise DomainError(f"the second-moment form needs finite nonzero q, got {q!r}")
         super().__init__(k, q, q)
+        self.q = q
         self.s = 2.0 * q
-        self._p2 = _ElementarySymmetric(1)
-        self._e2 = _ElementarySymmetric(2)
+        self._p2 = ElementarySymmetric(1)
+        self._e2 = ElementarySymmetric(2)
 
-    def _levels(self, m, e):
-        return self._p2.push(m * m, 2 * e), self._e2.push(m, e)
+    def _levels(self, step, m, e):
+        return getattr(self._p2, step)(m * m, 2 * e), getattr(self._e2, step)(m, e)
 
-    def _mean(self, n, p2, e2):
+    def _mean(self, n: int, p2, e2) -> float:
         (p, p_exponent), (e, e_exponent) = p2, e2
         top = max(p_exponent, e_exponent)  # both sums on the larger scale
         weight = 2.0 * (self.k - 1) / (n - 1.0)
         x = (math.ldexp(p, p_exponent - top) + weight * math.ldexp(e, e_exponent - top)) / (self.k * n)
         return _root(x, top, self.s)
+
+    def _means(self, n: np.ndarray, p2, e2) -> np.ndarray:
+        import numpy as np
+
+        from .cmn_means import _roots
+
+        (p, p_exponent), (e, e_exponent) = p2, e2
+        top = np.maximum(p_exponent, e_exponent)
+        weight = 2.0 * (self.k - 1) / (n - 1.0)
+        x = (np.ldexp(p, p_exponent - top) + weight * np.ldexp(e, e_exponent - top)) / (self.k * n)
+        return _roots(x, top, self.s)
+
+
+class SymmetricFunctionPrefix(_ClosedFormPrefix):
+    """Running M_{k,s,0} through the elementary-symmetric closed form.
+
+    While at most k terms have arrived the mean is the plain geometric
+    mean of the prefix (the k >= n branch of the definition with q = 0);
+    afterwards it is (e_k(b)/C(n,k))**(1/s) with b_i = a_i**(s/k), with
+    e_k kept by the scaled linear-domain recurrence of
+    :class:`ElementarySymmetric` at O(k) per term.
+    """
+
+    def __init__(self, k: int, s: float):
+        k = require_int(k, "k", 2)
+        s = ensure_exponent(s, "s")
+        if not math.isfinite(s) or is_zero_exponent(s):
+            raise DomainError(f"the symmetric-function form needs finite nonzero s, got {s!r}")
+        super().__init__(k, 0.0, s / k)
+        self.s = s
+        self._esp = ElementarySymmetric(k)
+
+    def _levels(self, step, m, e):
+        return (getattr(self._esp, step)(m, e),)
+
+    def _mean(self, n: int, ek) -> float:
+        return _symmetric_mean(*ek, n, self.k, self.s)
+
+    def _means(self, n: np.ndarray, ek) -> np.ndarray:
+        from .cmn_means import _symmetric_means
+
+        return _symmetric_means(*ek, n, self.k, self.s)
 
 
 def prefix_form(mean: MeanLike) -> tuple:
@@ -518,16 +711,16 @@ def prefix_form(mean: MeanLike) -> tuple:
 # ---------------------------------------------------------------------------
 # The scalar engine and the choice of engine
 
-# Each one-term form with its cost per term in steps, a step being about
-# 0.6 us of one product and one compensated addition (in process, Python
-# 3.11 on a 2-vCPU VM): a power mean or the pair recurrence takes 2, an e_k
-# form one per level and 6 for its power, C(n,k) and root, and the second
-# moment, with three levels, 9.
-_SCALAR_FORMS = {
-    "power": (_PowerMean, lambda p: 2),
-    "pair": (_PairMean, lambda: 2),
-    "symmetric": (_SymmetricFunction, lambda k, s: k + 6),
-    "second-moment": (_SecondMoment, lambda k, q: 9),
+# Each closed form with the cost of its ``push`` in steps, a step being
+# about 0.6 us of one product and one compensated addition (in process,
+# Python 3.11 on a 2-vCPU VM): a power mean or the pair recurrence takes 2,
+# an e_k form one per level and 6 for its power, C(n,k) and root, and the
+# second moment, with three levels, 9.
+_FORMS = {
+    "power": (PowerMeanPrefix, lambda p: 2),
+    "pair": (PairGeometricMeanPrefix, lambda: 2),
+    "symmetric": (SymmetricFunctionPrefix, lambda k, s: k + 6),
+    "second-moment": (SecondMomentPrefix, lambda k, q: 9),
 }
 # The work cap of the scalar engine.  A `hardy-sum` on the block engine,
 # which imports numpy, took as long as on the scalar engine at about 1.2e5
@@ -540,22 +733,22 @@ _PREFIX_STEPS = 1 << 15
 
 
 def _make_scalar_evaluator(mean: MeanLike, n: int | None = None):
-    """The one-term evaluator of the incremental form of ``mean``, or None
-    where that form is buffered or, given n, where its work over n terms
-    is more than ``_PREFIX_STEPS``."""
+    """The evaluator of the incremental form of ``mean``, for ``push``, or
+    None where that form is buffered or, given n, where its work over n
+    terms is more than ``_PREFIX_STEPS``."""
     kind, *args = prefix_form(mean)
-    if kind not in _SCALAR_FORMS:
+    if kind not in _FORMS:
         return None
-    form, steps = _SCALAR_FORMS[kind]
+    form, steps = _FORMS[kind]
     if n is not None and n * steps(*args) > _PREFIX_STEPS:
         return None
     return form(*args)
 
 
 def _scalar_checkpoints(evaluator, family, n: int, marks: list[int]):
-    """The rows of :func:`~hardy_means.hardy.iter_hardy_checkpoints`, one
-    term at a time: each term is checked, pushed and added to the two
-    sums, and the earliest failure raised after the rows before it."""
+    """The rows of :func:`iter_hardy_checkpoints`, one term at a time:
+    each term is checked, pushed and added to the two sums, and the
+    earliest failure raised after the rows before it."""
     means, norms = KahanSum(), KahanSum()
     pending = iter(marks)
     mark = next(pending)
@@ -574,20 +767,27 @@ def _scalar_checkpoints(evaluator, family, n: int, marks: list[int]):
             return
 
 
-def iter_checkpoints(mean: MeanLike, family, n: int, checkpoints=None, *, allow_nonsummable: bool = False):
-    """Yield (i, mean_sum, term_sum, ratio) at each checkpoint up to n, as
-    :func:`~hardy_means.hardy.iter_hardy_checkpoints` does, with the same
-    bits and errors.
+def iter_hardy_checkpoints(mean: MeanLike, family, n: int, checkpoints=None, *, allow_nonsummable: bool = False):
+    """Yield (i, mean_sum, term_sum, ratio) at each checkpoint up to n.
+
+    Terms are consumed in forward order with compensated running sums.  At
+    the earliest failure (a non-positive term, a term the mean's form
+    refuses, or a sum that leaves the double range) every row before it is
+    yielded and then its DomainError raised; the buffered form alone
+    refuses before any row (see :mod:`~hardy_means.hardy`).  Non-summable
+    families are rejected unless explicitly allowed, since a ratio against
+    a divergent norm estimates nothing.
 
     The scalar engine runs the experiment where the mean has a closed form
     and its work is at most ``_PREFIX_STEPS``; the block engine, which
-    imports numpy, runs the rest.  The choice reads the mean and N alone.
+    imports numpy, runs the rest.  The choice reads the mean and N alone,
+    and both engines give the same bits and errors.
     """
     n, marks = _checkpoint_marks(family, n, checkpoints, allow_nonsummable)
     evaluator = _make_scalar_evaluator(mean, n)
     if evaluator is None:
         from . import hardy
 
-        yield from hardy.iter_hardy_checkpoints(mean, family, n, checkpoints, allow_nonsummable=allow_nonsummable)
+        yield from hardy._block_checkpoints(mean, family, n, marks, allow_nonsummable=allow_nonsummable)
         return
     yield from _scalar_checkpoints(evaluator, family, n, marks)

@@ -21,7 +21,7 @@ powers stay well inside the double range) and its work, (n - k + 1) * k
 steps, stays under a cap of 2**17.  This module imports no numpy,
 so a command that takes only those routes never loads it.  Other e_k
 inputs go to the vector engine
-(:class:`~hardy_means.cmn_means.ElementarySymmetric`) and every other
+(:class:`~hardy_means.prefix.ElementarySymmetric`) and every other
 mean to enumeration; both import :mod:`~hardy_means.cmn_means` when they
 run.
 """
@@ -259,9 +259,8 @@ def _ldexp_or_inf(x: float, e: int) -> float:
         return math.inf
 
 
-# A level of the e_k engines (:class:`~hardy_means.cmn_means.ElementarySymmetric`
-# and its one-term twin in :mod:`~hardy_means.prefix`) is rescaled before it
-# takes a term above this, so that the term lands in [0.5, 1).  Levels then
+# A level of the e_k engine (:class:`~hardy_means.prefix.ElementarySymmetric`,
+# by ``push`` and by ``extend`` alike) is rescaled before it takes a term above this, so that the term lands in [0.5, 1).  Levels then
 # stay in [0.5, 2**(512 + 53)], far from both ends of the double range, and
 # so do the products of the next level.
 _LEVEL_CEILING = 2.0**512
@@ -278,13 +277,21 @@ def _scaled_pow(a: float, p: float) -> tuple[float, int]:
     x = _pow_or_inf(a, p)
     if _MIN_NORMAL <= x < math.inf:
         return math.frexp(x)
+    m, e = math.frexp(a)
+    numerator, denominator = p.as_integer_ratio()
+    fraction, whole = _exp2(numerator * e, denominator, p * math.log2(m))
+    m, e = math.frexp(fraction)
+    return m, e + whole
+
+
+def _exp2(numerator: int, denominator: int, offset: float = 0.0) -> tuple[float, int]:
+    """2**y for y = numerator / denominator + offset, taken exactly, split
+    into its whole and fractional parts: (2**(y - w), w) with w = floor(y)."""
     from fractions import Fraction  # only here: it adds to every start-up otherwise
 
-    m, e = math.frexp(a)
-    x = Fraction(p) * e + Fraction(p * math.log2(m))
-    whole = math.floor(x)
-    m, e = math.frexp(2.0 ** float(x - whole))
-    return m, e + whole
+    y = Fraction(numerator, denominator) + Fraction(offset)
+    whole = math.floor(y)
+    return 2.0 ** float(y - whole), whole
 
 
 def _binomial(n: int, k: int) -> tuple[float, int]:
@@ -307,11 +314,9 @@ def _root(x: float, e: int, s: float) -> float:
     if -1021 <= math.frexp(x)[1] + e <= 1024:
         x = math.ldexp(x, e)
         return math.sqrt(x) if s == 2.0 else _pow_or_inf(x, 1.0 / s)
-    from fractions import Fraction  # only here: it adds to every start-up otherwise
-
-    power = Fraction(e) / Fraction(s)
-    whole = math.floor(power)
-    return _ldexp_or_inf(x ** (1.0 / s) * 2.0 ** float(power - whole), whole)
+    numerator, denominator = s.as_integer_ratio()
+    fraction, whole = _exp2(e * denominator, numerator)
+    return _ldexp_or_inf(x ** (1.0 / s) * fraction, whole)
 
 
 def _symmetric_mean(ek: float, ek_exponent: int, n: int, k: int, s: float) -> float:
@@ -330,7 +335,7 @@ def _unscaled_range_holds(n: int, k: int, spread: int) -> bool:
 
 def _unscaled_elementary_symmetric(values: list[float], k: int, p: float) -> tuple[float, int] | None:
     """e_k of values**p as (m, e) by the recurrence of
-    :class:`~hardy_means.cmn_means.ElementarySymmetric` without its
+    :class:`~hardy_means.prefix.ElementarySymmetric` without its
     scales, or None where that could differ from the scaled result.
 
     Scaling by a power of two commutes with every rounding while all
@@ -375,7 +380,8 @@ def _elementary_symmetric(values, k: int, p: float) -> tuple[float, int]:
             return result
     import numpy as np
 
-    from .cmn_means import ElementarySymmetric, _scaled_pows
+    from .cmn_means import _scaled_pows
+    from .prefix import ElementarySymmetric
 
     ek, exponent = ElementarySymmetric(k).extend(*_scaled_pows(np.asarray(values, dtype=np.float64), p))
     return float(ek[-1]), int(exponent[-1])

@@ -840,7 +840,7 @@ def test_long_e_k_file_without_numpy(tmp_path):
     path.write_text("".join(f"{x!r}\n" for x in v), encoding="utf-8")
     code, out, err, report, _ = run_fresh(_RUN_CLI, "mean", "-k", "50", "-s", "1", "-q", "0", "--file", str(path))
     assert (code, err, report) == (0, "", "numpy imported: False\n")
-    ek, exponent = cmn_means.ElementarySymmetric(50).extend(*cmn_means._scaled_pows(np.asarray(sorted(v)), 1 / 50))
+    ek, exponent = prefix.ElementarySymmetric(50).extend(*cmn_means._scaled_pows(np.asarray(sorted(v)), 1 / 50))
     value = routes._symmetric_mean(float(ek[-1]), int(exponent[-1]), 2000, 50, 1.0)
     assert min(v) < value < max(v)
     assert out == f"{value!r} (FastSymmetric)\n"
@@ -907,6 +907,8 @@ _REPORT_KERNELS = (
 _SCALAR_KERNELS = "_summation routes"
 _SCALAR_PREFIX_KERNELS = "_summation prefix routes"
 _SUBSET_KERNELS = "_parallel _summation cmn_means routes"
+# the e_k engine, ElementarySymmetric, is one of the incremental forms of prefix
+_EK_ENGINE_KERNELS = "_parallel _summation cmn_means prefix routes"
 _PREFIX_KERNELS = "_parallel _summation cmn_means hardy prefix routes"
 # Each command with the modules it loads and whether it imports numpy.  No
 # command imports numpy.random: verify, bench and the Monte Carlo sampler
@@ -918,14 +920,14 @@ _KERNEL_MODULES = {
     "mean-e_k": (("mean", "-k", "2", "-s", "1", "-q", "0", "--data", ",".join(map(str, range(1, 601)))),
                  _SCALAR_KERNELS, False),
     "mean-exact": (("mean", *_NUMPY_MEANS["mean"][0]), _SUBSET_KERNELS, True),
-    "mean-e_k-past-the-bound": (("mean", *_NUMPY_MEANS["mean-long"][0]), _SUBSET_KERNELS, True),
+    "mean-e_k-past-the-bound": (("mean", *_NUMPY_MEANS["mean-long"][0]), _EK_ENGINE_KERNELS, True),
     "mean-sampled": (("mean", *_NUMPY_MEANS["mean-sampled"][0]), _SUBSET_KERNELS, True),
     "hardy-sum": (("hardy-sum", "--mean", "power:0.5", "--family", "powertail:2", "-N", "10"),
                   _SCALAR_PREFIX_KERNELS, False),
     "hardy-sum-past-the-cap": (_PAST_THE_PREFIX_CAP, _PREFIX_KERNELS, True),
     "estimate-constant": (("estimate-constant", "--mean", "power:0.5", "-N", "10"), _PREFIX_KERNELS, True),
     "verify": (("verify", "--quick"), f"{_PREFIX_KERNELS} verification", True),
-    "bench": (("bench", "--samples", "200"), _SUBSET_KERNELS, True),
+    "bench": (("bench", "--samples", "200"), _EK_ENGINE_KERNELS, True),
 }
 
 

@@ -31,7 +31,6 @@ from hardy_means import (
 )
 from hardy_means import cmn_means, routes
 from hardy_means.cmn_means import (
-    ElementarySymmetric,
     _floyd_rows,
     _iter_subset_index_chunks,
     _jackknife_aggregate,
@@ -45,6 +44,7 @@ from hardy_means.cmn_means import (
     power_mean_of_logs,
     subset_log_means,
 )
+from hardy_means.prefix import ElementarySymmetric
 from hardy_means.routes import _elementary_symmetric, _pow_or_inf, _unscaled_elementary_symmetric, is_zero_exponent
 
 INF = math.inf

@@ -51,13 +51,6 @@ from hardy_means.prefix import default_checkpoints
 INF = math.inf
 
 
-def scalar_twin(evaluator, *args):
-    """The scalar engine's one-term evaluator of the form that the block
-    evaluator class ``evaluator`` runs, with the same arguments."""
-    kind = next(kind for kind, block in hardy._EVALUATORS.items() if block is evaluator)
-    return prefix._SCALAR_FORMS[kind][0](*args)
-
-
 class TestLandauConstant:
     def test_half_is_exactly_four(self):
         assert landau_constant(0.5) == 4.0
@@ -289,11 +282,11 @@ class TestPrefixEvaluators:
         ],
     )
     def test_extend_matches_push_bit_for_bit(self, rng, mean):
-        # extend over any split into blocks, and push, give the bits of the
-        # one-term recurrence
+        # extend over any split into blocks, and any mix of push and extend
+        # on one state, give the bits of pushing every term
         v = log_uniform_vector(rng, 400, decades=4.0)
-        reference = prefix._make_scalar_evaluator(mean)
-        want = [reference.push(a).hex() for a in v]
+        pushed = make_prefix_evaluator(mean)
+        want = [pushed.push(a).hex() for a in v]
         for _ in range(3):
             # one-element and empty blocks among random ones
             cuts = sorted([1, 1, 2, *rng.integers(2, 400, 6).tolist()])
@@ -305,8 +298,15 @@ class TestPrefixEvaluators:
                 got.extend(values.tolist())
             got.append(blocked.push(v[399]))  # the state carried by extend serves push too
             assert [x.hex() for x in got] == want
-        pushed = make_prefix_evaluator(mean)
-        assert [pushed.push(a).hex() for a in v] == want
+        # push first, extend on the pushed state, then push again: inside and
+        # across the P_r head (n <= k, for k = 2, 3 and 60), and past it
+        for lo, hi in ((1, 2), (1, 399), (2, 4), (3, 62), (59, 61), (200, 201)):
+            mixed = make_prefix_evaluator(mean)
+            got = [mixed.push(a) for a in v[:lo]]
+            values, error = mixed.extend(np.array(v[lo:hi]))
+            assert error is None
+            got += values.tolist() + [mixed.push(a) for a in v[hi:]]
+            assert [x.hex() for x in got] == want, (lo, hi)
 
     @pytest.mark.parametrize(
         "evaluator, args, size",
@@ -319,16 +319,13 @@ class TestPrefixEvaluators:
     )
     def test_push_matches_extend_past_the_largest_double(self, evaluator, args, size):
         # the running mean of entries at the largest double rounds past it:
-        # inf from extend and push, as from the one-term recurrence, rather
-        # than OverflowError
+        # inf from extend and push alike, rather than OverflowError
         v = [sys.float_info.max] * size
-        reference = scalar_twin(evaluator, *args)
-        want = [reference.push(a).hex() for a in v]
+        pushed = evaluator(*args)
+        want = [pushed.push(a).hex() for a in v]
         values, error = evaluator(*args).extend(np.array(v))
         assert error is None
         assert [x.hex() for x in values.tolist()] == want
-        pushed = evaluator(*args)
-        assert [pushed.push(a).hex() for a in v] == want
         assert math.inf.hex() in want
 
     def test_extend_keeps_the_per_term_checks(self):
@@ -376,20 +373,21 @@ class TestPrefixEvaluators:
             def blocks(self, count):
                 return iter([np.array([1.0, 0.5, 0.0, 2.0])])
 
-        rows = iter_hardy_checkpoints(0.5, Stub(), 4, [1, 2, 4])
+        rows = hardy._block_checkpoints(0.5, Stub(), 4, [1, 2, 4])
         assert [next(rows)[0], next(rows)[0]] == [1, 2]
         with pytest.raises(DomainError, match="non-positive term at index 3"):
             next(rows)
         # terms past the last checkpoint are never consumed
-        assert len(list(iter_hardy_checkpoints(0.5, Stub(), 4, [1, 2]))) == 2
+        assert len(list(hardy._block_checkpoints(0.5, Stub(), 4, [1, 2]))) == 2
 
     def test_overflowing_sums_end_the_stream_after_earlier_rows(self):
         # both sums pass the largest double at n = 4, and nothing before
         family = CustomTerms((1e308, 1e307, 1e307, 1e308))
-        rows = iter_hardy_checkpoints(0.5, family, 4, [1, 2, 3, 4])
-        assert [next(rows)[0] for _ in range(3)] == [1, 2, 3]
-        with pytest.raises(DomainError, match=r"left the double range at n=4$"):
-            next(rows)
+        for engine in (hardy._block_checkpoints, iter_hardy_checkpoints):
+            rows = engine(0.5, family, 4, [1, 2, 3, 4])
+            assert [next(rows)[0] for _ in range(3)] == [1, 2, 3]
+            with pytest.raises(DomainError, match=r"left the double range at n=4$"):
+                next(rows)
 
     @pytest.mark.parametrize(
         "mean, terms, message",
@@ -400,13 +398,14 @@ class TestPrefixEvaluators:
         ],
     )
     def test_refused_term_ends_the_stream_after_earlier_rows(self, mean, terms, message):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the overflow is an error, not a warning
-            rows = iter_hardy_checkpoints(parse_mean(mean), CustomTerms(terms), 4, [1, 2, 3, 4])
-            got = [next(rows), next(rows)]
-            with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
-                next(rows)
-        assert got == list(iter_hardy_checkpoints(parse_mean(mean), CustomTerms(terms[:2]), 2, [1, 2]))
+        for engine in (hardy._block_checkpoints, iter_hardy_checkpoints):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # the overflow is an error, not a warning
+                rows = engine(parse_mean(mean), CustomTerms(terms), 4, [1, 2, 3, 4])
+                got = [next(rows), next(rows)]
+                with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+                    next(rows)
+            assert got == list(engine(parse_mean(mean), CustomTerms(terms[:2]), 2, [1, 2]))
 
     @pytest.mark.parametrize(
         "terms",
@@ -425,17 +424,14 @@ class TestPrefixEvaluators:
         values, error = SecondMomentPrefix(2, 1.0).extend(np.array(terms))
         assert error is None
         assert values.tolist() == pytest.approx(want, rel=1e-15)
-        reference = scalar_twin(SecondMomentPrefix, 2, 1.0)
-        bits = [reference.push(a).hex() for a in terms]
-        assert [x.hex() for x in values.tolist()] == bits
         pushed = SecondMomentPrefix(2, 1.0)
-        assert [pushed.push(a).hex() for a in terms] == bits
+        assert [x.hex() for x in values.tolist()] == [pushed.push(a).hex() for a in terms]
         if len(set(terms)) == 1:
             assert values.tolist() == list(terms)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             marks = list(range(1, len(terms) + 1))
-            rows = list(iter_hardy_checkpoints(parse_mean("cmn:2,2,1"), CustomTerms(terms), len(terms), marks))
+            rows = list(hardy._block_checkpoints(parse_mean("cmn:2,2,1"), CustomTerms(terms), len(terms), marks))
         assert [row[0] for row in rows] == marks
         assert [row[1] for row in rows] == pytest.approx(np.cumsum(np.array(want, dtype=float)), rel=1e-15)
 
@@ -456,9 +452,9 @@ class TestPrefixEvaluators:
         monkeypatch.setattr(hardy, "cmn_mean_fast", lambda *args: enumerated.append(args))
         rows = []
         with pytest.raises(DomainError, match=f"capped at {MAX_ENUMERATION_N} terms"):
-            rows.extend(iter_hardy_checkpoints(MeanParams(2, 3.0, 1.0), PowerTail(2.0), MAX_ENUMERATION_N + 1))
+            rows.extend(hardy._block_checkpoints(MeanParams(2, 3.0, 1.0), PowerTail(2.0), MAX_ENUMERATION_N + 1))
         with pytest.raises(CapacityError, match=re.escape("C(25,12) = 5200300 exceeds")):
-            rows.extend(iter_hardy_checkpoints(MeanParams(12, 2.0, -1.0), PowerTail(2.0), 100))
+            rows.extend(hardy._block_checkpoints(MeanParams(12, 2.0, -1.0), PowerTail(2.0), 100))
         assert rows == [] and enumerated == []
 
     def test_buffered_push_keeps_no_refused_term(self, monkeypatch):
@@ -688,8 +684,8 @@ class TestBlockEngine:
         runs = []
         for block in (1, 7, 8192):
             monkeypatch.setattr(prefix, "_BLOCK", block)
-            rows = list(iter_hardy_checkpoints(parse_mean(mean), parse_family(family), n))
-            rows += list(iter_hardy_checkpoints(parse_mean(mean), parse_family(family), n, marks))
+            rows = list(hardy._block_checkpoints(parse_mean(mean), parse_family(family), n))
+            rows += list(hardy._block_checkpoints(parse_mean(mean), parse_family(family), n, marks))
             runs.append(rows)
         assert runs[0] == runs[1] == runs[2]
 

@@ -21,7 +21,6 @@ from hardy_means import (
 from hardy_means import cli
 from hardy_means.classify import classification_table
 from hardy_means.cmn_means import (
-    ElementarySymmetric,
     _scaled_pows,
     compare_k_monotonicity,
     compare_qs_monotonicity,
@@ -29,7 +28,7 @@ from hardy_means.cmn_means import (
 )
 from hardy_means.hardy import SecondMomentPrefix, SymmetricFunctionPrefix
 from hardy_means.params import require_int
-from hardy_means.prefix import default_checkpoints
+from hardy_means.prefix import ElementarySymmetric, default_checkpoints
 from hardy_means.verification import run_verification
 
 BLOCK = np.array([1.0, 2.0, 3.0, 5.0, 8.0])

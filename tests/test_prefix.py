@@ -1,9 +1,9 @@
 """The scalar prefix engine against the block engine.
 
-:func:`hardy_means.prefix.iter_checkpoints` runs every closed-form prefix
-experiment under its work cap one term at a time, without numpy; the
-block engine, :func:`hardy_means.hardy.iter_hardy_checkpoints`, runs the
-same recurrences on arrays.  Both must give the same rows by
+:func:`hardy_means.prefix.iter_hardy_checkpoints` runs every closed-form
+prefix experiment under its work cap one term at a time, by ``push``,
+without numpy; the block engine, :func:`hardy_means.hardy._block_checkpoints`,
+runs the same forms on arrays, by ``extend``.  Both must give the same rows by
 ``float.hex``, and the same error after the same rows.
 """
 
@@ -16,7 +16,7 @@ import pytest
 import regression_fixtures as fixtures
 from hardy_means import CustomTerms, DomainError, Geometric, Harmonic, HarmonicTruncated, MeanParams, PowerTail
 from hardy_means import parse_family, parse_mean, prefix
-from hardy_means.hardy import iter_hardy_checkpoints
+from hardy_means.hardy import _block_checkpoints
 
 
 def hex_rows(rows):
@@ -33,15 +33,15 @@ def hex_rows(rows):
 
 def both_routes(mean, family, n, checkpoints=None):
     """(scalar, block) outcomes of one experiment; the scalar engine must
-    be the one :func:`prefix.iter_checkpoints` picks."""
+    be the one :func:`prefix.iter_hardy_checkpoints` picks."""
     assert prefix._make_scalar_evaluator(mean, n) is not None
-    scalar = hex_rows(prefix.iter_checkpoints(mean, family, n, checkpoints))
-    return scalar, hex_rows(iter_hardy_checkpoints(mean, family, n, checkpoints))
+    scalar = hex_rows(prefix.iter_hardy_checkpoints(mean, family, n, checkpoints))
+    return scalar, hex_rows(_block_checkpoints(mean, family, n, checkpoints))
 
 
 def steps_per_term(mean) -> int:
     kind, *args = prefix.prefix_form(mean)
-    return prefix._SCALAR_FORMS[kind][1](*args)
+    return prefix._FORMS[kind][1](*args)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +117,7 @@ def test_both_engines_read_one_decision():
                  "cmn:2,2,1", "cmn:3,-1,-0.5"):
         mean = parse_mean(spec)
         kind = prefix.prefix_form(mean)[0]
-        assert type(prefix._make_scalar_evaluator(mean)) is prefix._SCALAR_FORMS[kind][0], spec
+        assert type(prefix._make_scalar_evaluator(mean)) is prefix._FORMS[kind][0], spec
         assert type(make_prefix_evaluator(mean)).__name__ == {
             "power": "PowerMeanPrefix", "pair": "PairGeometricMeanPrefix",
             "symmetric": "SymmetricFunctionPrefix", "second-moment": "SecondMomentPrefix",
@@ -230,7 +230,7 @@ def test_regression_fixtures_through_both_engines(key):
     spec, family_spec, n = key
     mean, family = parse_mean(spec), parse_family(family_spec)
     scalar = list(prefix._scalar_checkpoints(prefix._make_scalar_evaluator(mean), family, n, [n]))
-    block = list(iter_hardy_checkpoints(mean, family, n, [n]))
+    block = list(_block_checkpoints(mean, family, n, [n]))
     assert [tuple(map(float.hex, row[1:])) for row in scalar] == [tuple(map(float.hex, row[1:])) for row in block]
     want = fixtures.HARDY_RATIOS[key]
     _, mean_sum, term_sum, ratio = scalar[-1]
