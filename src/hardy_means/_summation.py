@@ -3,15 +3,6 @@
 One-shot reductions elsewhere in the package use ``math.fsum``, which is
 exactly rounded.  The partial-sum experiments need an *incremental* sum
 that stays accurate across 10^7 additions, hence this accumulator.
-
-A sum has one lane or two.  Two lanes are two independent sums kept as
-the real and imaginary parts of complex numbers, so that
-:meth:`KahanSum.extend` runs both in one pass.  That keeps every bit:
-complex addition and subtraction act on each part alone, with the double
-operation of that part, and ``np.cumsum`` adds strictly in order in each
-part as in a real array, so each lane rounds exactly as a one-lane sum
-over the same terms, and an inf or nan in one lane never reaches the
-other.
 """
 
 from __future__ import annotations
@@ -27,16 +18,12 @@ class KahanSum:
     Tracks the running sum and a correction term so the result is accurate
     to a couple of ulps regardless of how many terms were added (Higham,
     *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 4).
-
-    ``KahanSum(2)`` keeps two lanes: its state, the terms :meth:`extend`
-    takes, what it returns and :attr:`value` are complex, one lane in each
-    part.  :meth:`add`, :meth:`add_each` and :meth:`ldexp` take one lane.
     """
 
     __slots__ = ("_sum", "_compensation")
 
-    def __init__(self, lanes: int = 1):
-        self._sum = self._compensation = 0.0 if lanes == 1 else 0j
+    def __init__(self):
+        self._sum = self._compensation = 0.0
 
     def add(self, term: float) -> None:
         """Add one term: Neumaier's update, with the error of the rounded
@@ -81,12 +68,11 @@ class KahanSum:
         Neumaier's branch in :meth:`add` does for finite sums (a sum that
         overflows is nan at the same positions under both).  A second
         ``np.cumsum``, seeded with the carried compensation, adds the
-        errors in the same order as :meth:`add`.  Two lanes take complex
-        terms and run through the same steps, each part as one lane would.
+        errors in the same order as :meth:`add`.
         """
         import numpy as np  # here, not at the top: :meth:`add` needs no numpy
 
-        x = np.asarray(terms, dtype=type(self._sum))  # float64, or complex128 for two lanes
+        x = np.asarray(terms, dtype=np.float64)
         if x.size == 0:
             return np.empty(0, x.dtype)
         sums = np.empty(x.size + 1, x.dtype)

@@ -47,11 +47,8 @@ depends on the block size: every running mean rounds as ``push`` over the
 same terms does, and ``KahanSum.extend`` as ``KahanSum.add``.  Two things
 make that hold: the running sums use ``np.cumsum``, which adds strictly
 in order, and every ``pow``, ``log`` and ``exp`` is the C library's.  The
-sum of the means and the sum of the terms are the two lanes of one
-``KahanSum(2)``, one pass over each block for both; each lane rounds as
-its own one-lane sum would, since complex addition and subtraction act
-on each part alone (see :mod:`~hardy_means._summation`), and the
-experiments read each lane back as a Python float.  ``pow`` is
+sum of the means and the sum of the terms are kept in two
+:class:`KahanSum` accumulators, as in the scalar engine.  ``pow`` is
 ``np.float_power`` (:func:`~hardy_means.cmn_means._pows`), which calls
 the C library once per element; ``log`` and ``exp`` go element by
 element through ``math`` (:func:`~hardy_means.cmn_means._libm`), because
@@ -200,29 +197,28 @@ def _checkpoint_blocks(blocks: Iterator[np.ndarray], marks: list[int]):
         done = end
 
 
-def _advance(evaluator, sums: KahanSum, block: np.ndarray, done: int, family):
-    """Feed ``block``, the terms done+1.. of ``family``, to the evaluator
-    and to ``sums``, up to the earliest failure.
+def _advance(evaluator, means: KahanSum, norms: KahanSum, block: np.ndarray, done: int, family):
+    """Feed ``block``, the terms done+1.. of ``family``, to the evaluator,
+    its means to ``means`` and its terms to ``norms``, up to the earliest
+    failure.
 
-    ``sums`` is a two-lane :class:`KahanSum`: the sum of the means in the
-    real lane and the sum of the terms in the imaginary one.  Returns the
-    running sums of the means and of the terms after each term taken, and
-    the DomainError of the earliest failure or None.  A failure is a
-    non-positive term, a term the evaluator refuses, or a mean or term that
-    takes a sum out of the double range.
+    Returns the running sums of the means and of the terms after each term
+    taken, and the DomainError of the earliest failure or None.  A failure
+    is a non-positive term, a term the evaluator refuses, or a mean or term
+    that takes a sum out of the double range.
     """
     size = _valid_prefix((block > 0.0) & np.isfinite(block))
     # an overflow is reported at its first index, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         values, error = evaluator.extend(block[:size])
-        # each (mean, term) pair of doubles read as one complex number
-        running = sums.extend(np.column_stack((values, block[: values.size])).view(np.complex128)[:, 0])
+        mean_sums = means.extend(values)
+        term_sums = norms.extend(block[: values.size])
     if error is None and size < block.size:
         error = DomainError(f"family {family.label()} produced a non-positive term at index {done + size + 1}")
-    finite = _valid_prefix(np.isfinite(running))
-    if finite < running.size:
+    finite = _valid_prefix(np.isfinite(mean_sums) & np.isfinite(term_sums))
+    if finite < mean_sums.size:
         error = DomainError(f"the partial sum or norm left the double range at n={done + finite + 1}")
-    return running.real[:finite], running.imag[:finite], error
+    return mean_sums[:finite], term_sums[:finite], error
 
 
 def _block_checkpoints(
@@ -244,14 +240,14 @@ def _block_checkpoints(
     """
     n, marks = _checkpoint_marks(family, n, checkpoints, allow_nonsummable)
     evaluator = make_prefix_evaluator(mean)
-    running = KahanSum(2)
+    means, norms = KahanSum(), KahanSum()
     for done, block, inside in _checkpoint_blocks(family.blocks(n), marks):
-        sums, norms, error = _advance(evaluator, running, block, done, family)
+        mean_sums, term_sums, error = _advance(evaluator, means, norms, block, done, family)
         for i in inside:
-            if i > done + sums.size:
+            if i > done + mean_sums.size:
                 break
             j = i - done - 1
-            yield i, float(sums[j]), float(norms[j]), float(sums[j] / norms[j])
+            yield i, float(mean_sums[j]), float(term_sums[j]), float(mean_sums[j] / term_sums[j])
         if error is not None:
             raise error
 
@@ -342,21 +338,18 @@ def sharpness_constant_sweep(
     families = [HarmonicTruncated(require_int(n0, "n0", 1)) for n0 in crossovers]
     if not families:
         return []
-    runs = [(family, make_prefix_evaluator(mean), KahanSum(2)) for family in families]
+    runs = [(family, make_prefix_evaluator(mean), KahanSum(), KahanSum()) for family in families]
     for lo, hi in _block_ranges(n):
         i = np.arange(lo, hi, dtype=np.float64)
         inverse = 1.0 / i
         square = np.empty_like(i)
         first = min(max(families[0].crossover - lo + 1, 0), i.size)  # the earliest tail
         square[first:] = _pows(i[first:], -2.0)
-        for family, evaluator, sums in runs:
+        for family, evaluator, means, norms in runs:
             cut = min(max(family.crossover - lo + 1, 0), i.size)
             block = np.concatenate((inverse[:cut], square[cut:]))
-            error = _advance(evaluator, sums, block, lo - 1, family)[2]
+            error = _advance(evaluator, means, norms, block, lo - 1, family)[2]
             if error is not None:
                 raise error
-    totals = [(family, sums.value) for family, _, sums in runs]
-    return [
-        HardyEstimate(ratio=t.real / t.imag, n=n, family=family, mean=mean, mean_sum=t.real, term_sum=t.imag)
-        for family, t in totals
-    ]
+    totals = [(family, means.value, norms.value) for family, _, means, norms in runs]
+    return [HardyEstimate(s / t, n, family, mean, mean_sum=s, term_sum=t) for family, s, t in totals]

@@ -12,9 +12,10 @@ def test_one_round_of_the_repository_against_itself():
     )
     assert (done.returncode, done.stderr) == (0, "")
     header, *rows = done.stdout.splitlines()
-    assert header.split() == ["call", "parent_s", "change_s", "change", "lower"]
+    assert header.split() == ["call", "parent_s", "change_s", "parent_minflt", "change_minflt", "change", "lower"]
     calls = ["estimate-constant", "hardy-sum power", "hardy-sum e_k", "verify --quick", "total"]
-    assert [row.rsplit(None, 3)[0] for row in rows] == calls
+    assert [row.rsplit(None, 5)[0] for row in rows] == calls
     for row in rows:
-        parent, change, lower = row.rsplit(None, 3)[1:]
+        parent, change, parent_minflt, change_minflt, lower = row.rsplit(None, 5)[1:]
         assert float(parent) > 0.0 and float(change) > 0.0 and lower in ("0/1", "1/1")
+        assert int(parent_minflt) >= 0 and int(change_minflt) >= 0

@@ -390,6 +390,27 @@ class TestPrefixEvaluators:
                 next(rows)
 
     @pytest.mark.parametrize(
+        "mean, terms, taken",
+        [
+            # only the sum of the means passes the largest double, at n = 2
+            ("power:inf", (1.7e308, 1e-300, 1e-300), 1),
+            # only the sum of the terms does, at n = 3
+            ("power:-inf", (1e308, 1e-300, 1e308), 2),
+        ],
+    )
+    def test_one_overflowing_sum_ends_the_stream_on_both_engines(self, mean, terms, taken):
+        mean = parse_mean(mean)
+        assert prefix._make_scalar_evaluator(mean, 3) is not None  # iter_hardy_checkpoints runs the scalar engine
+        got = []
+        for engine in (hardy._block_checkpoints, iter_hardy_checkpoints):
+            rows = engine(mean, CustomTerms(terms), 3, [1, 2, 3])
+            got.append([(i, *map(float.hex, rest)) for i, *rest in (next(rows) for _ in range(taken))])
+            with pytest.raises(DomainError, match=f"left the double range at n={taken + 1}$"):
+                next(rows)
+        assert [row[0] for row in got[0]] == list(range(1, taken + 1))
+        assert got[0] == got[1]
+
+    @pytest.mark.parametrize(
         "mean, terms, message",
         [
             ("power:2", (1.0, 2.0, 1e200, 3.0), "a**p left the double range for a=1e+200"),
@@ -598,50 +619,6 @@ def test_kahan_extend_matches_add(head, tail, cuts):
     assert listed.value.hex() == reference.value.hex()
 
 
-finite_pairs = st.tuples(finite_magnitudes, finite_magnitudes)
-
-
-@given(
-    head=st.lists(finite_pairs, max_size=8),
-    tail=st.lists(finite_pairs, max_size=60),
-    cuts=st.lists(st.integers(min_value=0, max_value=60), max_size=4),
-)
-# empty and one-term blocks, with a compensation carried across each cut
-@example(head=[(2.0**53, 1e100), (1.0, 1.0)], tail=[(1.0, -1e100), (1.0, 1.0), (-(2.0**53), 1.0)], cuts=[0, 0, 1, 2, 2])
-@example(head=[], tail=[(1.0, 2.0**53), (1e100, 1.0), (1.0, 1.0), (-1e100, -(2.0**53))], cuts=[1, 2, 3])
-# one lane overflows to inf and then nan; the other stays finite
-@example(head=[], tail=[(1e308, 1.0), (1e308, 2.0), (1.0, 3.0), (-1e308, 4.0)], cuts=[])
-@example(head=[(1.0, 1e308)], tail=[(2.0, 1e308), (3.0, 1.0), (4.0, -1e308)], cuts=[1, 2])
-def test_two_lanes_match_two_sums(head, tail, cuts):
-    pair = KahanSum(2)
-    lanes = [KahanSum(), KahanSum()]
-    added = [KahanSum(), KahanSum()]
-    bounds = [0, *sorted(min(c, len(tail)) for c in cuts), len(tail)]
-    blocks = [head] + [tail[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    with np.errstate(invalid="ignore", over="ignore"):
-        for block in blocks:  # the first carries its state into the rest
-            got = pair.extend(np.array([complex(x, y) for x, y in block], dtype=np.complex128))
-            for lane, one, by_add, part in zip((0, 1), lanes, added, (got.real, got.imag)):
-                terms = [xy[lane] for xy in block]
-                want = one.extend(terms).tolist()
-                assert [x.hex() for x in part.tolist()] == [x.hex() for x in want]
-                for x, w in zip(terms, want):
-                    by_add.add(x)
-                    assert by_add.value.hex() == w.hex()
-    total = pair.value
-    assert (total.real.hex(), total.imag.hex()) == (lanes[0].value.hex(), lanes[1].value.hex())
-    assert (total.real.hex(), total.imag.hex()) == (added[0].value.hex(), added[1].value.hex())
-
-
-def test_an_overflowing_lane_leaves_the_other_alone():
-    pair = KahanSum(2)
-    with np.errstate(invalid="ignore", over="ignore"):
-        got = pair.extend(np.array([1e308 + 1j, 1e308 + 2j, 1.0 + 3j]))
-    # the sum is inf from the second term on, its compensated value nan
-    assert got.real[0] == 1e308 and np.isnan(got.real[1:]).all() and math.isnan(pair.value.real)
-    assert got.imag.tolist() == [1.0, 3.0, 6.0] and pair.value.imag == 6.0
-
-
 class TestBlockEngine:
     def test_block_terms_match_per_term_formulas(self, monkeypatch):
         monkeypatch.setattr(prefix, "_BLOCK", 7)
@@ -718,6 +695,22 @@ class TestBlockEngine:
         )
         assert len(estimates) == 3
         assert peak < 2 * 2**20, f"sweep peak {peak / 2**20:.2f} MiB"
+
+    @pytest.mark.parametrize("make", [lambda: PowerMeanPrefix(0.5), PairGeometricMeanPrefix], ids=["power", "pair"])
+    def test_block_step_memory(self, make):
+        # One full block step holds a few float blocks at once: the
+        # evaluator's temporaries and each sum's running totals and
+        # compensations, about 320 KiB and 450 KiB here.
+        evaluator, means, norms, size = make(), KahanSum(), KahanSum(), prefix._BLOCK
+        warm, block = (1.0 / np.arange(lo, lo + size, dtype=np.float64) for lo in (1, size + 1))
+        hardy._advance(evaluator, means, norms, warm, 0, Harmonic())
+        tracemalloc.start()
+        try:
+            hardy._advance(evaluator, means, norms, block, size, Harmonic())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * size * 8, f"peak {peak / 2**10:.0f} KiB"
 
 
 class TestPartialSums:

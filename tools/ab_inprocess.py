@@ -19,8 +19,13 @@ Each round runs the calls of the ``hardy-prefix`` workload of
 ``run_verification(quick=True)``, first for one tree and then for the
 other; the tree that goes first alternates from round to round.  The
 script prints, per call and for the sum of the calls, the median seconds
-of each tree and in how many rounds the change took less time.  It exits
-1 if a call fails.
+of each tree, the median minor page faults of each tree (the growth of
+``getrusage(RUSAGE_SELF).ru_minflt`` across the call) and in how many
+rounds the change took less time.  Two forms of one computation can part
+by their faults where their arithmetic is the same, for instance when a
+temporary sits near glibc's mmap threshold.  The trees share one
+allocator, so one tree's faults also depend on what the other allocated
+and freed before.  It exits 1 if a call fails.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import contextlib
 import importlib
 import io
 import os
+import resource
 import shutil
 import statistics
 import sys
@@ -58,8 +64,9 @@ def load(tree: Path, name: str, scratch: Path) -> dict:
     return {module: importlib.import_module(f"{name}.{module}") for module in MODULES}
 
 
-def run(package: dict, call: str) -> float:
-    """Seconds one call takes in ``package``."""
+def run(package: dict, call: str) -> tuple[float, int]:
+    """Seconds one call takes in ``package``, and its minor page faults."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     if call == VERIFY:
         package["verification"].run_verification(quick=True)
@@ -68,7 +75,7 @@ def run(package: dict, call: str) -> float:
             code = package["cli"].main(list(CALLS[call]))
         if code != 0:
             raise SystemExit(f"hardy-means {' '.join(CALLS[call])} exited {code}")
-    return time.perf_counter() - start
+    return time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
 
 def main(argv=None) -> int:
@@ -82,19 +89,25 @@ def main(argv=None) -> int:
     sys.dont_write_bytecode = True
     calls = [*CALLS, VERIFY]
     times = {tree: {call: [] for call in calls} for tree in TREES}
+    faults = {tree: {call: [] for call in calls} for tree in TREES}
     with tempfile.TemporaryDirectory() as scratch:
         sys.path.insert(0, scratch)
         packages = {tree: load(getattr(args, tree), f"hm_{tree}", Path(scratch)) for tree in TREES}
         for r in range(args.rounds):
             for tree in TREES if r % 2 == 0 else TREES[::-1]:
                 for call in calls:
-                    times[tree][call].append(run(packages[tree], call))
-    print(f"{'call':<20}  {'parent_s':>9}  {'change_s':>9}  change lower")
-    totals = {tree: [sum(each) for each in zip(*times[tree].values())] for tree in TREES}
-    for call, parent, change in [*((c, times["parent"][c], times["change"][c]) for c in calls),
-                                 ("total", totals["parent"], totals["change"])]:
+                    seconds, minflt = run(packages[tree], call)
+                    times[tree][call].append(seconds)
+                    faults[tree][call].append(minflt)
+    for table in (times, faults):
+        for tree in TREES:
+            table[tree]["total"] = [sum(each) for each in zip(*table[tree].values())]
+    print(f"{'call':<20}  {'parent_s':>9}  {'change_s':>9}  {'parent_minflt':>13}  {'change_minflt':>13}  change lower")
+    for call in [*calls, "total"]:
+        parent, change = times["parent"][call], times["change"][call]
         lower = sum(c < p for p, c in zip(parent, change))
         print(f"{call:<20}  {statistics.median(parent):9.4f}  {statistics.median(change):9.4f}  "
+              f"{statistics.median(faults['parent'][call]):13.0f}  {statistics.median(faults['change'][call]):13.0f}  "
               f"{lower}/{len(parent)}")
     return 0
 
